@@ -10,7 +10,6 @@ from .greedy import Architecture, GreedyModel, dict_learn, greedy_encode, greedy
 from .inference import (
     EncodedFeature,
     Prediction,
-    class_support,
     classify_l0,
     classify_l1,
     encode_test,
@@ -26,7 +25,7 @@ from .joint import (
 )
 from .metrics import average_accuracy, confusion_matrix, kappa, mcnemar_z, overall_accuracy
 from .numerics import Activation, ActivationKind, Rng
-from .sparse import SparsityBudget, hard_threshold_per_column, omp, prox_push, somp
+from .sparse import SparsityBudget, prox_push, pursuit
 from .dataio import (
     DataFormatError,
     Dataset,
@@ -58,7 +57,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
     "average_accuracy",
-    "class_support",
     "classify_l0",
     "classify_l1",
     "confusion_matrix",
@@ -67,17 +65,15 @@ __all__ = [
     "extract_spatial_spectral",
     "greedy_encode",
     "greedy_train",
-    "hard_threshold_per_column",
     "joint_train",
     "kappa",
     "load_model",
     "make_dataset",
     "mcnemar_z",
-    "omp",
     "overall_accuracy",
     "predict_batch",
     "prox_push",
+    "pursuit",
     "save_model",
-    "somp",
     "split_per_class",
 ]

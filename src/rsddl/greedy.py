@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Activation, NumericsWarning, Rng, as_matrix, as_vector, normalize_columns, pinv, ridge_solve
-from .sparse import DEFAULT_RESIDUAL_TOL, omp_columns
+from .numerics import Activation, NumericsWarning, Rng, as_matrix, normalize_columns, pinv, ridge_solve
+from .sparse import pursuit
 
 __all__ = ["Architecture", "GreedyModel", "dict_learn", "greedy_train", "greedy_encode"]
 
@@ -78,6 +78,17 @@ def _reseed_dead_atoms(d: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarra
     return d
 
 
+def _fit_dictionary(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Least-squares dictionary for ``X ~ D Z`` on the live code rows.  An
+    all-zero row leaves its atom undetermined (and the normal equations
+    singular); its column stays zero for :func:`_reseed_dead_atoms`."""
+    live = np.any(z != 0.0, axis=1)
+    d = np.zeros((x.shape[0], z.shape[0]))
+    if np.any(live):
+        d[:, live] = ridge_solve(z[live].T, x.T, 0.0).T
+    return d
+
+
 def dict_learn(
     x: np.ndarray,
     n_atoms: int,
@@ -109,16 +120,14 @@ def dict_learn(
     d = _init_dictionary(x.shape[0], n_atoms, rng)
     z = np.zeros((n_atoms, x.shape[1]))
     for _ in range(iters):
-        z_new = omp_columns(d, x, s)
+        z_new = pursuit(d, x, s)
         # keep the old code where the greedy step happened to do worse
         old_err = np.linalg.norm(x - d @ z, axis=0)
         new_err = np.linalg.norm(x - d @ z_new, axis=0)
         better = new_err <= old_err
         z[:, better] = z_new[:, better]
 
-        dt = ridge_solve(z.T, x.T, 0.0)
-        d = dt.T
-        d, scales = normalize_columns(d)
+        d, scales = normalize_columns(_fit_dictionary(z, x))
         z = z * scales[:, None]
         d = _reseed_dead_atoms(d, z, x)
         if callback is not None:
@@ -189,16 +198,15 @@ def greedy_encode(model: GreedyModel, x: np.ndarray, s: int) -> np.ndarray:
     invert the activation and apply the next pseudo-inverse, and the final
     layer runs OMP with the sparsity budget.
     """
-    x = as_vector(x, "x")
+    z = as_matrix(np.reshape(x, (-1, 1)), "x")
     dicts = model.dictionaries
-    if x.size != dicts[0].shape[0]:
-        raise ValueError(f"sample length {x.size} != D1 rows {dicts[0].shape[0]}")
+    if z.shape[0] != dicts[0].shape[0]:
+        raise ValueError(f"sample length {z.shape[0]} != D1 rows {dicts[0].shape[0]}")
     act = model.architecture.activation
-    z = x.reshape(-1, 1)
     for idx, d in enumerate(dicts):
         target = z if idx == 0 else act.inverse(z)
         if idx == len(dicts) - 1:
-            z = omp_columns(d, target, s, DEFAULT_RESIDUAL_TOL)
+            z = pursuit(d, target, s)
         else:
             z = pinv(d) @ target
     return z.reshape(-1)

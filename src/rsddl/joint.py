@@ -25,7 +25,7 @@ import numpy as np
 
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
 from .numerics import Activation, Rng, as_matrix, normalize_columns, pinv
-from .sparse import DEFAULT_RESIDUAL_TOL, SparsityBudget, prox_push, somp_rows
+from .sparse import DEFAULT_RESIDUAL_TOL, SparsityBudget, prox_push, pursuit, pursuit_gram
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataio import Dataset
@@ -189,7 +189,9 @@ class FitReport:
 
 @dataclass
 class Model:
-    """Trained classifier state: dictionaries, stored codes, class summaries."""
+    """Trained classifier state: dictionaries, stored codes, class summaries.
+    ``cache`` holds unpersisted inference factors derived from the arrays,
+    which are replaced, never modified in place."""
 
     dictionaries: list[np.ndarray]
     architecture: Architecture
@@ -199,6 +201,7 @@ class Model:
     class_supports: np.ndarray
     config: TrainConfig
     fit_report: FitReport | None = None
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_classes(self) -> int:
@@ -307,11 +310,24 @@ def solve_P4(
     b1: np.ndarray,
     eta1: float,
     act: Activation,
+    lhs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Stationary point of ``||X - D1 Z1||^2 + eta1 ||Z1 - phi(D2 Z2) - B1||^2``."""
+    """Stationary point of ``||X - D1 Z1||^2 + eta1 ||Z1 - phi(D2 Z2) - B1||^2``;
+    ``lhs``, when given, is :func:`p4_lhs` computed once by the caller."""
     target = act.forward(d2 @ z2) + b1
-    lhs = d1.T @ d1 + eta1 * np.eye(d1.shape[1])
+    if lhs is None:
+        lhs = p4_lhs(d1, eta1)
     return np.linalg.solve(lhs, d1.T @ x + eta1 * target)
+
+
+def p4_lhs(d1: np.ndarray, eta1: float) -> np.ndarray:
+    """Left-hand side of the P4 normal equations."""
+    return d1.T @ d1 + eta1 * np.eye(d1.shape[1])
+
+
+def p5_lhs(d2: np.ndarray, eta1: float, eta2: float) -> np.ndarray:
+    """Left-hand side of the P5 normal equations."""
+    return eta1 * (d2.T @ d2) + eta2 * np.eye(d2.shape[1])
 
 
 def solve_P5(
@@ -324,10 +340,13 @@ def solve_P5(
     eta1: float,
     eta2: float,
     act: Activation,
+    lhs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stationary point of
-    ``eta1 ||phi^-1(Z1 - B1) - D2 Z2||^2 + eta2 ||Z2 - phi(D3 Z) - B2||^2``."""
-    lhs = eta1 * (d2.T @ d2) + eta2 * np.eye(d2.shape[1])
+    ``eta1 ||phi^-1(Z1 - B1) - D2 Z2||^2 + eta2 ||Z2 - phi(D3 Z) - B2||^2``;
+    ``lhs``, when given, is :func:`p5_lhs` computed once by the caller."""
+    if lhs is None:
+        lhs = p5_lhs(d2, eta1, eta2)
     rhs = eta1 * (d2.T @ act.inverse(z1 - b1)) + eta2 * (act.forward(d3 @ z) + b2)
     return np.linalg.solve(lhs, rhs)
 
@@ -353,33 +372,34 @@ def solve_P6_class(
     ``[sqrt(eta2) D3 ; sqrt(gamma) I per competitor]`` against the stacked
     targets ``[sqrt(eta2) phi^-1(Z2c - B2c) ; sqrt(gamma) (mean_k + C - P)]``,
     the reverse-shrinkage update of each P, and the relaxation update of each
-    C.  ``p`` and ``c_relax`` (keyed by competitor class id) are updated in
-    place.  With ``mu == 0`` or no competitors this is plain SOMP on the data
-    term.
+    C.  The stacked system is never built: SOMP runs on its Gram matrix
+    ``eta2 D3'D3 + (C-1) gamma I`` and its correlation
+    ``eta2 D3' T + gamma sum_k (mean_k + C_k - P_k)``.  ``p`` and ``c_relax``
+    (keyed by competitor class id) are updated in place.  With ``mu == 0`` or
+    no competitors this is plain SOMP on the data term.
     """
     target_top = act.inverse(z2c - b2c)
     competitors = sorted(competitor_means)
     if mu == 0 or not competitors:
-        return somp_rows(d3, target_top, row_s, residual_tol)
+        return pursuit(d3, target_top, row_s, rows=True, residual_tol=residual_tol)
 
-    a3 = d3.shape[1]
-    sq_eta2 = math.sqrt(eta2)
-    sq_gamma = math.sqrt(gamma)
-    eye = sq_gamma * np.eye(a3)
-    stacked_d = np.vstack([sq_eta2 * d3] + [eye] * len(competitors))
-    z_c = np.zeros((a3, z2c.shape[1]))
+    gram = eta2 * (d3.T @ d3) + len(competitors) * gamma * np.eye(d3.shape[1])
+    corr_top = eta2 * (d3.T @ target_top)
+    sq_top = eta2 * np.einsum("ij,ij->j", target_top, target_top)
+    # one (competitor, atom, column) array per variable
+    zbar = np.stack([competitor_means[k] for k in competitors])[:, :, None]
+    p_all = np.stack([p[k] for k in competitors])
+    c_all = np.stack([c_relax[k] for k in competitors])
+    z_c = np.zeros((d3.shape[1], z2c.shape[1]))
     for _ in range(inner_iters):
-        targets = [sq_eta2 * target_top]
-        for k in competitors:
-            zbar = competitor_means[k][:, None]
-            targets.append(sq_gamma * (zbar + c_relax[k] - p[k]))
-        z_c = somp_rows(stacked_d, np.vstack(targets), row_s, residual_tol)
-        for k in competitors:
-            zbar = competitor_means[k][:, None]
-            p[k] = prox_push(zbar - z_c + c_relax[k], mu, gamma)
-        for k in competitors:
-            zbar = competitor_means[k][:, None]
-            c_relax[k] = p[k] - (zbar - z_c) - c_relax[k]
+        blocks = zbar + c_all - p_all
+        corr = corr_top + gamma * blocks.sum(axis=0)
+        y_sq = sq_top + gamma * np.einsum("kij,kij->j", blocks, blocks)
+        z_c = pursuit_gram(gram, corr, y_sq, row_s, rows=True, residual_tol=residual_tol)
+        p_all = prox_push(zbar - z_c + c_all, mu, gamma)
+        c_all = p_all - (zbar - z_c) - c_all
+    for i, k in enumerate(competitors):
+        p[k], c_relax[k] = p_all[i], c_all[i]
     return z_c
 
 
@@ -532,7 +552,7 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
     z_init = np.zeros_like(codes[2])
     for c in range(1, n_classes + 1):
         cols = class_cols[c]
-        z_init[:, cols] = somp_rows(dicts[2], deep_target[:, cols], budget.row_s)
+        z_init[:, cols] = pursuit(dicts[2], deep_target[:, cols], budget.row_s, rows=True)
     state = JointState(
         x=x,
         d1=dicts[0],

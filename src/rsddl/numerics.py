@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "NumericsWarning",
     "as_matrix",
-    "as_vector",
     "normalize_columns",
     "pinv",
     "ridge_solve",
@@ -41,16 +40,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
-
-
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Validate ``a`` as a nonempty finite float64 vector (flattened to 1-D)."""
-    v = np.asarray(a, dtype=np.float64).reshape(-1)
-    if v.size == 0:
-        raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return v
 
 
 def normalize_columns(d: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

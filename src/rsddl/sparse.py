@@ -1,10 +1,11 @@
-"""Sparse-recovery primitives: hard thresholding, OMP, SOMP, reverse shrinkage.
+"""Sparse-recovery primitives: batched greedy pursuit and reverse shrinkage.
 
 The l0-style penalties of the training objective are realized as hard
 sparsity budgets (s nonzeros per column, s nonzero rows per class block) and
-solved by greedy pursuit.  Dictionaries passed to :func:`omp` / :func:`somp`
-must have unit-norm columns; :func:`omp_columns` / :func:`somp_rows` wrap them
-for dictionaries with arbitrary column scaling (including dead atoms).
+solved by one greedy kernel: Batch-OMP (Rubinstein, Zibulevsky & Elad 2008)
+over all columns at once, or SOMP (Tropp, Gilbert & Strauss 2006) with one
+row support.  It needs only ``D'D`` and ``D'Y``, so a structured system (the
+stacked P6 system) is never built.
 """
 
 from __future__ import annotations
@@ -13,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix
 
 __all__ = [
     "SparsityBudget",
-    "hard_threshold_per_column",
-    "omp",
-    "somp",
-    "omp_columns",
-    "somp_rows",
+    "pursuit",
+    "pursuit_gram",
     "prox_push",
 ]
 
@@ -52,139 +50,87 @@ class SparsityBudget:
             raise ValueError(f"row_s={self.row_s} exceeds atom count {n_atoms}")
 
 
-def hard_threshold_per_column(m: np.ndarray, s: int) -> np.ndarray:
-    """Keep the s largest-magnitude entries of each column, zero the rest.
+def pursuit_gram(
+    gram: np.ndarray,
+    corr: np.ndarray,
+    y_sq: np.ndarray,
+    s: int,
+    rows: bool = False,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+) -> np.ndarray:
+    """Greedy pursuit of every column of ``Y ~ D Z`` from ``D'D``, ``D'Y`` and
+    the squared column norms of ``Y``: OMP per column, or with ``rows=True``
+    SOMP with one row support for all columns.
 
-    Ties are broken toward the smaller row index.
+    Atoms are normalized through the Gram diagonal and the coefficients scaled
+    back; dead (zero) atoms are skipped and ``s`` is capped at the live count.
+    Each step picks the unselected atom with the largest ``|d_i' r|`` (SOMP:
+    row norm of ``D'R``), ties to the smaller index, then refits the support
+    by one stacked k x k Gram solve.  A column (SOMP: the block) whose
+    residual norm, ``sqrt(||y||^2 - coef' (D'y)_support)``, is at or below
+    ``residual_tol`` stops and leaves the working set.
     """
-    m = as_matrix(m, "M")
-    if not 1 <= s <= m.shape[0]:
-        raise ValueError(f"s must be in [1, {m.shape[0]}], got {s}")
-    out = np.zeros_like(m)
-    for j in range(m.shape[1]):
-        # stable sort on -|x|: equal magnitudes keep ascending row order
-        order = np.argsort(-np.abs(m[:, j]), kind="stable")
-        keep = order[:s]
-        out[keep, j] = m[keep, j]
+    norms = np.sqrt(np.diag(gram))
+    alive = norms > _DEAD_COLUMN_TOL
+    if not np.any(alive):
+        raise ValueError("dictionary has no usable (nonzero) columns")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    n = corr.shape[1]
+    live_norms = norms[alive]
+    g = gram[np.ix_(alive, alive)] / np.outer(live_norms, live_norms)
+    c = corr[alive] / live_norms[:, None]
+
+    # a group is the set of columns sharing one support: each column for OMP,
+    # the whole block for SOMP; arrays below are (group, atom, column)
+    if rows:
+        c = c[None]
+        cols = np.arange(n)[None, :]
+        y2 = np.array([np.sum(y_sq)])
+    else:
+        c = c.T[:, :, None]
+        cols = np.arange(n)[:, None]
+        y2 = np.asarray(y_sq, dtype=np.float64)
+    steps = min(s, g.shape[0])
+    z = np.zeros((g.shape[0], n))
+    support = np.zeros((c.shape[0], steps), dtype=np.intp)
+    group = np.arange(c.shape[0])[:, None]
+    resid, r2 = c, y2
+    for k in range(steps):
+        going = r2 > residual_tol * residual_tol
+        if not going.all():
+            c, cols, y2, support, resid = (v[going] for v in (c, cols, y2, support, resid))
+            group = group[: c.shape[0]]
+            if c.shape[0] == 0:
+                break
+        score = np.einsum("gat,gat->ga", resid, resid)
+        score[group, support[:, :k]] = -1.0
+        support[:, k] = score.argmax(axis=1)
+        sup = support[:, : k + 1]
+        sub_gram = g[sup[:, :, None], sup[:, None, :]]
+        rhs = c[group, sup]
+        try:
+            coef = np.linalg.solve(sub_gram, rhs)
+        except np.linalg.LinAlgError:  # linearly dependent support: minimum-norm fit
+            coef = np.linalg.pinv(sub_gram) @ rhs
+        z[sup[:, :, None], cols[:, None, :]] = coef
+        resid = c - np.einsum("gka,gkt->gat", g[sup], coef)
+        r2 = y2 - np.einsum("gkt,gkt->g", coef, rhs)
+    out = np.zeros((gram.shape[0], n))
+    out[alive] = z / live_norms[:, None]
     return out
 
 
-def _check_pursuit_dictionary(d: np.ndarray) -> None:
-    norms = np.linalg.norm(d, axis=0)
-    if np.any(norms <= _DEAD_COLUMN_TOL):
-        dead = int(np.argmax(norms <= _DEAD_COLUMN_TOL))
-        raise ValueError(f"dictionary column {dead} has zero norm")
-
-
-def omp(d: np.ndarray, x: np.ndarray, s: int, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> np.ndarray:
-    """Orthogonal matching pursuit for a single signal.
-
-    Grows the support greedily by the largest |d_i' r| correlation (ties to
-    the smaller atom index), refits the coefficients by least squares on the
-    support after every selection, and stops early once the residual norm
-    drops to ``residual_tol``.  ``d`` must have unit-norm columns.
-    """
-    d = as_matrix(d, "D")
-    x = as_vector(x, "x")
-    if x.size != d.shape[0]:
-        raise ValueError(f"signal length {x.size} != dictionary rows {d.shape[0]}")
-    if not 1 <= s <= d.shape[1]:
-        raise ValueError(f"s must be in [1, {d.shape[1]}], got {s}")
-    _check_pursuit_dictionary(d)
-
-    support: list[int] = []
-    residual = x.copy()
-    coef = np.zeros(0)
-    for _ in range(s):
-        if np.linalg.norm(residual) <= residual_tol:
-            break
-        corr = np.abs(d.T @ residual)
-        corr[support] = -1.0
-        support.append(int(np.argmax(corr)))
-        sub = d[:, support]
-        coef, *_ = np.linalg.lstsq(sub, x, rcond=None)
-        residual = x - sub @ coef
-    z = np.zeros(d.shape[1])
-    if support:
-        z[support] = coef
-    return z
-
-
-def somp(d: np.ndarray, y: np.ndarray, s: int, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> np.ndarray:
-    """Simultaneous OMP: one shared row support for all columns of ``y``.
-
-    Rows are selected by the largest l2 norm of the corresponding row of
-    ``D'R`` and the coefficients on the support are refit jointly by least
-    squares.  On a single column this reduces exactly to :func:`omp`.
-    """
+def pursuit(
+    d: np.ndarray, y: np.ndarray, s: int, rows: bool = False, residual_tol: float = DEFAULT_RESIDUAL_TOL
+) -> np.ndarray:
+    """:func:`pursuit_gram` against an explicit dictionary ``d`` (any column
+    scaling, dead atoms allowed) for the columns of ``y``."""
     d = as_matrix(d, "D")
     y = as_matrix(y, "Y")
     if y.shape[0] != d.shape[0]:
         raise ValueError(f"signal rows {y.shape[0]} != dictionary rows {d.shape[0]}")
-    if not 1 <= s <= d.shape[1]:
-        raise ValueError(f"s must be in [1, {d.shape[1]}], got {s}")
-    _check_pursuit_dictionary(d)
-
-    support: list[int] = []
-    residual = y.copy()
-    coef = np.zeros((0, y.shape[1]))
-    for _ in range(s):
-        if np.linalg.norm(residual) <= residual_tol:
-            break
-        corr = np.linalg.norm(d.T @ residual, axis=1)
-        corr[support] = -1.0
-        support.append(int(np.argmax(corr)))
-        sub = d[:, support]
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        residual = y - sub @ coef
-    z = np.zeros((d.shape[1], y.shape[1]))
-    if support:
-        z[support, :] = coef
-    return z
-
-
-def _unit_column_view(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(d, axis=0)
-    alive = norms > _DEAD_COLUMN_TOL
-    dn = d[:, alive] / norms[alive]
-    return dn, norms, alive
-
-
-def omp_columns(
-    d: np.ndarray, y: np.ndarray, s: int, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> np.ndarray:
-    """Per-column OMP against a dictionary with arbitrary column scaling.
-
-    Normalizes the columns, skips dead (zero) atoms, and rescales the
-    coefficients back so that ``d @ result`` approximates ``y``.
-    """
-    d = as_matrix(d, "D")
-    y = as_matrix(y, "Y")
-    dn, norms, alive = _unit_column_view(d)
-    if dn.shape[1] == 0:
-        raise ValueError("dictionary has no usable (nonzero) columns")
-    s_eff = min(s, dn.shape[1])
-    z = np.zeros((d.shape[1], y.shape[1]))
-    for j in range(y.shape[1]):
-        sub = omp(dn, y[:, j], s_eff, residual_tol)
-        z[alive, j] = sub / norms[alive]
-    return z
-
-
-def somp_rows(
-    d: np.ndarray, y: np.ndarray, s: int, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> np.ndarray:
-    """Row-sparse SOMP against a dictionary with arbitrary column scaling."""
-    d = as_matrix(d, "D")
-    y = as_matrix(y, "Y")
-    dn, norms, alive = _unit_column_view(d)
-    if dn.shape[1] == 0:
-        raise ValueError("dictionary has no usable (nonzero) columns")
-    s_eff = min(s, dn.shape[1])
-    zsub = somp(dn, y, s_eff, residual_tol)
-    z = np.zeros((d.shape[1], y.shape[1]))
-    z[alive, :] = zsub / norms[alive, None]
-    return z
+    return pursuit_gram(d.T @ d, d.T @ y, np.einsum("ij,ij->j", y, y), s, rows, residual_tol)
 
 
 def prox_push(v, mu: float, gamma: float) -> np.ndarray:

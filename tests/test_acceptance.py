@@ -14,12 +14,13 @@ import pytest
 from rsddl.cli import main as cli_main
 from rsddl.dataio import DataFormatError, load_model, save_labels, save_matrix_csv, save_model
 from rsddl.greedy import Architecture
-from rsddl.inference import class_support, predict_batch
+from rsddl.inference import predict_batch
 from rsddl.joint import DropMode, TrainConfig, resolve_budget, solve_P4, solve_P5
 from rsddl.metrics import average_accuracy, kappa, mcnemar_z, overall_accuracy
 from rsddl.numerics import Activation, Rng
-from rsddl.sparse import omp, prox_push, somp
+from rsddl.sparse import prox_push, pursuit
 from util import (
+    class_support,
     coherence,
     low_coherence_frame,
     planted_row_sparse,
@@ -79,7 +80,7 @@ def test_03_pursuit_oracles():
         d = low_coherence_frame(8, 12, tr)
         assert coherence(d) < 0.5
         sup, _, x = planted_sparse_signal(d, 2, tr)
-        z = omp(d, x, 2)
+        z = pursuit(d, x.reshape(-1, 1), 2)[:, 0]
         recovered = tuple(np.sort(np.nonzero(z)[0]))
         best, best_err = None, np.inf
         for cand in combinations(range(12), 2):
@@ -94,7 +95,7 @@ def test_03_pursuit_oracles():
         d = low_coherence_frame(10, 16, tr)
         assert coherence(d) < 0.5
         rows, z0, y = planted_row_sparse(d, 3, 5, tr)
-        z = somp(d, y, 3)
+        z = pursuit(d, y, 3, rows=True)
         assert np.array_equal(np.sort(np.nonzero(np.abs(z).sum(axis=1))[0]), rows), f"somp trial {trial}"
         assert np.allclose(z, z0, atol=1e-8)
     report(3, "pursuit oracles", "omp 50/50 brute-force matches, somp 20/20 planted recoveries")

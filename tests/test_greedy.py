@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from rsddl.greedy import (
     greedy_train,
     layerwise_factorize,
 )
-from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng, normalize_columns
+from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng, normalize_columns, pinv
 from util import planted_dictionary_data
 
 
@@ -54,6 +56,23 @@ class TestDictLearn:
     def test_warns_when_atoms_exceed_samples(self):
         with pytest.warns(NumericsWarning):
             dict_learn(np.eye(3), 5, 1, 2, Rng(0))
+
+    def test_unused_atoms_fit_without_fallback(self):
+        # codes with all-zero rows used to send every dictionary step through
+        # the pseudo-inverse fallback; the live-row solve gives the same atoms
+        from rsddl.greedy import _fit_dictionary
+
+        rng = Rng(15)
+        x = rng.standard_normal((6, 12))
+        z = rng.standard_normal((5, 12))
+        z[[1, 3]] = 0.0
+        _, _, planted = planted_dictionary_data(seed=11, ncols=20, n_supports=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericsWarning)
+            d = _fit_dictionary(z, x)
+            dict_learn(planted, 15, 3, 30, Rng(1))
+        assert np.max(np.abs(d - (pinv(z.T) @ x.T).T)) <= 1e-10
+        assert np.all(d[:, [1, 3]] == 0.0)
 
     def test_budget_respected(self):
         rng = Rng(14)

@@ -1,10 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.inference import (
     EncodedFeature,
-    class_support,
     classify_l0,
     classify_l1,
     encode_test,
@@ -13,7 +14,7 @@ from rsddl.inference import (
 )
 from rsddl.joint import TrainConfig, build_model, resolve_budget
 from rsddl.numerics import Activation, ActivationKind, Rng
-from util import two_class_deep_factor_data
+from util import class_distances_reference, class_support, encode_reference, two_class_deep_factor_data
 
 
 # the two class blocks of the worked support-extraction example
@@ -199,7 +200,7 @@ class TestEncodeTest:
         # relaxed-constraint property: on a fixed deep-layer target, the
         # exhaustive budget's pursuit residual is minimal over all budgets
         from rsddl.numerics import pinv
-        from rsddl.sparse import omp_columns
+        from rsddl.sparse import pursuit
 
         data, model = deep_factor_model
         d1, d2, d3 = model.dictionaries
@@ -211,7 +212,7 @@ class TestEncodeTest:
             z2 = pinv(d2) @ act.inverse(z1)
             target = act.inverse(z2 - np.ones_like(z2))
             residuals = [
-                np.linalg.norm(target - d3 @ omp_columns(d3, target, s)) for s in range(1, a3 + 1)
+                np.linalg.norm(target - d3 @ pursuit(d3, target, s)) for s in range(1, a3 + 1)
             ]
             assert all(residuals[-1] <= r + 1e-9 for r in residuals)
 
@@ -254,3 +255,84 @@ class TestBatch:
         data, model = deep_factor_model
         with pytest.raises(ValueError):
             predict_batch(model, data.x[:, :2], rule="l2")
+
+
+class TestBatchedEncoder:
+    """The batched encoder and distance pass against the per-sample code they replaced."""
+
+    @staticmethod
+    def _check(model, x):
+        batch = encode_test(model, x)
+        preds = {rule: predict_batch(model, x, rule=rule) for rule in ("l0", "l1")}
+        for j in range(x.shape[1]):
+            z_ref, res_ref = encode_reference(model, x[:, j])
+            z = batch.z[:, j]
+            assert np.array_equal(batch.support[:, j], (np.abs(z_ref) > 1e-8).astype(np.uint8))
+            assert np.max(np.abs(z - z_ref)) <= 1e-9
+            assert abs(batch.reconstruction_residual[j] - res_ref) <= 1e-9
+            single = encode_test(model, x[:, j])
+            assert np.max(np.abs(single.z - z)) <= 1e-9
+            for rule, pred in preds.items():
+                ref = class_distances_reference(model, z, rule)
+                best = min(score for _, score in ref)
+                assert pred[j].label == next(c for c, score in ref if score == best)
+                assert pred[j].per_class_score == ref
+            assert preds["l0"][j].per_class_score == class_distances_reference(model, z_ref, "l0")
+
+    def test_deep_factor_model(self, deep_factor_model):
+        data, model = deep_factor_model
+        self._check(model, data.x)
+
+    def test_mixture_models(self, mixture_bundle):
+        for model in mixture_bundle["models"].values():
+            self._check(model, mixture_bundle["x_test"][:, ::5])
+
+    def test_distance_pass_is_chunked(self, deep_factor_model, monkeypatch):
+        import rsddl.inference as inference
+
+        data, model = deep_factor_model
+        whole = predict_batch(model, data.x, rule="l1")
+        monkeypatch.setattr(inference, "_DISTANCE_CHUNK", 3 * model.features.shape[1])
+        chunked = predict_batch(model, data.x, rule="l1")
+        assert [p.per_class_score for p in chunked] == [p.per_class_score for p in whole]
+
+
+class TestModelCache:
+    def test_replaced_arrays_are_seen(self):
+        model = toy_model()
+        z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
+        x = z.copy()  # identity dictionaries
+        before = classify_l1(model, EncodedFeature(z, (z != 0).astype(np.uint8), 0.0))
+        encoded = encode_test(model, x)
+        model.features = np.hstack([CLASS2, CLASS1])
+        model.labels = np.array([1, 1, 1, 1, 2, 2, 2])
+        after = classify_l1(model, EncodedFeature(z, (z != 0).astype(np.uint8), 0.0))
+        assert before.label == 1 and after.label == 2
+        model.dictionaries = [2.0 * np.eye(6), np.eye(6), np.eye(6)]
+        assert not np.allclose(encode_test(model, x).z, encoded.z)
+
+    def test_config_change_is_seen(self, deep_factor_model):
+        data, model = deep_factor_model
+        base = encode_test(model, data.x[:, :3])
+        other = TrainConfig(seed=7, eta1=5.0, eta2=0.2)
+        changed = encode_test(model, data.x[:, :3], cfg=other)
+        assert not np.allclose(base.z, changed.z)
+        fresh = build_model(model.dictionaries, model.architecture, model.features, model.labels, 2, other)
+        assert np.array_equal(changed.z, encode_test(fresh, data.x[:, :3]).z)
+        assert np.array_equal(base.z, encode_test(model, data.x[:, :3]).z)
+
+    def test_no_reference_cycle(self):
+        import gc
+
+        model = toy_model()
+        predict_batch(model, np.eye(6), rule="l0")
+        assert model.cache
+        ref = weakref.ref(model)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -27,7 +27,7 @@ from rsddl.joint import (
     solve_P6_class,
 )
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns, pinv
-from rsddl.sparse import SparsityBudget, somp_rows
+from rsddl.sparse import SparsityBudget, pursuit
 from util import DEEP_ARCH, two_class_deep_factor_data
 
 
@@ -247,7 +247,7 @@ class TestSolveP6:
     def test_no_competitors_is_plain_somp(self):
         d3, z2c, b2c = self._inputs()
         out = solve_P6_class(z2c, b2c, d3, {}, 2, 0.5, 0.1, 1.0, 5, {}, {}, TANH)
-        expected = somp_rows(d3, TANH.inverse(z2c - b2c), 2)
+        expected = pursuit(d3, TANH.inverse(z2c - b2c), 2, rows=True)
         assert np.array_equal(out, expected)
 
     def test_mu_zero_is_plain_somp(self):
@@ -256,7 +256,7 @@ class TestSolveP6:
         c = {2: np.ones((4, 8))}
         means = {2: np.zeros(4)}
         out = solve_P6_class(z2c, b2c, d3, means, 2, 0.0, 0.1, 1.0, 5, p, c, TANH)
-        expected = somp_rows(d3, TANH.inverse(z2c - b2c), 2)
+        expected = pursuit(d3, TANH.inverse(z2c - b2c), 2, rows=True)
         assert np.array_equal(out, expected)
 
     def test_row_budget_always_respected(self):

@@ -3,17 +3,26 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rsddl.numerics import Rng
-from rsddl.sparse import (
-    SparsityBudget,
+from rsddl.joint import solve_P6_class
+from rsddl.numerics import Activation, Rng, normalize_columns
+from rsddl.sparse import SparsityBudget, prox_push, pursuit, pursuit_gram
+from util import (
+    coherence,
     hard_threshold_per_column,
-    omp,
-    omp_columns,
-    prox_push,
-    somp,
-    somp_rows,
+    low_coherence_frame,
+    planted_row_sparse,
+    planted_sparse_signal,
+    pursuit_reference,
 )
-from util import coherence, low_coherence_frame, planted_row_sparse, planted_sparse_signal
+
+
+def omp(d, x, s):
+    """The kernel on one signal, as a vector."""
+    return pursuit(d, np.reshape(x, (-1, 1)), s)[:, 0]
+
+
+def somp(d, y, s):
+    return pursuit(d, y, s, rows=True)
 
 
 class TestSparsityBudget:
@@ -98,10 +107,9 @@ class TestOmp:
         assert np.count_nonzero(z) == 1  # stopped after one atom
 
     def test_zero_norm_column_rejected(self):
-        d = np.eye(3)
-        d[:, 1] = 0.0
+        # zero-norm atoms are skipped; a dictionary with no other atom is an error
         with pytest.raises(ValueError):
-            omp(d, [1.0, 0.0, 0.0], 1)
+            omp(np.zeros((3, 3)), [1.0, 0.0, 0.0], 1)
 
     def test_budget_respected(self):
         rng = Rng(3)
@@ -150,13 +158,13 @@ class TestScaledWrappers:
         scales = 0.5 + rng.random(12)
         d_scaled = d * scales
         sup, coef, x = planted_sparse_signal(d, 2, rng)
-        z = omp_columns(d_scaled, x.reshape(-1, 1), 2)
+        z = pursuit(d_scaled, x.reshape(-1, 1), 2)
         assert np.allclose(d_scaled @ z, x.reshape(-1, 1), atol=1e-8)
 
     def test_dead_columns_skipped(self):
         d = np.eye(4)
         d[:, 2] = 0.0
-        z = omp_columns(d, np.array([[1.0], [2.0], [0.0], [0.5]]), 3)
+        z = pursuit(d, np.array([[1.0], [2.0], [0.0], [0.5]]), 3)
         assert np.all(z[2] == 0.0)
 
     def test_somp_rows_rescales(self):
@@ -164,7 +172,7 @@ class TestScaledWrappers:
         d = low_coherence_frame(10, 16, rng)
         scales = 0.5 + rng.random(16)
         rows, z0, y = planted_row_sparse(d, 3, 4, rng)
-        z = somp_rows(d * scales, y, 3)
+        z = pursuit(d * scales, y, 3, rows=True)
         assert np.allclose((d * scales) @ z, y, atol=1e-8)
 
 
@@ -200,3 +208,121 @@ class TestProxPush:
             prox_push(np.zeros((1, 1)), 0.0, 0.1)
         with pytest.raises(ValueError):
             prox_push(np.zeros((1, 1)), 0.5, 0.0)
+
+
+class TestAgainstReference:
+    """The batched Gram-form kernel against the per-column loop it replaced."""
+
+    @staticmethod
+    def _assert_same(z, ref, tol=1e-9):
+        assert np.array_equal(z != 0.0, ref != 0.0)
+        assert np.max(np.abs(z - ref)) <= tol
+
+    def test_random_problems(self):
+        rng = Rng(40)
+        for trial in range(30):
+            tr = rng.substream("random", trial)
+            m, a, n = 6 + trial % 7, 5 + trial % 11, 1 + trial % 9
+            d = tr.standard_normal((m, a)) * (0.3 + tr.random(a))
+            y = tr.standard_normal((m, n))
+            s = 1 + trial % min(m, a)
+            for rows in (False, True):
+                self._assert_same(pursuit(d, y, s, rows=rows), pursuit_reference(d, y, s, rows=rows))
+
+    def test_exact_ties_go_to_smaller_index(self):
+        d = np.eye(4)
+        y = np.array([[1.0, 0.0, 2.0], [1.0, 3.0, -2.0], [0.0, 3.0, 2.0], [0.5, 0.0, 0.0]])
+        for rows in (False, True):
+            z = pursuit(d, y, 1, rows=rows)
+            self._assert_same(z, pursuit_reference(d, y, 1, rows=rows), tol=0.0)
+        assert np.argmax(pursuit(d, y, 1) != 0.0, axis=0).tolist() == [0, 1, 0]
+
+    def test_early_stops_per_column(self):
+        # an orthonormal dictionary, where OMP recovers every planted support
+        rng = Rng(41)
+        d, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        cols = []
+        for k in (1, 2, 3, 1, 2):
+            _, _, x = planted_sparse_signal(d, k, rng)
+            cols.append(x)
+        cols.append(np.zeros(8))
+        y = np.stack(cols, axis=1)
+        z = pursuit(d, y, 4)
+        assert np.count_nonzero(z, axis=0).tolist() == [1, 2, 3, 1, 2, 0]
+        self._assert_same(z, pursuit_reference(d, y, 4))
+        rows, _, yr = planted_row_sparse(d, 2, 5, rng)
+        zr = pursuit(d, yr, 4, rows=True)
+        assert np.nonzero(np.abs(zr).sum(axis=1))[0].tolist() == rows.tolist()
+        self._assert_same(zr, pursuit_reference(d, yr, 4, rows=True))
+
+    def test_dead_atoms_and_budget_above_live_count(self):
+        rng = Rng(42)
+        d = rng.standard_normal((7, 6))
+        d[:, [1, 4]] = 0.0
+        y = rng.standard_normal((7, 5))
+        for s in (2, 4, 6):
+            for rows in (False, True):
+                z = pursuit(d, y, s, rows=rows)
+                assert np.all(z[[1, 4]] == 0.0)
+                self._assert_same(z, pursuit_reference(d, y, s, rows=rows))
+
+    def test_somp_on_one_column_equals_omp(self):
+        rng = Rng(43)
+        d = rng.standard_normal((9, 14))
+        for trial in range(10):
+            x = rng.substream(trial).standard_normal((9, 1))
+            for s in (1, 3, 5):
+                self._assert_same(pursuit(d, x, s, rows=True), pursuit(d, x, s), tol=1e-12)
+
+    def test_gram_form_matches_explicit_system(self):
+        rng = Rng(44)
+        d = rng.standard_normal((8, 10))
+        y = rng.standard_normal((8, 6))
+        z = pursuit_gram(d.T @ d, d.T @ y, np.sum(y * y, axis=0), 3)
+        assert np.array_equal(z, pursuit(d, y, 3))
+
+
+def solve_P6_stacked(z2c, b2c, d3, competitor_means, row_s, mu, gamma, eta2, inner_iters, p, c_relax, act):
+    """P6 as it was first written: SOMP on the explicitly stacked system."""
+    target_top = act.inverse(z2c - b2c)
+    competitors = sorted(competitor_means)
+    a3 = d3.shape[1]
+    eye = np.sqrt(gamma) * np.eye(a3)
+    stacked_d = np.vstack([np.sqrt(eta2) * d3] + [eye] * len(competitors))
+    z_c = np.zeros((a3, z2c.shape[1]))
+    for _ in range(inner_iters):
+        targets = [np.sqrt(eta2) * target_top]
+        for k in competitors:
+            targets.append(np.sqrt(gamma) * (competitor_means[k][:, None] + c_relax[k] - p[k]))
+        z_c = pursuit_reference(stacked_d, np.vstack(targets), row_s, rows=True)
+        for k in competitors:
+            zbar = competitor_means[k][:, None]
+            p[k] = prox_push(zbar - z_c + c_relax[k], mu, gamma)
+        for k in competitors:
+            zbar = competitor_means[k][:, None]
+            c_relax[k] = p[k] - (zbar - z_c) - c_relax[k]
+    return z_c
+
+
+class TestP6GramForm:
+    def test_matches_stacked_system(self):
+        act = Activation()
+        for seed, (n_comp, row_s, eta2, gamma) in enumerate(
+            [(1, 2, 1.0, 0.1), (3, 3, 0.7, 0.25), (7, 2, 2.0, 0.05), (4, 5, 1.0, 1.0)]
+        ):
+            rng = Rng(100 + seed)
+            d3, _ = normalize_columns(rng.standard_normal((9, 7)))
+            d3 = d3 * (0.5 + rng.random(7))  # DropConnect leaves atoms off unit norm
+            z2c = 0.4 * rng.standard_normal((9, 6))
+            b2c = 0.1 * rng.standard_normal((9, 6))
+            means = {k: rng.standard_normal(7) for k in range(2, 2 + n_comp)}
+            p = {k: rng.standard_normal((7, 6)) for k in means}
+            c = {k: rng.standard_normal((7, 6)) for k in means}
+            p_ref = {k: v.copy() for k, v in p.items()}
+            c_ref = {k: v.copy() for k, v in c.items()}
+            out = solve_P6_class(z2c, b2c, d3, means, row_s, 0.5, gamma, eta2, 5, p, c, act)
+            ref = solve_P6_stacked(z2c, b2c, d3, means, row_s, 0.5, gamma, eta2, 5, p_ref, c_ref, act)
+            TestAgainstReference._assert_same(out, ref)
+            for k in means:
+                assert np.max(np.abs(p[k] - p_ref[k])) <= 1e-9
+                assert np.max(np.abs(c[k] - c_ref[k])) <= 1e-9

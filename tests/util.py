@@ -8,6 +8,7 @@ import numpy as np
 from rsddl.dataio import make_dataset
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns
 from rsddl.greedy import Architecture
+from rsddl.joint import DEFAULT_SUPPORT_TOL, resolve_budget, solve_P4, solve_P5
 
 
 def dct_basis(n):
@@ -131,3 +132,134 @@ def two_class_mixture_data(seed=6, dim=8, s_para=1.0, s_cross=0.1, n_train=200, 
 
 MIXTURE_ARCH = Architecture((6, 4, 2), activation=Activation(ActivationKind.IDENTITY))
 DEEP_ARCH = Architecture((16, 8, 4))
+
+
+# -- reference implementations ------------------------------------------------
+# The per-column pursuit the package used before its batched Gram-form kernel,
+# kept as the oracle that kernel is tested against.
+
+def hard_threshold_per_column(m, s):
+    """Keep the s largest-magnitude entries of each column, zero the rest.
+
+    Ties are broken toward the smaller row index.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if not 1 <= s <= m.shape[0]:
+        raise ValueError(f"s must be in [1, {m.shape[0]}], got {s}")
+    out = np.zeros_like(m)
+    for j in range(m.shape[1]):
+        # stable sort on -|x|: equal magnitudes keep ascending row order
+        order = np.argsort(-np.abs(m[:, j]), kind="stable")
+        keep = order[:s]
+        out[keep, j] = m[keep, j]
+    return out
+
+
+def class_support(zc, support_tol=DEFAULT_SUPPORT_TOL):
+    """Binary row-usage vector of a class block: 1 where the row is nonzero."""
+    row_norms = np.linalg.norm(np.asarray(zc, dtype=np.float64), axis=1)
+    return (row_norms > support_tol).astype(np.uint8)
+
+
+def _check_unit_dictionary(d, s):
+    if not 1 <= s <= d.shape[1]:
+        raise ValueError(f"s must be in [1, {d.shape[1]}], got {s}")
+    if np.any(np.linalg.norm(d, axis=0) <= 1e-12):
+        raise ValueError("dictionary has a zero-norm column")
+
+
+def omp_reference(d, x, s, residual_tol=1e-7):
+    """OMP for one signal against unit-norm atoms: one lstsq per selection."""
+    d = np.asarray(d, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    _check_unit_dictionary(d, s)
+    support = []
+    residual = x.copy()
+    coef = np.zeros(0)
+    for _ in range(s):
+        if np.linalg.norm(residual) <= residual_tol:
+            break
+        corr = np.abs(d.T @ residual)
+        corr[support] = -1.0
+        support.append(int(np.argmax(corr)))
+        sub = d[:, support]
+        coef, *_ = np.linalg.lstsq(sub, x, rcond=None)
+        residual = x - sub @ coef
+    z = np.zeros(d.shape[1])
+    z[support] = coef
+    return z
+
+
+def somp_reference(d, y, s, residual_tol=1e-7):
+    """SOMP against unit-norm atoms: rows chosen by the l2 norm of D'R."""
+    d = np.asarray(d, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _check_unit_dictionary(d, s)
+    support = []
+    residual = y.copy()
+    coef = np.zeros((0, y.shape[1]))
+    for _ in range(s):
+        if np.linalg.norm(residual) <= residual_tol:
+            break
+        corr = np.linalg.norm(d.T @ residual, axis=1)
+        corr[support] = -1.0
+        support.append(int(np.argmax(corr)))
+        sub = d[:, support]
+        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        residual = y - sub @ coef
+    z = np.zeros((d.shape[1], y.shape[1]))
+    z[support, :] = coef
+    return z
+
+
+def pursuit_reference(d, y, s, rows=False, residual_tol=1e-7):
+    """Column loop of :func:`omp_reference` (or one :func:`somp_reference`)
+    on the unit-norm live atoms of ``d``, rescaled back to ``d``."""
+    d = np.asarray(d, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    norms = np.linalg.norm(d, axis=0)
+    alive = norms > 1e-12
+    dn = d[:, alive] / norms[alive]
+    s_eff = min(s, dn.shape[1])
+    z = np.zeros((d.shape[1], y.shape[1]))
+    if rows:
+        z[alive] = somp_reference(dn, y, s_eff, residual_tol) / norms[alive, None]
+    else:
+        for j in range(y.shape[1]):
+            z[alive, j] = omp_reference(dn, y[:, j], s_eff, residual_tol) / norms[alive]
+    return z
+
+
+def encode_reference(model, x, support_tol=DEFAULT_SUPPORT_TOL):
+    """Test encoding of one sample as it was first written: per-sample
+    pseudo-inverses and the column-loop OMP.  Returns (z, residual)."""
+    cfg = model.config
+    d1, d2, d3 = model.dictionaries
+    act = model.architecture.activation
+    s = resolve_budget(cfg, model.architecture).per_column_s
+    xcol = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    z1 = np.linalg.pinv(d1) @ xcol
+    z2 = np.linalg.pinv(d2) @ act.inverse(z1)
+    b1 = np.ones_like(z1)
+    b2 = np.ones_like(z2)
+    for _ in range(cfg.test_iters):
+        z = pursuit_reference(d3, act.inverse(z2 - b2), s)
+        z1 = solve_P4(xcol, d1, d2, z2, b1, cfg.eta1, act)
+        z2 = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
+        b1 = z1 - act.forward(d2 @ z2) - b1
+        b2 = z2 - act.forward(d3 @ z) - b2
+    recon = d1 @ act.forward(d2 @ act.forward(d3 @ z))
+    return z[:, 0], float(np.linalg.norm(xcol - recon))
+
+
+def class_distances_reference(model, z, rule, support_tol=DEFAULT_SUPPORT_TOL):
+    """Per-class minimum distance of one code, one np.where per class."""
+    diffs = model.features - z[:, None]
+    if rule == "l0":
+        distances = np.sum(np.abs(diffs) > support_tol, axis=0).astype(np.float64)
+    else:
+        distances = np.sum(np.abs(diffs), axis=0)
+    return [
+        (c, float(distances[np.where(model.labels == c)[0]].min()))
+        for c in range(1, model.num_classes + 1)
+    ]
