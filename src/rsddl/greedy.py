@@ -136,13 +136,23 @@ def dict_learn(
 
 
 def _als_factorize(x: np.ndarray, n_atoms: int, iters: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Unpenalized alternating least squares ``X ~ D Z``, unit-norm columns."""
+    """Unpenalized alternating least squares ``X ~ D Z``, unit-norm columns.
+
+    With more atoms than rows or samples, the fitted D and Z have rank at
+    most ``min(x.shape) < n_atoms``, so their normal equations are singular by
+    shape; both fits then take the minimum-norm least-squares solution.
+    """
+    if n_atoms > min(x.shape):
+        def solve(a, b):
+            return pinv(a) @ b
+    else:
+        def solve(a, b):
+            return ridge_solve(a, b, 0.0)
     d = _init_dictionary(x.shape[0], n_atoms, rng)
     z = np.zeros((n_atoms, x.shape[1]))
     for _ in range(iters):
-        z = ridge_solve(d, x, 0.0)
-        dt = ridge_solve(z.T, x.T, 0.0)
-        d = dt.T
+        z = solve(d, x)
+        d = solve(z.T, x.T).T
         d, scales = normalize_columns(d)
         z = z * scales[:, None]
     return d, z

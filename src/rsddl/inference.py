@@ -35,11 +35,10 @@ _DISTANCE_CHUNK = 1 << 18
 
 @dataclass
 class EncodedFeature:
-    """Deepest-layer code, binary support and composed reconstruction
-    residual: vectors and a float for one sample, one column each for a batch."""
+    """Deepest-layer code and composed reconstruction residual: a vector and
+    a float for one sample, one column each for a batch."""
 
     z: np.ndarray
-    support: np.ndarray
     reconstruction_residual: float | np.ndarray
 
 
@@ -95,7 +94,6 @@ def encode_test(
     model: Model,
     x: np.ndarray,
     cfg: TrainConfig | None = None,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
 ) -> EncodedFeature:
     """Encode one sample (a vector) or a batch (samples as columns).
 
@@ -135,10 +133,9 @@ def encode_test(
 
     recon = d1 @ act.forward(d2 @ act.forward(d3 @ z))
     residual = np.linalg.norm(x - recon, axis=0)
-    support = (np.abs(z) > support_tol).astype(np.uint8)
     if single:
-        return EncodedFeature(z=z[:, 0], support=support[:, 0], reconstruction_residual=float(residual[0]))
-    return EncodedFeature(z=z, support=support, reconstruction_residual=residual)
+        return EncodedFeature(z=z[:, 0], reconstruction_residual=float(residual[0]))
+    return EncodedFeature(z=z, reconstruction_residual=residual)
 
 
 def _classify(model: Model, f: EncodedFeature, rule: str, support_tol: float) -> Prediction | list[Prediction]:
@@ -191,7 +188,7 @@ def predict_batch(
     x = as_matrix(x, "X")
     if rule not in ("l0", "l1"):
         raise ValueError(f"unknown rule {rule!r} (expected 'l0' or 'l1')")
-    feature = encode_test(model, x, cfg=cfg, support_tol=support_tol)
+    feature = encode_test(model, x, cfg=cfg)
     classify = classify_l0 if rule == "l0" else classify_l1
     return classify(model, feature, support_tol)
 

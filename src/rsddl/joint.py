@@ -2,9 +2,13 @@
 
 The trainer alternates over six sub-problems of an augmented Lagrangian:
 closed-form least squares for the dictionaries (P1-P3) and the two proxy
-coefficient layers (P4-P5), and an inner per-class ADMM (P6) that couples a
-row-sparse SOMP step with a reverse-shrinkage push driving the supports of
-different classes apart.  Relaxation variables follow the printed update rule
+coefficient layers (P4-P5), and an inner ADMM (P6) that couples a row-sparse
+SOMP step per class with a reverse-shrinkage push driving the supports of
+different classes apart.  P6 solves every class at once: the classes share
+D3, the Gram matrix and the class-mean snapshot, and no class reads another
+class's result, so each inner step is one grouped SOMP with one group per
+class, and P and C are one class-sorted (competitor, atom, column) array
+each.  Relaxation variables follow the printed update rule
 ``B <- residual - B`` (an involution around the residual); the conventional
 additive rule is available behind ``TrainConfig.conventional_bregman``.
 
@@ -46,7 +50,7 @@ __all__ = [
     "solve_P3",
     "solve_P4",
     "solve_P5",
-    "solve_P6_class",
+    "solve_P6",
     "bregman_update",
     "apply_dropout",
     "apply_dropconnect",
@@ -56,6 +60,10 @@ __all__ = [
 
 DEFAULT_SUPPORT_TOL = 1e-8
 DIVERGENCE_LIMIT = 1e12
+
+# Columns per pass over the (competitor, atom, column) arrays of P6 are capped
+# so that one pass holds at most this many elements, whatever the class count.
+_PAIR_CHUNK = 1 << 14
 
 
 class TrainingDivergedError(RuntimeError):
@@ -126,9 +134,11 @@ def resolve_budget(cfg: TrainConfig, arch: Architecture) -> SparsityBudget:
 class JointState:
     """Mutable optimization state threaded through the sub-problem solvers.
 
-    ``p`` and ``c_relax`` hold one matrix per ordered class pair (c, k != c),
-    shaped like class c's coefficient block.  ``class_means`` is the snapshot
-    taken at the start of the current outer iteration.
+    ``p`` and ``c_relax`` are (competitor, atom, column) arrays over the
+    class-sorted columns (``class_cols`` concatenated in class order): the
+    slice ``[i, :, j]`` belongs to column j's class c and its i-th competitor,
+    the i-th class other than c in ascending order.  ``class_means`` is the
+    snapshot taken at the start of the current outer iteration.
     """
 
     x: np.ndarray
@@ -140,8 +150,8 @@ class JointState:
     z: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
-    p: dict[tuple[int, int], np.ndarray]
-    c_relax: dict[tuple[int, int], np.ndarray]
+    p: np.ndarray
+    c_relax: np.ndarray
     class_cols: dict[int, np.ndarray]
     class_means: np.ndarray
     activation: Activation
@@ -223,6 +233,29 @@ def _row_support_count(block: np.ndarray) -> int:
     return int(np.sum(np.any(block != 0.0, axis=1)))
 
 
+def _class_layout(class_cols: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The class-sorted column layout of P and C: the column order, each
+    sorted column's class index (0-based), and the (class, competitor) table
+    whose row c lists every other class index in ascending order."""
+    classes = sorted(class_cols)
+    order = np.concatenate([class_cols[c] for c in classes])
+    cls = np.repeat(np.arange(len(classes)), [class_cols[c].size for c in classes])
+    slot = np.arange(len(classes) - 1)[None, :]
+    competitors = slot + (slot >= np.arange(len(classes))[:, None])
+    return order, cls, competitors
+
+
+def _competitor_means(means: np.ndarray, cls: np.ndarray, competitors: np.ndarray):
+    """Yield ``(columns, zbar)`` over the class-sorted layout in slices of at
+    most ``_PAIR_CHUNK`` elements, ``zbar`` being the (competitor, atom,
+    column) array of the competitors' means for the slice's columns."""
+    table = means.T[competitors].transpose(1, 2, 0)  # (competitor, atom, class)
+    width = max(1, _PAIR_CHUNK // max(1, table.shape[0] * table.shape[1]))
+    for lo in range(0, cls.size, width):
+        cols = slice(lo, lo + width)
+        yield cols, np.take(table, cls[cols], axis=2)
+
+
 def objective_value(
     x: np.ndarray,
     dicts: list[np.ndarray],
@@ -239,17 +272,19 @@ def objective_value(
     """
     recon = x - compose_reconstruction(dicts, z, act)
     value = float(np.sum(recon * recon))
-    n_classes = len(class_cols)
-    means = class_mean_matrix(z, class_cols, n_classes)
-    for c in range(1, n_classes + 1):
-        block = z[:, class_cols[c]]
-        value += lambda_weight * _row_support_count(block)
-        for k in range(1, n_classes + 1):
-            if k == c:
-                continue
-            diff = means[:, k - 1][:, None] - block
-            value -= mu * int(np.count_nonzero(diff))
-    return value
+    order, cls, competitors = _class_layout(class_cols)
+    z_sorted = z[:, order]
+    starts = np.searchsorted(cls, np.arange(competitors.shape[0]))
+    rows = np.logical_or.reduceat(z_sorted != 0.0, starts, axis=1).sum(axis=0)
+    means = class_mean_matrix(z, class_cols, len(class_cols))
+    differ = np.zeros((competitors.shape[1], cls.size), dtype=np.int64)
+    for cols, zbar in _competitor_means(means, cls, competitors):
+        differ[:, cols] = np.count_nonzero(zbar != z_sorted[:, cols], axis=1)
+    pairs = np.add.reduceat(differ, starts, axis=1)
+    # a running sum, class by class and competitor by competitor, so the value
+    # rounds exactly as the loop over class pairs it replaces did
+    terms = np.vstack([lambda_weight * rows, -mu * pairs]).T.ravel()
+    return float(np.cumsum(np.append(value, terms))[-1])
 
 
 def _restore_dead_columns(d: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
@@ -351,56 +386,59 @@ def solve_P5(
     return np.linalg.solve(lhs, rhs)
 
 
-def solve_P6_class(
-    z2c: np.ndarray,
-    b2c: np.ndarray,
+def solve_P6(
+    z2: np.ndarray,
+    b2: np.ndarray,
     d3: np.ndarray,
-    competitor_means: dict[int, np.ndarray],
+    class_means: np.ndarray,
+    class_cols: dict[int, np.ndarray],
     row_s: int,
     mu: float,
     gamma: float,
     eta2: float,
     inner_iters: int,
-    p: dict[int, np.ndarray],
-    c_relax: dict[int, np.ndarray],
+    p: np.ndarray,
+    c_relax: np.ndarray,
     act: Activation,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> np.ndarray:
-    """Inner per-class ADMM for the row-sparse, support-diverse code block.
+    """Inner ADMM for the row-sparse, support-diverse codes of every class.
 
-    Alternates row-sparse SOMP on the stacked system
+    For each class c it alternates row-sparse SOMP on the stacked system
     ``[sqrt(eta2) D3 ; sqrt(gamma) I per competitor]`` against the stacked
     targets ``[sqrt(eta2) phi^-1(Z2c - B2c) ; sqrt(gamma) (mean_k + C - P)]``,
     the reverse-shrinkage update of each P, and the relaxation update of each
     C.  The stacked system is never built: SOMP runs on its Gram matrix
-    ``eta2 D3'D3 + (C-1) gamma I`` and its correlation
-    ``eta2 D3' T + gamma sum_k (mean_k + C_k - P_k)``.  ``p`` and ``c_relax``
-    (keyed by competitor class id) are updated in place.  With ``mu == 0`` or
-    no competitors this is plain SOMP on the data term.
+    ``eta2 D3'D3 + (C-1) gamma I``, the same for every class, and its
+    correlation ``eta2 D3' T + gamma sum_k (mean_k + C_k - P_k)``, and each
+    inner step is one grouped pursuit with one group per class.  ``p`` and
+    ``c_relax`` (class-sorted, see :class:`JointState`) are updated in place.
+    With ``mu == 0`` or a single class this is plain SOMP per class on the
+    data term.  Returns Z with its columns in data order.
     """
-    target_top = act.inverse(z2c - b2c)
-    competitors = sorted(competitor_means)
-    if mu == 0 or not competitors:
-        return pursuit(d3, target_top, row_s, rows=True, residual_tol=residual_tol)
+    order, cls, competitors = _class_layout(class_cols)
+    target = act.inverse(z2[:, order] - b2[:, order])
+    z = np.zeros((d3.shape[1], order.size))
+    if mu == 0 or competitors.shape[1] == 0:
+        z[:, order] = pursuit(d3, target, row_s, groups=cls, residual_tol=residual_tol)
+        return z
 
-    gram = eta2 * (d3.T @ d3) + len(competitors) * gamma * np.eye(d3.shape[1])
-    corr_top = eta2 * (d3.T @ target_top)
-    sq_top = eta2 * np.einsum("ij,ij->j", target_top, target_top)
-    # one (competitor, atom, column) array per variable
-    zbar = np.stack([competitor_means[k] for k in competitors])[:, :, None]
-    p_all = np.stack([p[k] for k in competitors])
-    c_all = np.stack([c_relax[k] for k in competitors])
-    z_c = np.zeros((d3.shape[1], z2c.shape[1]))
+    gram = eta2 * (d3.T @ d3) + competitors.shape[1] * gamma * np.eye(d3.shape[1])
+    corr_top = eta2 * (d3.T @ target)
+    sq_top = eta2 * np.einsum("ij,ij->j", target, target)
     for _ in range(inner_iters):
-        blocks = zbar + c_all - p_all
-        corr = corr_top + gamma * blocks.sum(axis=0)
-        y_sq = sq_top + gamma * np.einsum("kij,kij->j", blocks, blocks)
-        z_c = pursuit_gram(gram, corr, y_sq, row_s, rows=True, residual_tol=residual_tol)
-        p_all = prox_push(zbar - z_c + c_all, mu, gamma)
-        c_all = p_all - (zbar - z_c) - c_all
-    for i, k in enumerate(competitors):
-        p[k], c_relax[k] = p_all[i], c_all[i]
-    return z_c
+        corr, y_sq = corr_top.copy(), sq_top.copy()
+        for cols, zbar in _competitor_means(class_means, cls, competitors):
+            blocks = zbar + c_relax[:, :, cols] - p[:, :, cols]
+            corr[:, cols] += gamma * blocks.sum(axis=0)
+            y_sq[cols] += gamma * np.einsum("kij,kij->j", blocks, blocks)
+        z_sorted = pursuit_gram(gram, corr, y_sq, row_s, groups=cls, residual_tol=residual_tol)
+        for cols, zbar in _competitor_means(class_means, cls, competitors):
+            shifted = zbar - z_sorted[:, cols]
+            p[:, :, cols] = prox_push(shifted + c_relax[:, :, cols], mu, gamma)
+            c_relax[:, :, cols] = p[:, :, cols] - shifted - c_relax[:, :, cols]
+    z[:, order] = z_sorted
+    return z
 
 
 def bregman_update(state: JointState, conventional: bool = False) -> JointState:
@@ -419,13 +457,12 @@ def bregman_update(state: JointState, conventional: bool = False) -> JointState:
     else:
         state.b1 = r1 - state.b1
         state.b2 = r2 - state.b2
-    for (c, k), p_ck in state.p.items():
-        zbar = state.class_means[:, k - 1][:, None]
-        resid = p_ck - (zbar - state.z[:, state.class_cols[c]])
-        if conventional:
-            state.c_relax[(c, k)] = state.c_relax[(c, k)] - resid
-        else:
-            state.c_relax[(c, k)] = resid - state.c_relax[(c, k)]
+    order, cls, competitors = _class_layout(state.class_cols)
+    z_sorted = state.z[:, order]
+    for cols, zbar in _competitor_means(state.class_means, cls, competitors):
+        resid = state.p[:, :, cols] - (zbar - z_sorted[:, cols])
+        c = state.c_relax[:, :, cols]
+        state.c_relax[:, :, cols] = c - resid if conventional else resid - c
     return state
 
 
@@ -545,14 +582,11 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
     rng = Rng(cfg.seed)
 
     # warm start from the greedy pipeline (same per-layer effort as the outer
-    # loop); the deepest codes are recoded row-sparse per class so the initial
-    # iterate lives in the same constraint class the trainer optimizes over
+    # loop); the deepest codes are recoded row-sparse per class (one grouped
+    # SOMP) so the initial iterate lives in the constraint class the trainer
+    # optimizes over
     dicts, codes = layerwise_factorize(x, arch, budget.per_column_s, cfg.outer_iters, rng.substream("init"))
-    deep_target = act.inverse(codes[1])
-    z_init = np.zeros_like(codes[2])
-    for c in range(1, n_classes + 1):
-        cols = class_cols[c]
-        z_init[:, cols] = pursuit(dicts[2], deep_target[:, cols], budget.row_s, rows=True)
+    z_init = pursuit(dicts[2], act.inverse(codes[1]), budget.row_s, groups=data.labels)
     state = JointState(
         x=x,
         d1=dicts[0],
@@ -563,19 +597,12 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         z=z_init,
         b1=np.ones_like(codes[0]),
         b2=np.ones_like(codes[1]),
-        p={},
-        c_relax={},
+        p=np.ones((n_classes - 1, arch.feature_dim, x.shape[1])),
+        c_relax=np.ones((n_classes - 1, arch.feature_dim, x.shape[1])),
         class_cols=class_cols,
         class_means=class_mean_matrix(z_init, class_cols, n_classes),
         activation=act,
     )
-    a3 = arch.feature_dim
-    for c in range(1, n_classes + 1):
-        n_c = class_cols[c].size
-        for k in range(1, n_classes + 1):
-            if k != c:
-                state.p[(c, k)] = np.ones((a3, n_c))
-                state.c_relax[(c, k)] = np.ones((a3, n_c))
 
     greedy_recon = float(np.linalg.norm(x - compose_reconstruction(dicts, state.z, act)))
     init_feas1, init_feas2 = _feasibility(state)
@@ -599,31 +626,21 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         # coefficient sweeps
         state.z1 = solve_P4(x, state.d1, state.d2, state.z2, state.b1, cfg.eta1, act)
         state.z2 = solve_P5(state.z1, state.b1, state.d2, state.d3, state.z, state.b2, cfg.eta1, cfg.eta2, act)
-        for c in range(1, n_classes + 1):
-            cols = class_cols[c]
-            competitor_means = {
-                k: state.class_means[:, k - 1] for k in range(1, n_classes + 1) if k != c
-            }
-            p_c = {k: state.p[(c, k)] for k in competitor_means}
-            c_c = {k: state.c_relax[(c, k)] for k in competitor_means}
-            z_c = solve_P6_class(
-                state.z2[:, cols],
-                state.b2[:, cols],
-                state.d3,
-                competitor_means,
-                budget.row_s,
-                cfg.mu,
-                cfg.gamma,
-                cfg.eta2,
-                cfg.inner_iters,
-                p_c,
-                c_c,
-                act,
-            )
-            state.z[:, cols] = z_c
-            for k in competitor_means:
-                state.p[(c, k)] = p_c[k]
-                state.c_relax[(c, k)] = c_c[k]
+        state.z = solve_P6(
+            state.z2,
+            state.b2,
+            state.d3,
+            state.class_means,
+            class_cols,
+            budget.row_s,
+            cfg.mu,
+            cfg.gamma,
+            cfg.eta2,
+            cfg.inner_iters,
+            state.p,
+            state.c_relax,
+            act,
+        )
 
         # coefficients perturbed before the dictionaries see them
         if cfg.drop_mode is DropMode.DROPOUT and not final_iter:

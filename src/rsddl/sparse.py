@@ -4,8 +4,9 @@ The l0-style penalties of the training objective are realized as hard
 sparsity budgets (s nonzeros per column, s nonzero rows per class block) and
 solved by one greedy kernel: Batch-OMP (Rubinstein, Zibulevsky & Elad 2008)
 over all columns at once, or SOMP (Tropp, Gilbert & Strauss 2006) with one
-row support.  It needs only ``D'D`` and ``D'Y``, so a structured system (the
-stacked P6 system) is never built.
+row support per labelled group of columns (all classes of P6 in one call).
+It needs only ``D'D`` and ``D'Y``, so a structured system (the stacked P6
+system) is never built.
 """
 
 from __future__ import annotations
@@ -55,20 +56,22 @@ def pursuit_gram(
     corr: np.ndarray,
     y_sq: np.ndarray,
     s: int,
-    rows: bool = False,
+    groups: np.ndarray | None = None,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> np.ndarray:
     """Greedy pursuit of every column of ``Y ~ D Z`` from ``D'D``, ``D'Y`` and
-    the squared column norms of ``Y``: OMP per column, or with ``rows=True``
-    SOMP with one row support for all columns.
+    the squared column norms of ``Y``.  ``groups`` labels each column: the
+    columns of one label share one row support (SOMP), so a constant label is
+    one SOMP block; ``None`` gives every column its own support (OMP).
 
     Atoms are normalized through the Gram diagonal and the coefficients scaled
     back; dead (zero) atoms are skipped and ``s`` is capped at the live count.
-    Each step picks the unselected atom with the largest ``|d_i' r|`` (SOMP:
-    row norm of ``D'R``), ties to the smaller index, then refits the support
-    by one stacked k x k Gram solve.  A column (SOMP: the block) whose
-    residual norm, ``sqrt(||y||^2 - coef' (D'y)_support)``, is at or below
-    ``residual_tol`` stops and leaves the working set.
+    Each step picks, per group, the unselected atom with the largest
+    ``|d_i' r|`` (SOMP: row norm of ``D'R`` over the group's columns), ties to
+    the smaller index, then refits the support by one stacked k x k Gram
+    solve.  A group whose residual norm, ``sqrt(||y||^2 - coef' (D'y)_support)``
+    summed over its columns, is at or below ``residual_tol`` stops and leaves
+    the working set.
     """
     norms = np.sqrt(np.diag(gram))
     alive = norms > _DEAD_COLUMN_TOL
@@ -80,19 +83,21 @@ def pursuit_gram(
     live_norms = norms[alive]
     g = gram[np.ix_(alive, alive)] / np.outer(live_norms, live_norms)
     c = corr[alive] / live_norms[:, None]
+    y2 = np.asarray(y_sq, dtype=np.float64)
 
-    # a group is the set of columns sharing one support: each column for OMP,
-    # the whole block for SOMP; arrays below are (group, atom, column)
-    if rows:
-        c = c[None]
-        cols = np.arange(n)[None, :]
-        y2 = np.array([np.sum(y_sq)])
-    else:
-        c = c.T[:, :, None]
+    # arrays below are (group, atom, slot), with cols[group, slot] the column;
+    # groups smaller than the largest are padded with slots pointing at an
+    # appended all-zero column n
+    if groups is None:
         cols = np.arange(n)[:, None]
-        y2 = np.asarray(y_sq, dtype=np.float64)
+        c = c.T[:, :, None]
+    else:
+        cols = _group_columns(groups, n)
+        padded = np.append(c, np.zeros((c.shape[0], 1)), axis=1)
+        c = np.ascontiguousarray(padded[:, cols].transpose(1, 0, 2))
+        y2 = np.append(y2, 0.0)[cols].sum(axis=1)
     steps = min(s, g.shape[0])
-    z = np.zeros((g.shape[0], n))
+    z = np.zeros((g.shape[0], n + 1))
     support = np.zeros((c.shape[0], steps), dtype=np.intp)
     group = np.arange(c.shape[0])[:, None]
     resid, r2 = c, y2
@@ -117,12 +122,29 @@ def pursuit_gram(
         resid = c - np.einsum("gka,gkt->gat", g[sup], coef)
         r2 = y2 - np.einsum("gkt,gkt->g", coef, rhs)
     out = np.zeros((gram.shape[0], n))
-    out[alive] = z / live_norms[:, None]
+    out[alive] = z[:, :n] / live_norms[:, None]
     return out
 
 
+def _group_columns(groups: np.ndarray, n: int) -> np.ndarray:
+    """(group, slot) table of column indices, groups in label order and
+    columns in their own order, short groups padded with ``n``."""
+    groups = np.asarray(groups)
+    if groups.shape != (n,):
+        raise ValueError(f"groups must label each of the {n} columns, got shape {groups.shape}")
+    order = np.argsort(groups, kind="stable")
+    _, starts, sizes = np.unique(groups[order], return_index=True, return_counts=True)
+    cols = np.full((starts.size, sizes.max()), n)
+    cols[np.repeat(np.arange(starts.size), sizes), np.arange(n) - np.repeat(starts, sizes)] = order
+    return cols
+
+
 def pursuit(
-    d: np.ndarray, y: np.ndarray, s: int, rows: bool = False, residual_tol: float = DEFAULT_RESIDUAL_TOL
+    d: np.ndarray,
+    y: np.ndarray,
+    s: int,
+    groups: np.ndarray | None = None,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> np.ndarray:
     """:func:`pursuit_gram` against an explicit dictionary ``d`` (any column
     scaling, dead atoms allowed) for the columns of ``y``."""
@@ -130,14 +152,14 @@ def pursuit(
     y = as_matrix(y, "Y")
     if y.shape[0] != d.shape[0]:
         raise ValueError(f"signal rows {y.shape[0]} != dictionary rows {d.shape[0]}")
-    return pursuit_gram(d.T @ d, d.T @ y, np.einsum("ij,ij->j", y, y), s, rows, residual_tol)
+    return pursuit_gram(d.T @ d, d.T @ y, np.einsum("ij,ij->j", y, y), s, groups, residual_tol)
 
 
 def prox_push(v, mu: float, gamma: float) -> np.ndarray:
     """Reverse-shrinkage proximal map: push small magnitudes up to mu/(2 gamma).
 
     Elementwise: entries with ``|v| > mu/(2 gamma)`` pass through unchanged;
-    all others become ``sign(v) * mu/(2 gamma)`` with ``sign(0) = +1``.  The
+    all others become ``sign(v) * mu/(2 gamma)`` with ``sign(+-0) = +1``.  The
     operator is idempotent and never maps a magnitude below the threshold.
     """
     if mu <= 0:
@@ -146,5 +168,5 @@ def prox_push(v, mu: float, gamma: float) -> np.ndarray:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     v = np.asarray(v, dtype=np.float64)
     thr = mu / (2.0 * gamma)
-    sign = np.where(v >= 0, 1.0, -1.0)
-    return np.where(thr < np.abs(v), v, sign * thr)
+    # branch-free: max(|v|, thr) with the sign of v, where v + 0.0 turns -0.0 into +0.0
+    return np.copysign(np.fmax(np.abs(v), thr), v + 0.0)

@@ -95,7 +95,7 @@ def test_03_pursuit_oracles():
         d = low_coherence_frame(10, 16, tr)
         assert coherence(d) < 0.5
         rows, z0, y = planted_row_sparse(d, 3, 5, tr)
-        z = pursuit(d, y, 3, rows=True)
+        z = pursuit(d, y, 3, groups=np.zeros(y.shape[1]))
         assert np.array_equal(np.sort(np.nonzero(np.abs(z).sum(axis=1))[0]), rows), f"somp trial {trial}"
         assert np.allclose(z, z0, atol=1e-8)
     report(3, "pursuit oracles", "omp 50/50 brute-force matches, somp 20/20 planted recoveries")

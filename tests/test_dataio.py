@@ -20,7 +20,7 @@ from rsddl.dataio import (
 )
 from rsddl.greedy import Architecture
 from rsddl.joint import DropMode, TrainConfig, build_model
-from rsddl.numerics import Activation, ActivationKind, Rng
+from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng
 from rsddl.sparse import SparsityBudget
 
 
@@ -212,7 +212,8 @@ class TestExtract:
         values = rng.standard_normal((8, 8, 5))
         gt = np.zeros((8, 8), dtype=np.int64)
         gt[3, 3] = 1
-        ds, proj = extract_spatial_spectral(HsiCube(values, gt), window=4, d=80)
+        with pytest.warns(NumericsWarning, match="data rank is 0"):  # one labelled pixel
+            ds, proj = extract_spatial_spectral(HsiCube(values, gt), window=4, d=80)
         assert proj.basis.shape[0] == 80  # raw dimension before projection
         expected_raw = values[2:6, 2:6, :].reshape(-1, 1)
         assert np.allclose(ds.x[:, 0], proj.project(expected_raw).ravel())
@@ -222,7 +223,8 @@ class TestExtract:
         values = rng.standard_normal((6, 6, 2))
         gt = np.zeros((6, 6), dtype=np.int64)
         gt[0, 0] = 1
-        ds, proj = extract_spatial_spectral(HsiCube(values, gt), window=4, d=4)
+        with pytest.warns(NumericsWarning, match="data rank is 0"):  # one labelled pixel
+            ds, proj = extract_spatial_spectral(HsiCube(values, gt), window=4, d=4)
         padded = np.pad(values, ((1, 2), (1, 2), (0, 0)), mode="symmetric")
         expected_raw = padded[0:4, 0:4, :].reshape(-1, 1)
         assert np.allclose(ds.x[:, 0], proj.project(expected_raw).ravel())

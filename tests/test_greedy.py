@@ -106,9 +106,26 @@ class TestGreedyTrain:
     def test_identity_two_layer_trifactorization(self):
         act = Activation(ActivationKind.IDENTITY)
         x = np.hstack([np.eye(8), np.eye(8), 0.5 * np.eye(8)])
-        model, z = greedy_train(x, Architecture((8, 8), activation=act), 2, 20, Rng(4))
+        # the live code rows of the last layer are linearly dependent
+        with pytest.warns(NumericsWarning, match="singular normal equations"):
+            model, z = greedy_train(x, Architecture((8, 8), activation=act), 2, 20, Rng(4))
         recon = compose_reconstruction(model.dictionaries, z, act)
         assert np.linalg.norm(x - recon) / np.linalg.norm(x) < 0.1
+
+    def test_wide_layer_takes_minimum_norm_fit(self):
+        # more atoms than rows and than samples: singular by shape, solved
+        # without the warning fallback
+        from rsddl.greedy import _als_factorize
+
+        x = Rng(0).standard_normal((6, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericsWarning)
+            d, z = _als_factorize(x, 8, 3, Rng(1))
+        assert d.shape == (6, 8) and z.shape == (8, 5)
+        assert np.allclose(np.linalg.norm(d, axis=0), 1.0, atol=1e-12)
+        assert np.linalg.norm(x - d @ z) <= 1e-10 * np.linalg.norm(x)
+        # Z is the minimum-norm fit of X on the final D
+        assert np.allclose(z, pinv(d) @ x, atol=1e-10)
 
     def test_layerwise_codes_chain(self):
         rng = Rng(9)

@@ -70,7 +70,7 @@ class TestClassifyL0:
         # vs class-2 sample (1.1,0,0,0.1,0,0.2): 5 coordinates differ
         diffs2 = np.count_nonzero(np.abs(test_z - CLASS2[:, 0]) > 1e-8)
         assert diffs2 == 5
-        pred = classify_l0(model, EncodedFeature(test_z, (test_z != 0).astype(np.uint8), 0.0))
+        pred = classify_l0(model, EncodedFeature(test_z, 0.0))
         assert pred.label == 1
         scores = dict(pred.per_class_score)
         assert scores[1] == 1.0  # nearest class-1 sample (0,0,0.4,0,0.2,0) differs on one row
@@ -79,7 +79,7 @@ class TestClassifyL0:
     def test_exact_training_feature_distance_zero(self):
         model = toy_model()
         z = CLASS2[:, 1].copy()
-        pred = classify_l0(model, EncodedFeature(z, (z != 0).astype(np.uint8), 0.0))
+        pred = classify_l0(model, EncodedFeature(z, 0.0))
         assert pred.label == 2
         assert pred.distance == 0.0
 
@@ -88,7 +88,7 @@ class TestClassifyL0:
         arch = Architecture((2, 2, 2), activation=Activation(ActivationKind.IDENTITY))
         model = build_model([np.eye(2)] * 3, arch, features, [1, 2], 2, TrainConfig(seed=0))
         z = np.array([2.0, 2.0])  # distance 2 to both stored features
-        pred = classify_l0(model, EncodedFeature(z, np.ones(2, dtype=np.uint8), 0.0))
+        pred = classify_l0(model, EncodedFeature(z, 0.0))
         assert pred.label == 1
 
     def test_equals_support_hamming_for_disjoint_supports(self):
@@ -125,33 +125,33 @@ class TestClassifyL1:
         test_z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
         assert np.isclose(np.sum(np.abs(test_z - CLASS1[:, 0])), 0.3)
         assert np.isclose(np.sum(np.abs(test_z - CLASS2[:, 0])), 1.9)
-        pred = classify_l1(model, EncodedFeature(test_z, (test_z != 0).astype(np.uint8), 0.0))
+        pred = classify_l1(model, EncodedFeature(test_z, 0.0))
         assert pred.label == 1
 
     def test_identical_zero_distance(self):
         model = toy_model()
         z = CLASS1[:, 2].copy()
-        pred = classify_l1(model, EncodedFeature(z, (z != 0).astype(np.uint8), 0.0))
+        pred = classify_l1(model, EncodedFeature(z, 0.0))
         assert pred.distance == 0.0
 
     def test_scaling_invariance_of_argmin(self):
         model = toy_model()
         z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
-        pred = classify_l1(model, EncodedFeature(z, (z != 0).astype(np.uint8), 0.0))
+        pred = classify_l1(model, EncodedFeature(z, 0.0))
         scaled = toy_model()
         scaled.features = scaled.features * 3.0
-        pred_scaled = classify_l1(scaled, EncodedFeature(z * 3.0, (z != 0).astype(np.uint8), 0.0))
+        pred_scaled = classify_l1(scaled, EncodedFeature(z * 3.0, 0.0))
         assert pred.label == pred_scaled.label
 
     def test_permutation_equivariance(self):
         model = toy_model()
         z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
-        base = classify_l1(model, EncodedFeature(z, (z != 0).astype(np.uint8), 0.0))
+        base = classify_l1(model, EncodedFeature(z, 0.0))
         perm = Rng(5).permutation(7)
         shuffled = toy_model()
         shuffled.features = shuffled.features[:, perm]
         shuffled.labels = shuffled.labels[perm]
-        pred = classify_l1(shuffled, EncodedFeature(z, (z != 0).astype(np.uint8), 0.0))
+        pred = classify_l1(shuffled, EncodedFeature(z, 0.0))
         assert pred.label == base.label
         assert pred.per_class_score == base.per_class_score
 
@@ -169,8 +169,7 @@ class TestEncodeTest:
         budget = resolve_budget(model.config, model.architecture)
         for j in range(0, data.n_samples, 5):
             f = encode_test(model, data.x[:, j])
-            assert int(f.support.sum()) <= budget.per_column_s
-            assert np.array_equal(f.support, (np.abs(f.z) > 1e-8).astype(np.uint8))
+            assert int(np.sum(np.abs(f.z) > 1e-8)) <= budget.per_column_s
 
     def test_training_columns_within_twice_training_residual(self, mixture_bundle):
         from rsddl.joint import DropMode
@@ -267,7 +266,7 @@ class TestBatchedEncoder:
         for j in range(x.shape[1]):
             z_ref, res_ref = encode_reference(model, x[:, j])
             z = batch.z[:, j]
-            assert np.array_equal(batch.support[:, j], (np.abs(z_ref) > 1e-8).astype(np.uint8))
+            assert np.array_equal(np.abs(z) > 1e-8, np.abs(z_ref) > 1e-8)
             assert np.max(np.abs(z - z_ref)) <= 1e-9
             assert abs(batch.reconstruction_residual[j] - res_ref) <= 1e-9
             single = encode_test(model, x[:, j])
@@ -302,11 +301,11 @@ class TestModelCache:
         model = toy_model()
         z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
         x = z.copy()  # identity dictionaries
-        before = classify_l1(model, EncodedFeature(z, (z != 0).astype(np.uint8), 0.0))
+        before = classify_l1(model, EncodedFeature(z, 0.0))
         encoded = encode_test(model, x)
         model.features = np.hstack([CLASS2, CLASS1])
         model.labels = np.array([1, 1, 1, 1, 2, 2, 2])
-        after = classify_l1(model, EncodedFeature(z, (z != 0).astype(np.uint8), 0.0))
+        after = classify_l1(model, EncodedFeature(z, 0.0))
         assert before.label == 1 and after.label == 2
         model.dictionaries = [2.0 * np.eye(6), np.eye(6), np.eye(6)]
         assert not np.allclose(encode_test(model, x).z, encoded.z)

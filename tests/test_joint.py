@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rsddl import joint
 from rsddl.dataio import make_dataset
 from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.joint import (
@@ -24,7 +25,7 @@ from rsddl.joint import (
     solve_P3,
     solve_P4,
     solve_P5,
-    solve_P6_class,
+    solve_P6,
 )
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns, pinv
 from rsddl.sparse import SparsityBudget, pursuit
@@ -237,51 +238,60 @@ class TestSolveP5:
 
 
 class TestSolveP6:
-    def _inputs(self, seed=13):
+    def _inputs(self, seed=13, n_classes=2):
+        # class 1 is columns 0-7, the other classes 8 columns each after it
         rng = Rng(seed)
         d3, _ = normalize_columns(rng.standard_normal((6, 4)))
-        z2c = rng.standard_normal((6, 8)) * 0.4
-        b2c = rng.standard_normal((6, 8)) * 0.1
-        return d3, z2c, b2c
+        n = 8 * n_classes
+        z2 = rng.standard_normal((6, n)) * 0.4
+        b2 = rng.standard_normal((6, n)) * 0.1
+        class_cols = {c: np.arange(8 * (c - 1), 8 * c) for c in range(1, n_classes + 1)}
+        return d3, z2, b2, class_cols
+
+    @staticmethod
+    def _relax(n_classes, n):
+        return np.ones((n_classes - 1, 4, n)), np.ones((n_classes - 1, 4, n))
 
     def test_no_competitors_is_plain_somp(self):
-        d3, z2c, b2c = self._inputs()
-        out = solve_P6_class(z2c, b2c, d3, {}, 2, 0.5, 0.1, 1.0, 5, {}, {}, TANH)
-        expected = pursuit(d3, TANH.inverse(z2c - b2c), 2, rows=True)
+        d3, z2, b2, class_cols = self._inputs(n_classes=1)
+        p, c = self._relax(1, 8)
+        out = solve_P6(z2, b2, d3, np.zeros((4, 1)), class_cols, 2, 0.5, 0.1, 1.0, 5, p, c, TANH)
+        expected = pursuit(d3, TANH.inverse(z2 - b2), 2, groups=np.zeros(8))
         assert np.array_equal(out, expected)
 
     def test_mu_zero_is_plain_somp(self):
-        d3, z2c, b2c = self._inputs()
-        p = {2: np.ones((4, 8))}
-        c = {2: np.ones((4, 8))}
-        means = {2: np.zeros(4)}
-        out = solve_P6_class(z2c, b2c, d3, means, 2, 0.0, 0.1, 1.0, 5, p, c, TANH)
-        expected = pursuit(d3, TANH.inverse(z2c - b2c), 2, rows=True)
-        assert np.array_equal(out, expected)
+        d3, z2, b2, class_cols = self._inputs()
+        p, c = self._relax(2, 16)
+        out = solve_P6(z2, b2, d3, np.zeros((4, 2)), class_cols, 2, 0.0, 0.1, 1.0, 5, p, c, TANH)
+        for cols in class_cols.values():
+            expected = pursuit(d3, TANH.inverse(z2[:, cols] - b2[:, cols]), 2, groups=np.zeros(8))
+            assert np.array_equal(out[:, cols], expected)
+        assert np.all(p == 1.0) and np.all(c == 1.0)
 
     def test_row_budget_always_respected(self):
-        d3, z2c, b2c = self._inputs()
-        p = {2: np.ones((4, 8))}
-        c = {2: np.ones((4, 8))}
-        means = {2: Rng(3).standard_normal(4)}
-        out = solve_P6_class(z2c, b2c, d3, means, 1, 0.5, 0.1, 1.0, 5, p, c, TANH)
-        assert np.count_nonzero(np.abs(out).sum(axis=1)) <= 1
+        d3, z2, b2, class_cols = self._inputs(n_classes=3)
+        p, c = self._relax(3, 24)
+        means = Rng(3).standard_normal((4, 3))
+        out = solve_P6(z2, b2, d3, means, class_cols, 1, 0.5, 0.1, 1.0, 5, p, c, TANH)
+        for cols in class_cols.values():
+            assert np.count_nonzero(np.abs(out[:, cols]).sum(axis=1)) <= 1
 
     def test_huge_mu_does_not_increase_overlap(self):
         # paired runs on a 2-class toy where both class blocks fit either atom
         rng = Rng(21)
         d3, _ = normalize_columns(rng.standard_normal((6, 4)))
-        z2c = rng.standard_normal((6, 10)) * 0.3
-        b2c = np.zeros_like(z2c)
-        competitor = {2: 0.5 * np.abs(Rng(5).standard_normal(4))}
+        z2 = rng.standard_normal((6, 20)) * 0.3
+        b2 = np.zeros_like(z2)
+        class_cols = {1: np.arange(10), 2: np.arange(10, 20)}
+        means = np.zeros((4, 2))
+        means[:, 1] = 0.5 * np.abs(Rng(5).standard_normal(4))
 
         def run(mu):
-            p = {2: np.ones((4, 10))}
-            c = {2: np.ones((4, 10))}
-            out = solve_P6_class(z2c, b2c, d3, competitor, 1, mu, 0.1, 1.0, 5, p, c, TANH)
-            return set(np.nonzero(np.abs(out).sum(axis=1))[0])
+            p, c = self._relax(2, 20)
+            out = solve_P6(z2, b2, d3, means, class_cols, 1, mu, 0.1, 1.0, 5, p, c, TANH)
+            return set(np.nonzero(np.abs(out[:, class_cols[1]]).sum(axis=1))[0])
 
-        competitor_support = {int(np.argmax(competitor[2]))}
+        competitor_support = {int(np.argmax(means[:, 1]))}
         overlap_zero = len(run(0.0) & competitor_support)
         overlap_huge = len(run(1e6) & competitor_support)
         assert overlap_huge <= overlap_zero
@@ -307,8 +317,8 @@ class TestBregmanUpdate:
             z=z,
             b1=np.zeros_like(z1),
             b2=np.zeros_like(z2),
-            p={(1, 2): np.ones((2, 3)), (2, 1): np.ones((2, 3))},
-            c_relax={(1, 2): np.ones((2, 3)), (2, 1): np.ones((2, 3))},
+            p=np.ones((1, 2, 6)),
+            c_relax=np.ones((1, 2, 6)),
             class_cols=class_cols,
             class_means=class_mean_matrix(z, class_cols, 2),
             activation=act,
@@ -325,13 +335,13 @@ class TestBregmanUpdate:
         state.b1 = Rng(1).standard_normal(state.b1.shape)
         state.b2 = Rng(2).standard_normal(state.b2.shape)
         b1_0, b2_0 = state.b1.copy(), state.b2.copy()
-        c_0 = {k: v.copy() for k, v in state.c_relax.items()}
+        state.c_relax = Rng(3).standard_normal(state.c_relax.shape)
+        c_0 = state.c_relax.copy()
         bregman_update(state)
         bregman_update(state)  # primals frozen: R - (R - B) == B
         assert np.allclose(state.b1, b1_0, atol=1e-12)
         assert np.allclose(state.b2, b2_0, atol=1e-12)
-        for key in c_0:
-            assert np.allclose(state.c_relax[key], c_0[key], atol=1e-12)
+        assert np.allclose(state.c_relax, c_0, atol=1e-12)
 
     def test_conventional_rule(self):
         state = self._state()
@@ -339,6 +349,21 @@ class TestBregmanUpdate:
         r2 = state.z2 - state.activation.forward(state.d3 @ state.z)
         bregman_update(state, conventional=True)
         assert np.allclose(state.b2, np.ones_like(state.b2) - r2, atol=1e-12)
+
+    def test_relaxation_residual_per_class_pair(self):
+        # C[0] of class 1 pairs with mean 2 and of class 2 with mean 1 (the
+        # class-sorted layout); both rules against the residual P - (mean - Z)
+        for conventional in (False, True):
+            state = self._state()
+            state.p = Rng(4).standard_normal(state.p.shape)
+            c_0 = state.c_relax.copy()
+            resid = np.empty_like(state.p)
+            for c, k in ((1, 2), (2, 1)):
+                cols = state.class_cols[c]
+                resid[0][:, cols] = state.p[0][:, cols] - (state.class_means[:, [k - 1]] - state.z[:, cols])
+            bregman_update(state, conventional=conventional)
+            expected = c_0 - resid if conventional else resid - c_0
+            assert np.allclose(state.c_relax, expected, atol=1e-12)
 
     def test_shapes_preserved(self):
         state = self._state()
@@ -363,8 +388,8 @@ class TestDropping:
             z=z,
             b1=np.zeros_like(z1),
             b2=np.zeros_like(z2),
-            p={},
-            c_relax={},
+            p=np.zeros((0, 10, 100)),
+            c_relax=np.zeros((0, 10, 100)),
             class_cols={1: np.arange(100)},
             class_means=np.zeros((10, 1)),
             activation=TANH,
@@ -492,6 +517,42 @@ class TestJointTrain:
         budget = resolve_budget(cfg, DEEP_ARCH)
         for rec in model.fit_report.iterations:
             assert max(rec.support_sizes.values()) <= budget.row_s
+
+    def test_one_class_trains_as_plain_somp(self):
+        # no competitors: P6 is plain SOMP on the data term; final values
+        # pinned to the per-class trainer
+        x = Rng(0).standard_normal((12, 30))
+        cfg = TrainConfig(drop_mode=DropMode.NONE, seed=0, outer_iters=3)
+        model = joint_train(make_dataset(x, [1] * 30), Architecture((8, 6, 4)), cfg)
+        rep = model.fit_report
+        assert rep.final_objective == pytest.approx(308.7658564282624, rel=1e-9)
+        assert rep.final_feas1 == pytest.approx(13.143606540069044, rel=1e-9)
+        assert rep.final_feas2 == pytest.approx(37.62662553396014, rel=1e-9)
+
+    def test_mu_zero_trains_as_plain_somp(self):
+        x = Rng(0).standard_normal((12, 30))
+        cfg = TrainConfig(drop_mode=DropMode.NONE, seed=0, outer_iters=3, mu=0.0)
+        model = joint_train(make_dataset(x, [1] * 15 + [2] * 15), Architecture((8, 6, 4)), cfg)
+        rep = model.fit_report
+        assert rep.final_objective == pytest.approx(308.8658564282624, rel=1e-9)
+        assert rep.final_feas1 == pytest.approx(13.143606540069044, rel=1e-9)
+        assert rep.final_feas2 == pytest.approx(37.62662553396014, rel=1e-9)
+
+    def test_pair_chunk_width_leaves_model_unchanged(self, monkeypatch):
+        # four classes of unequal size in shuffled order, DropConnect on
+        rng = Rng(8)
+        labels = rng.permutation(np.repeat([1, 2, 3, 4], [3, 9, 5, 7]))
+        data = make_dataset(rng.standard_normal((12, labels.size)), labels)
+        cfg = TrainConfig(seed=2, outer_iters=4)
+        models = []
+        for chunk in (1, 2**40):
+            monkeypatch.setattr(joint, "_PAIR_CHUNK", chunk)
+            models.append(joint_train(data, Architecture((10, 8, 6)), cfg))
+        a, b = models
+        for da, db in zip(a.dictionaries, b.dictionaries):
+            assert np.array_equal(da, db)
+        assert np.array_equal(a.features, b.features)
+        assert a.fit_report.lines == b.fit_report.lines
 
     def test_divergence_guard(self):
         rng = Rng(1)

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rsddl.joint import solve_P6_class
+from rsddl.joint import solve_P6
 from rsddl.numerics import Activation, Rng, normalize_columns
 from rsddl.sparse import SparsityBudget, prox_push, pursuit, pursuit_gram
 from util import (
@@ -22,7 +22,14 @@ def omp(d, x, s):
 
 
 def somp(d, y, s):
-    return pursuit(d, y, s, rows=True)
+    """The kernel with one group: one row support for every column."""
+    return pursuit(d, y, s, groups=np.zeros(y.shape[1]))
+
+
+def groupings(n):
+    """The two ways :func:`pursuit_reference` pursues n columns, as
+    ``(rows, groups)``: per column (OMP) and as one block (SOMP)."""
+    return ((False, None), (True, np.zeros(n)))
 
 
 class TestSparsityBudget:
@@ -172,7 +179,7 @@ class TestScaledWrappers:
         d = low_coherence_frame(10, 16, rng)
         scales = 0.5 + rng.random(16)
         rows, z0, y = planted_row_sparse(d, 3, 4, rng)
-        z = pursuit(d * scales, y, 3, rows=True)
+        z = somp(d * scales, y, 3)
         assert np.allclose((d * scales) @ z, y, atol=1e-8)
 
 
@@ -185,6 +192,7 @@ class TestProxPush:
 
     def test_zero_maps_positive(self):
         assert prox_push(np.array([[0.0]]), 0.5, 0.1)[0, 0] == 2.5
+        assert prox_push(np.array([[-0.0]]), 0.5, 0.1)[0, 0] == 2.5
 
     def test_negative_side(self):
         assert prox_push(np.array([[-1.0]]), 0.5, 0.1)[0, 0] == -2.5
@@ -226,14 +234,14 @@ class TestAgainstReference:
             d = tr.standard_normal((m, a)) * (0.3 + tr.random(a))
             y = tr.standard_normal((m, n))
             s = 1 + trial % min(m, a)
-            for rows in (False, True):
-                self._assert_same(pursuit(d, y, s, rows=rows), pursuit_reference(d, y, s, rows=rows))
+            for rows, groups in groupings(n):
+                self._assert_same(pursuit(d, y, s, groups), pursuit_reference(d, y, s, rows=rows))
 
     def test_exact_ties_go_to_smaller_index(self):
         d = np.eye(4)
         y = np.array([[1.0, 0.0, 2.0], [1.0, 3.0, -2.0], [0.0, 3.0, 2.0], [0.5, 0.0, 0.0]])
-        for rows in (False, True):
-            z = pursuit(d, y, 1, rows=rows)
+        for rows, groups in groupings(3):
+            z = pursuit(d, y, 1, groups)
             self._assert_same(z, pursuit_reference(d, y, 1, rows=rows), tol=0.0)
         assert np.argmax(pursuit(d, y, 1) != 0.0, axis=0).tolist() == [0, 1, 0]
 
@@ -251,7 +259,7 @@ class TestAgainstReference:
         assert np.count_nonzero(z, axis=0).tolist() == [1, 2, 3, 1, 2, 0]
         self._assert_same(z, pursuit_reference(d, y, 4))
         rows, _, yr = planted_row_sparse(d, 2, 5, rng)
-        zr = pursuit(d, yr, 4, rows=True)
+        zr = somp(d, yr, 4)
         assert np.nonzero(np.abs(zr).sum(axis=1))[0].tolist() == rows.tolist()
         self._assert_same(zr, pursuit_reference(d, yr, 4, rows=True))
 
@@ -261,8 +269,8 @@ class TestAgainstReference:
         d[:, [1, 4]] = 0.0
         y = rng.standard_normal((7, 5))
         for s in (2, 4, 6):
-            for rows in (False, True):
-                z = pursuit(d, y, s, rows=rows)
+            for rows, groups in groupings(5):
+                z = pursuit(d, y, s, groups)
                 assert np.all(z[[1, 4]] == 0.0)
                 self._assert_same(z, pursuit_reference(d, y, s, rows=rows))
 
@@ -272,7 +280,7 @@ class TestAgainstReference:
         for trial in range(10):
             x = rng.substream(trial).standard_normal((9, 1))
             for s in (1, 3, 5):
-                self._assert_same(pursuit(d, x, s, rows=True), pursuit(d, x, s), tol=1e-12)
+                self._assert_same(somp(d, x, s), pursuit(d, x, s), tol=1e-12)
 
     def test_gram_form_matches_explicit_system(self):
         rng = Rng(44)
@@ -280,6 +288,29 @@ class TestAgainstReference:
         y = rng.standard_normal((8, 6))
         z = pursuit_gram(d.T @ d, d.T @ y, np.sum(y * y, axis=0), 3)
         assert np.array_equal(z, pursuit(d, y, 3))
+
+    def test_groups_match_per_group_reference(self):
+        # unequal groups in shuffled column order: a size-1 group, a group
+        # that fits on one atom and stops early, and two dead atoms
+        rng = Rng(45)
+        d = rng.standard_normal((8, 9)) * (0.5 + rng.random(9))
+        d[:, [2, 6]] = 0.0
+        sizes = {3: 4, 7: 1, 1: 6, 5: 3}
+        labels = rng.permutation(np.repeat(list(sizes), list(sizes.values())))
+        y = rng.standard_normal((8, labels.size))
+        early = labels == 1
+        y[:, early] = np.outer(d[:, 4], rng.standard_normal(early.sum()))
+        for s in (1, 3, 5):
+            z = pursuit(d, y, s, labels)
+            assert np.all(z[[2, 6]] == 0.0)
+            for label in sizes:
+                cols = labels == label
+                self._assert_same(z[:, cols], pursuit_reference(d, y[:, cols], s, rows=True))
+            assert np.count_nonzero(np.abs(z[:, early]).sum(axis=1)) == 1
+
+    def test_groups_label_every_column(self):
+        with pytest.raises(ValueError):
+            pursuit(np.eye(3), np.ones((3, 4)), 1, np.zeros(3))
 
 
 def solve_P6_stacked(z2c, b2c, d3, competitor_means, row_s, mu, gamma, eta2, inner_iters, p, c_relax, act):
@@ -306,23 +337,38 @@ def solve_P6_stacked(z2c, b2c, d3, competitor_means, row_s, mu, gamma, eta2, inn
 
 class TestP6GramForm:
     def test_matches_stacked_system(self):
+        # every class at once against the per-class stacked reference, with
+        # unequal class sizes (one of a single column) in shuffled column order
         act = Activation()
-        for seed, (n_comp, row_s, eta2, gamma) in enumerate(
-            [(1, 2, 1.0, 0.1), (3, 3, 0.7, 0.25), (7, 2, 2.0, 0.05), (4, 5, 1.0, 1.0)]
+        for seed, (n_classes, row_s, eta2, gamma) in enumerate(
+            [(2, 2, 1.0, 0.1), (4, 3, 0.7, 0.25), (8, 2, 2.0, 0.05), (5, 5, 1.0, 1.0)]
         ):
             rng = Rng(100 + seed)
             d3, _ = normalize_columns(rng.standard_normal((9, 7)))
             d3 = d3 * (0.5 + rng.random(7))  # DropConnect leaves atoms off unit norm
-            z2c = 0.4 * rng.standard_normal((9, 6))
-            b2c = 0.1 * rng.standard_normal((9, 6))
-            means = {k: rng.standard_normal(7) for k in range(2, 2 + n_comp)}
-            p = {k: rng.standard_normal((7, 6)) for k in means}
-            c = {k: rng.standard_normal((7, 6)) for k in means}
-            p_ref = {k: v.copy() for k, v in p.items()}
-            c_ref = {k: v.copy() for k, v in c.items()}
-            out = solve_P6_class(z2c, b2c, d3, means, row_s, 0.5, gamma, eta2, 5, p, c, act)
-            ref = solve_P6_stacked(z2c, b2c, d3, means, row_s, 0.5, gamma, eta2, 5, p_ref, c_ref, act)
-            TestAgainstReference._assert_same(out, ref)
-            for k in means:
-                assert np.max(np.abs(p[k] - p_ref[k])) <= 1e-9
-                assert np.max(np.abs(c[k] - c_ref[k])) <= 1e-9
+            sizes = [1 + (3 * c + seed) % 6 for c in range(n_classes)]
+            labels = rng.permutation(np.repeat(np.arange(1, n_classes + 1), sizes))
+            class_cols = {c: np.where(labels == c)[0] for c in range(1, n_classes + 1)}
+            n = labels.size
+            z2 = 0.4 * rng.standard_normal((9, n))
+            b2 = 0.1 * rng.standard_normal((9, n))
+            means = rng.standard_normal((7, n_classes))
+            p = rng.standard_normal((n_classes - 1, 7, n))
+            c = rng.standard_normal((n_classes - 1, 7, n))
+            p_ref, c_ref = p.copy(), c.copy()
+            out = solve_P6(z2, b2, d3, means, class_cols, row_s, 0.5, gamma, eta2, 5, p, c, act)
+            lo = 0
+            for k, cols in class_cols.items():
+                block = slice(lo, lo + cols.size)  # class k's columns of P and C
+                lo += cols.size
+                others = [j for j in class_cols if j != k]
+                p_k = {j: p_ref[i, :, block].copy() for i, j in enumerate(others)}
+                c_k = {j: c_ref[i, :, block].copy() for i, j in enumerate(others)}
+                ref = solve_P6_stacked(
+                    z2[:, cols], b2[:, cols], d3, {j: means[:, j - 1] for j in others},
+                    row_s, 0.5, gamma, eta2, 5, p_k, c_k, act,
+                )
+                TestAgainstReference._assert_same(out[:, cols], ref)
+                for i, j in enumerate(others):
+                    assert np.max(np.abs(p[i, :, block] - p_k[j])) <= 1e-9
+                    assert np.max(np.abs(c[i, :, block] - c_k[j])) <= 1e-9
