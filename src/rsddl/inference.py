@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .joint import DEFAULT_SUPPORT_TOL, Model, TrainConfig, p4_lhs, p5_lhs, resolve_budget, solve_P4, solve_P5
+from .joint import DEFAULT_SUPPORT_TOL, Model, TrainConfig, p4_lhs, p5_lhs, resolve_budget
 from .numerics import as_matrix, pinv
-from .sparse import pursuit_gram
+from .sparse import pursuit_gram, unit_gram
 
 __all__ = [
     "EncodedFeature",
@@ -70,10 +70,15 @@ def _cached(model: Model, name: str, sources: tuple, build):
 
 
 def _encoder(model: Model, cfg: TrainConfig) -> tuple:
-    """pinv(D1), pinv(D2), D3'D3 and the P4 and P5 left-hand sides."""
+    """pinv(D1), pinv(D2), unit_gram(D3'D3) and solve_P4/solve_P5 as linear maps: inv(L4),
+    inv(L4) D1', eta1 inv(L5) D2', eta2 inv(L5), with L4, L5 their (SPD) left-hand sides."""
     d1, d2, d3 = model.dictionaries
-    return _cached(model, "encoder", (d1, d2, d3, cfg), lambda: (
-        pinv(d1), pinv(d2), d3.T @ d3, p4_lhs(d1, cfg.eta1), p5_lhs(d2, cfg.eta1, cfg.eta2)))
+
+    def build():
+        i4, i5 = np.linalg.inv(p4_lhs(d1, cfg.eta1)), np.linalg.inv(p5_lhs(d2, cfg.eta1, cfg.eta2))
+        return pinv(d1), pinv(d2), unit_gram(d3.T @ d3), i4, i4 @ d1.T, cfg.eta1 * i5 @ d2.T, cfg.eta2 * i5
+
+    return _cached(model, "encoder", (d1, d2, d3, cfg), build)
 
 
 def _index(model: Model) -> tuple[np.ndarray, np.ndarray]:
@@ -117,21 +122,25 @@ def encode_test(
         raise ValueError(f"sample length {x.shape[0]} != D1 rows {d1.shape[0]}")
     budget = resolve_budget(cfg, model.architecture)
     act = model.architecture.activation
-    pinv1, pinv2, gram3, lhs4, lhs5 = _encoder(model, cfg)
+    pinv1, pinv2, gram3, inv4, p4_x, p5_z1, p5_z = _encoder(model, cfg)
 
     z1 = pinv1 @ x
     z2 = pinv2 @ act.inverse(z1)
     b1 = np.ones_like(z1)
     b2 = np.ones_like(z2)
+    x4 = p4_x @ x
+    f2 = act.forward(d2 @ z2)
     for _ in range(cfg.test_iters):
         target = act.inverse(z2 - b2)
         z = pursuit_gram(gram3, d3.T @ target, np.einsum("ij,ij->j", target, target), budget.per_column_s)
-        z1 = solve_P4(x, d1, d2, z2, b1, cfg.eta1, act, lhs=lhs4)
-        z2 = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act, lhs=lhs5)
-        b1 = z1 - act.forward(d2 @ z2) - b1
-        b2 = z2 - act.forward(d3 @ z) - b2
+        f3 = act.forward(d3 @ z)
+        z1 = x4 + inv4 @ (cfg.eta1 * (f2 + b1))
+        z2 = p5_z1 @ act.inverse(z1 - b1) + p5_z @ (f3 + b2)
+        f2 = act.forward(d2 @ z2)
+        b1 = z1 - f2 - b1
+        b2 = z2 - f3 - b2
 
-    recon = d1 @ act.forward(d2 @ act.forward(d3 @ z))
+    recon = d1 @ act.forward(d2 @ f3)
     residual = np.linalg.norm(x - recon, axis=0)
     if single:
         return EncodedFeature(z=z[:, 0], reconstruction_residual=float(residual[0]))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
 from .numerics import Activation, Rng, as_matrix, normalize_columns, pinv
-from .sparse import DEFAULT_RESIDUAL_TOL, SparsityBudget, prox_push, pursuit, pursuit_gram
+from .sparse import DEFAULT_RESIDUAL_TOL, SparsityBudget, prox_push, pursuit, pursuit_gram, unit_gram
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataio import Dataset
@@ -345,14 +345,9 @@ def solve_P4(
     b1: np.ndarray,
     eta1: float,
     act: Activation,
-    lhs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Stationary point of ``||X - D1 Z1||^2 + eta1 ||Z1 - phi(D2 Z2) - B1||^2``;
-    ``lhs``, when given, is :func:`p4_lhs` computed once by the caller."""
-    target = act.forward(d2 @ z2) + b1
-    if lhs is None:
-        lhs = p4_lhs(d1, eta1)
-    return np.linalg.solve(lhs, d1.T @ x + eta1 * target)
+    """Stationary point of ``||X - D1 Z1||^2 + eta1 ||Z1 - phi(D2 Z2) - B1||^2``."""
+    return np.linalg.solve(p4_lhs(d1, eta1), d1.T @ x + eta1 * (act.forward(d2 @ z2) + b1))
 
 
 def p4_lhs(d1: np.ndarray, eta1: float) -> np.ndarray:
@@ -375,15 +370,11 @@ def solve_P5(
     eta1: float,
     eta2: float,
     act: Activation,
-    lhs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stationary point of
-    ``eta1 ||phi^-1(Z1 - B1) - D2 Z2||^2 + eta2 ||Z2 - phi(D3 Z) - B2||^2``;
-    ``lhs``, when given, is :func:`p5_lhs` computed once by the caller."""
-    if lhs is None:
-        lhs = p5_lhs(d2, eta1, eta2)
+    ``eta1 ||phi^-1(Z1 - B1) - D2 Z2||^2 + eta2 ||Z2 - phi(D3 Z) - B2||^2``."""
     rhs = eta1 * (d2.T @ act.inverse(z1 - b1)) + eta2 * (act.forward(d3 @ z) + b2)
-    return np.linalg.solve(lhs, rhs)
+    return np.linalg.solve(p5_lhs(d2, eta1, eta2), rhs)
 
 
 def solve_P6(
@@ -423,7 +414,7 @@ def solve_P6(
         z[:, order] = pursuit(d3, target, row_s, groups=cls, residual_tol=residual_tol)
         return z
 
-    gram = eta2 * (d3.T @ d3) + competitors.shape[1] * gamma * np.eye(d3.shape[1])
+    gram = unit_gram(eta2 * (d3.T @ d3) + competitors.shape[1] * gamma * np.eye(d3.shape[1]))
     corr_top = eta2 * (d3.T @ target)
     sq_top = eta2 * np.einsum("ij,ij->j", target, target)
     for _ in range(inner_iters):

@@ -5,8 +5,8 @@ sparsity budgets (s nonzeros per column, s nonzero rows per class block) and
 solved by one greedy kernel: Batch-OMP (Rubinstein, Zibulevsky & Elad 2008)
 over all columns at once, or SOMP (Tropp, Gilbert & Strauss 2006) with one
 row support per labelled group of columns (all classes of P6 in one call).
-It needs only ``D'D`` and ``D'Y``, so a structured system (the stacked P6
-system) is never built.
+It needs only ``D'D``, prepared once per dictionary by :func:`unit_gram`,
+and ``D'Y``, so a structured system (the stacked P6 system) is never built.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "SparsityBudget",
     "pursuit",
     "pursuit_gram",
+    "unit_gram",
     "prox_push",
 ]
 
@@ -28,6 +29,11 @@ DEFAULT_RESIDUAL_TOL = 1e-7
 
 # Columns with l2 norm at or below this are considered dead atoms.
 _DEAD_COLUMN_TOL = 1e-12
+
+# Stop-test floor relative to ||y||^2: ||y||^2 - coef'D'y rounds at ~(m + k cond) eps ||y||^2,
+# 6 eps at most over 3,000 planted exact fits.  1e-12 (4.5e3 eps) keeps a margin for larger
+# m and cond; a fit of real data reaches it only by explaining all but 1e-6 of its norm.
+_RESIDUAL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,38 +57,44 @@ class SparsityBudget:
             raise ValueError(f"row_s={self.row_s} exceeds atom count {n_atoms}")
 
 
+def unit_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``D'D`` prepared once for :func:`pursuit_gram`: the Gram of the unit-norm
+    live atoms (norm above 1e-12), the live atom norms and the alive mask."""
+    norms = np.sqrt(np.diag(gram))
+    alive = norms > _DEAD_COLUMN_TOL
+    if not np.any(alive):
+        raise ValueError("dictionary has no usable (nonzero) columns")
+    live_norms = norms[alive]
+    return gram[np.ix_(alive, alive)] / np.outer(live_norms, live_norms), live_norms, alive
+
+
 def pursuit_gram(
-    gram: np.ndarray,
+    prepared: tuple[np.ndarray, np.ndarray, np.ndarray],
     corr: np.ndarray,
     y_sq: np.ndarray,
     s: int,
     groups: np.ndarray | None = None,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> np.ndarray:
-    """Greedy pursuit of every column of ``Y ~ D Z`` from ``D'D``, ``D'Y`` and
-    the squared column norms of ``Y``.  ``groups`` labels each column: the
-    columns of one label share one row support (SOMP), so a constant label is
-    one SOMP block; ``None`` gives every column its own support (OMP).
+    """Greedy pursuit of every column of ``Y ~ D Z`` from ``unit_gram(D'D)``,
+    ``D'Y`` and the squared column norms of ``Y``.  ``groups`` labels each
+    column: the columns of one label share one row support (SOMP), so a
+    constant label is one SOMP block; ``None`` gives every column its own
+    support (OMP).  Dead atoms stay zero and ``s`` is capped at the live count.
 
-    Atoms are normalized through the Gram diagonal and the coefficients scaled
-    back; dead (zero) atoms are skipped and ``s`` is capped at the live count.
     Each step picks, per group, the unselected atom with the largest
     ``|d_i' r|`` (SOMP: row norm of ``D'R`` over the group's columns), ties to
     the smaller index, then refits the support by one stacked k x k Gram
-    solve.  A group whose residual norm, ``sqrt(||y||^2 - coef' (D'y)_support)``
-    summed over its columns, is at or below ``residual_tol`` stops and leaves
-    the working set.
+    solve.  A group whose squared residual norm, ``||y||^2 - coef' (D'y)_support``
+    summed over its columns, is at or below ``residual_tol**2`` or 1e-12 of its
+    ``||y||^2`` (the rounding of that difference) stops and leaves the working set.
     """
-    norms = np.sqrt(np.diag(gram))
-    alive = norms > _DEAD_COLUMN_TOL
-    if not np.any(alive):
-        raise ValueError("dictionary has no usable (nonzero) columns")
+    g, live_norms, alive = prepared
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     n = corr.shape[1]
-    live_norms = norms[alive]
-    g = gram[np.ix_(alive, alive)] / np.outer(live_norms, live_norms)
-    c = corr[alive] / live_norms[:, None]
+    all_alive = live_norms.size == alive.size
+    c = (corr if all_alive else corr[alive]) / live_norms[:, None]
     y2 = np.asarray(y_sq, dtype=np.float64)
 
     # arrays below are (group, atom, slot), with cols[group, slot] the column;
@@ -100,11 +112,12 @@ def pursuit_gram(
     z = np.zeros((g.shape[0], n + 1))
     support = np.zeros((c.shape[0], steps), dtype=np.intp)
     group = np.arange(c.shape[0])[:, None]
+    stop = np.maximum(residual_tol * residual_tol, _RESIDUAL_FLOOR * y2)
     resid, r2 = c, y2
     for k in range(steps):
-        going = r2 > residual_tol * residual_tol
+        going = r2 > stop
         if not going.all():
-            c, cols, y2, support, resid = (v[going] for v in (c, cols, y2, support, resid))
+            c, cols, y2, stop, support, resid = (v[going] for v in (c, cols, y2, stop, support, resid))
             group = group[: c.shape[0]]
             if c.shape[0] == 0:
                 break
@@ -121,7 +134,9 @@ def pursuit_gram(
         z[sup[:, :, None], cols[:, None, :]] = coef
         resid = c - np.einsum("gka,gkt->gat", g[sup], coef)
         r2 = y2 - np.einsum("gkt,gkt->g", coef, rhs)
-    out = np.zeros((gram.shape[0], n))
+    if all_alive:
+        return z[:, :n] / live_norms[:, None]
+    out = np.zeros((alive.size, n))
     out[alive] = z[:, :n] / live_norms[:, None]
     return out
 
@@ -152,7 +167,7 @@ def pursuit(
     y = as_matrix(y, "Y")
     if y.shape[0] != d.shape[0]:
         raise ValueError(f"signal rows {y.shape[0]} != dictionary rows {d.shape[0]}")
-    return pursuit_gram(d.T @ d, d.T @ y, np.einsum("ij,ij->j", y, y), s, groups, residual_tol)
+    return pursuit_gram(unit_gram(d.T @ d), d.T @ y, np.einsum("ij,ij->j", y, y), s, groups, residual_tol)
 
 
 def prox_push(v, mu: float, gamma: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.inference import (
     EncodedFeature,
+    _encoder,
     classify_l0,
     classify_l1,
     encode_test,
     format_prediction_lines,
     predict_batch,
 )
-from rsddl.joint import TrainConfig, build_model, resolve_budget
+from rsddl.joint import TrainConfig, build_model, resolve_budget, solve_P4, solve_P5
 from rsddl.numerics import Activation, ActivationKind, Rng
 from util import class_distances_reference, class_support, encode_reference, two_class_deep_factor_data
 
@@ -237,6 +239,39 @@ class TestEncodeTest:
             encode_test(model, np.ones(2))
 
 
+def random_model(act, cfg, rng):
+    """Model with random 12x9, 9x7 and 7x5 dictionaries and four stored codes."""
+    dicts = [rng.standard_normal((12, 9)), 0.3 * rng.standard_normal((9, 7)), 0.3 * rng.standard_normal((7, 5))]
+    arch = Architecture((9, 7, 5), activation=act)
+    return build_model(dicts, arch, rng.standard_normal((5, 4)), [1, 1, 2, 2], 2, cfg)
+
+
+class TestEncoderMaps:
+    """The cached P4/P5 maps of the encoder against the training solves."""
+
+    @pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.IDENTITY])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_maps_match_solves(self, kind, n):
+        rng = Rng(60).substream(kind.value, n)
+        act = Activation(kind)
+        for cfg in (TrainConfig(seed=0), TrainConfig(seed=0, eta1=0.3, eta2=2.5)):
+            model = random_model(act, cfg, rng)
+            d1, d2, d3 = model.dictionaries
+            _, _, _, inv4, p4_x, p5_z1, p5_z = _encoder(model, cfg)
+            x = rng.standard_normal((12, n))
+            z2 = rng.standard_normal((7, n))
+            b1 = rng.standard_normal((9, n))
+            z1 = p4_x @ x + inv4 @ (cfg.eta1 * (act.forward(d2 @ z2) + b1))
+            assert np.max(np.abs(z1 - solve_P4(x, d1, d2, z2, b1, cfg.eta1, act))) <= 1e-10
+            # P5 at a Z1 - B1 inside the range of tanh
+            z1 = b1 + 1.8 * rng.random((9, n)) - 0.9
+            z = rng.standard_normal((5, n))
+            b2 = rng.standard_normal((7, n))
+            z2 = p5_z1 @ act.inverse(z1 - b1) + p5_z @ (act.forward(d3 @ z) + b2)
+            ref = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
+            assert np.max(np.abs(z2 - ref)) <= 1e-10
+
+
 class TestBatch:
     def test_predict_batch_and_format(self, deep_factor_model):
         data, model = deep_factor_model
@@ -286,6 +321,19 @@ class TestBatchedEncoder:
         for model in mixture_bundle["models"].values():
             self._check(model, mixture_bundle["x_test"][:, ::5])
 
+    def test_single_sample_is_batch_of_one(self, mixture_bundle):
+        x = mixture_bundle["x_test"][:, ::5]
+        assert x.shape[1] == 80
+        for model in mixture_bundle["models"].values():
+            batch = encode_test(model, x)
+            labels = {rule: [p.label for p in predict_batch(model, x, rule=rule)] for rule in ("l0", "l1")}
+            for j in range(x.shape[1]):
+                single = encode_test(model, x[:, j])
+                assert np.array_equal(single.z != 0.0, batch.z[:, j] != 0.0)
+                assert np.max(np.abs(single.z - batch.z[:, j])) <= 1e-12
+                for rule, batch_labels in labels.items():
+                    assert predict_batch(model, x[:, [j]], rule=rule)[0].label == batch_labels[j]
+
     def test_distance_pass_is_chunked(self, deep_factor_model, monkeypatch):
         import rsddl.inference as inference
 
@@ -319,6 +367,19 @@ class TestModelCache:
         fresh = build_model(model.dictionaries, model.architecture, model.features, model.labels, 2, other)
         assert np.array_equal(changed.z, encode_test(fresh, data.x[:, :3]).z)
         assert np.array_equal(base.z, encode_test(model, data.x[:, :3]).z)
+
+    def test_eta_change_rebuilds_maps(self):
+        base = TrainConfig(seed=0)
+        model = random_model(Activation(ActivationKind.TANH), base, Rng(61))
+        before = _encoder(model, base)
+        for other in (dataclasses.replace(base, eta1=0.4), dataclasses.replace(base, eta2=3.0)):
+            maps = _encoder(model, other)
+            fresh = build_model(model.dictionaries, model.architecture, model.features, model.labels, 2, other)
+            for got, want, old in zip(maps[3:], _encoder(fresh, other)[3:], before[3:]):
+                assert np.array_equal(got, want)
+            assert any(not np.allclose(got, old) for got, old in zip(maps[3:], before[3:]))
+        for got, old in zip(_encoder(model, base)[3:], before[3:]):
+            assert np.array_equal(got, old)
 
     def test_no_reference_cycle(self):
         import gc

@@ -5,7 +5,7 @@ import pytest
 
 from rsddl.joint import solve_P6
 from rsddl.numerics import Activation, Rng, normalize_columns
-from rsddl.sparse import SparsityBudget, prox_push, pursuit, pursuit_gram
+from rsddl.sparse import SparsityBudget, prox_push, pursuit, pursuit_gram, unit_gram
 from util import (
     coherence,
     hard_threshold_per_column,
@@ -286,7 +286,7 @@ class TestAgainstReference:
         rng = Rng(44)
         d = rng.standard_normal((8, 10))
         y = rng.standard_normal((8, 6))
-        z = pursuit_gram(d.T @ d, d.T @ y, np.sum(y * y, axis=0), 3)
+        z = pursuit_gram(unit_gram(d.T @ d), d.T @ y, np.sum(y * y, axis=0), 3)
         assert np.array_equal(z, pursuit(d, y, 3))
 
     def test_groups_match_per_group_reference(self):
@@ -311,6 +311,47 @@ class TestAgainstReference:
     def test_groups_label_every_column(self):
         with pytest.raises(ValueError):
             pursuit(np.eye(3), np.ones((3, 4)), 1, np.zeros(3))
+
+    def test_exact_fits_stop_at_any_scale(self):
+        # planted 2-sparse signals with coefficients from 1e-2 to 1e6: where
+        # ||y||^2 rounding exceeds residual_tol^2, an exact fit must still stop
+        # and take no extra near-zero coefficients
+        rng = Rng(46)
+        for trial, scale in enumerate(np.logspace(-2, 6, 9)):
+            tr = rng.substream("scale", trial)
+            d = tr.standard_normal((30, 40))
+            z0 = np.zeros((40, 24))
+            for j in range(24):
+                z0[tr.permutation(40)[:2], j] = scale * (0.5 + tr.random(2))
+            y = d @ z0
+            _, _, yr = planted_row_sparse(d, 2, 6, tr)
+            yr = scale * yr
+            for yy, groups, ref in (
+                (y, None, pursuit_reference(d, y, 6)),
+                (yr, np.zeros(6), pursuit_reference(d, yr, 6, rows=True)),
+            ):
+                z = pursuit(d, yy, 6, groups)
+                assert np.count_nonzero(z, axis=0).tolist() == np.count_nonzero(ref, axis=0).tolist()
+                assert np.all(np.count_nonzero(z, axis=0) <= 2)
+                self._assert_same(z, ref, tol=1e-9 * scale)
+
+
+class TestUnitGram:
+    def test_dead_atoms(self):
+        rng = Rng(47)
+        d = rng.standard_normal((9, 12)) * (0.2 + 3.0 * rng.random(12))
+        d[:, [0, 5, 11]] = 0.0
+        y = rng.standard_normal((9, 7))
+        g, norms, alive = unit_gram(d.T @ d)
+        assert alive.tolist() == [i not in (0, 5, 11) for i in range(12)]
+        assert np.allclose(norms, np.linalg.norm(d[:, alive], axis=0), rtol=1e-14)
+        assert np.allclose(np.diag(g), 1.0, rtol=1e-14)
+        for s in (1, 4, 9, 12):
+            for rows, groups in groupings(7):
+                z = pursuit_gram((g, norms, alive), d.T @ y, np.sum(y * y, axis=0), s, groups)
+                assert np.array_equal(z, pursuit(d, y, s, groups))
+                assert np.all(z[[0, 5, 11]] == 0.0)
+                TestAgainstReference._assert_same(z, pursuit_reference(d, y, s, rows=rows))
 
 
 def solve_P6_stacked(z2c, b2c, d3, competitor_means, row_s, mu, gamma, eta2, inner_iters, p, c_relax, act):
