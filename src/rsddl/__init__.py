@@ -6,7 +6,7 @@ apart; classifies by nearest stored code under l0 (count of differing
 coordinates) or l1 distance.
 """
 
-from .greedy import Architecture, GreedyModel, dict_learn, greedy_encode, greedy_train
+from .greedy import Architecture, dict_learn
 from .inference import (
     EncodedFeature,
     Prediction,
@@ -48,7 +48,6 @@ __all__ = [
     "DropMode",
     "EncodedFeature",
     "FitReport",
-    "GreedyModel",
     "HsiCube",
     "Model",
     "Prediction",
@@ -63,8 +62,6 @@ __all__ = [
     "dict_learn",
     "encode_test",
     "extract_spatial_spectral",
-    "greedy_encode",
-    "greedy_train",
     "joint_train",
     "kappa",
     "load_model",

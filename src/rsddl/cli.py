@@ -30,7 +30,7 @@ from .dataio import (
     save_model,
     save_pca,
 )
-from .greedy import Architecture, compose_reconstruction, greedy_train
+from .greedy import Architecture, compose_reconstruction, layerwise_factorize
 from .inference import format_prediction_lines, predict_batch
 from .joint import (
     DropMode,
@@ -259,38 +259,26 @@ def cmd_train(args) -> int:
             model = joint_train(dataset, arch, cfg, log=log)
         else:
             budget = resolve_budget(cfg, arch)
-            gmodel, z = greedy_train(
+            dicts, codes = layerwise_factorize(
                 dataset.x, arch, budget.per_column_s, cfg.outer_iters, Rng(cfg.seed)
             )
-            model = build_model(
-                gmodel.dictionaries, arch, z, dataset.labels, dataset.num_classes, cfg
-            )
+            z = codes[-1]
+            model = build_model(dicts, arch, z, dataset.labels, dataset.num_classes, cfg, mode="greedy")
+            # per-layer residuals: upper layers coded by the encoder's pseudo-inverse
+            # chain, the deepest by its training codes
             act = arch.activation
             target = dataset.x
-            for i, (d, code) in enumerate(zip(gmodel.dictionaries, _greedy_codes(gmodel, z, dataset.x)), 1):
+            for i, d in enumerate(dicts, 1):
+                code = z if i == len(dicts) else pinv(d) @ target
                 resid = float(np.linalg.norm(target - d @ code))
                 log.write(f"layer={i} residual={resid:.17g}\n")
-                if i < len(gmodel.dictionaries):
+                if i < len(dicts):
                     target = act.inverse(code)
-            recon = compose_reconstruction(gmodel.dictionaries, z, act)
+            recon = compose_reconstruction(dicts, z, act)
             log.write(f"greedy_recon={float(np.linalg.norm(dataset.x - recon)):.17g}\n")
     save_model(model, args.out)
     _info(f"trained {mode} model on {dataset.n_samples} samples -> {args.out} (log: {log_path})")
     return 0
-
-
-def _greedy_codes(gmodel, z_final, x):
-    """Recover each layer's codes for residual reporting."""
-    act = gmodel.architecture.activation
-    codes = []
-    target = x
-    for i, d in enumerate(gmodel.dictionaries):
-        if i == len(gmodel.dictionaries) - 1:
-            codes.append(z_final)
-        else:
-            codes.append(pinv(d) @ target)
-            target = act.inverse(codes[-1])
-    return codes
 
 
 def cmd_classify(args) -> int:

@@ -8,10 +8,16 @@ File formats (all little-endian, documented so external data can be converted):
   height*width*bands float32 values in scanline (row, column, band) order.
 * ground-truth raster: text header ``RSGT1 <height> <width>`` followed by
   height*width int32 class ids (0 = unlabeled), row-major.
-* model file: versioned text format with magic ``RSDDL1``; header lines for
-  architecture, activation and config, then each matrix as a ``matrix <name>
-  <rows> <cols>`` line followed by rows of 17-significant-digit decimals.
-  Saving, loading and saving again reproduces the file byte for byte.
+* model file: versioned text, first line ``RSDDL2 2``, then header lines
+  ``mode joint|greedy`` (how test samples are encoded), ``arch``,
+  ``activation``, ``config``, ``classes C``, ``labels N`` and the N class
+  ids (every id 1..C present), then D1..DL and Z, each as a ``matrix <name>
+  <rows> <cols>`` line followed by rows of 17-significant-digit decimals,
+  and ``end``.  Saving, loading and saving again reproduces the file byte
+  for byte.  Version 1 files (``RSDDL1 1``: no mode line, a
+  ``conventional_bregman`` config token, and ``class_means`` and
+  ``class_supports`` matrices after Z) still load, as joint models; their
+  two extra matrices are skipped.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greedy import Architecture
-from .joint import DropMode, Model, TrainConfig, resolve_budget
+from .joint import MODES, DropMode, Model, TrainConfig, resolve_budget
 from .numerics import Activation, ActivationKind, Rng, as_matrix, pca_fit
 from .sparse import SparsityBudget
 
@@ -45,8 +51,10 @@ __all__ = [
     "load_pca",
 ]
 
-MODEL_MAGIC = "RSDDL1"
-MODEL_VERSION = 1
+MODEL_MAGIC = "RSDDL2"
+MODEL_VERSION = 2
+# version written under each readable magic
+_MODEL_MAGICS = {"RSDDL1": 1, MODEL_MAGIC: MODEL_VERSION}
 CUBE_MAGIC = "RSHSI1"
 GT_MAGIC = "RSGT1"
 PCA_MAGIC = "RSPCA1"
@@ -335,15 +343,9 @@ def split_per_class(ds: Dataset, counts: dict[int, int], rng: Rng) -> tuple[Data
 # ---------------------------------------------------------------------------
 # Model persistence
 
-def _format_row(row: np.ndarray, as_int: bool) -> str:
-    if as_int:
-        return " ".join("%d" % v for v in row)
-    return " ".join("%.17g" % v for v in row)
-
-
-def _render_matrix(name: str, m: np.ndarray, as_int: bool = False) -> list[str]:
+def _render_matrix(name: str, m: np.ndarray) -> list[str]:
     lines = [f"matrix {name} {m.shape[0]} {m.shape[1]}"]
-    lines.extend(_format_row(m[i], as_int) for i in range(m.shape[0]))
+    lines.extend(" ".join("%.17g" % v for v in m[i]) for i in range(m.shape[0]))
     return lines
 
 
@@ -362,7 +364,6 @@ def _render_config(cfg: TrainConfig, budget: SparsityBudget) -> str:
         ("drop_mode", cfg.drop_mode.value),
         ("drop_rate", "%.17g" % cfg.drop_rate),
         ("seed", "%d" % cfg.seed),
-        ("conventional_bregman", "%d" % int(cfg.conventional_bregman)),
     ]
     return "config " + " ".join(f"{k}={v}" for k, v in fields)
 
@@ -373,6 +374,7 @@ def save_model(model: Model, path) -> None:
     budget = resolve_budget(model.config, arch)
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
+        f"mode {model.mode}",
         "arch " + ",".join(str(a) for a in arch.atoms_per_layer),
         f"activation {arch.activation.kind.value} %.17g" % arch.activation.clamp_eps,
         _render_config(model.config, budget),
@@ -383,8 +385,6 @@ def save_model(model: Model, path) -> None:
     for i, d in enumerate(model.dictionaries, 1):
         lines.extend(_render_matrix(f"D{i}", d))
     lines.extend(_render_matrix("Z", model.features))
-    lines.extend(_render_matrix("class_means", model.class_means))
-    lines.extend(_render_matrix("class_supports", model.class_supports, as_int=True))
     lines.append("end")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -431,7 +431,7 @@ class _ModelReader:
         return out
 
 
-def _parse_config(line: str, path: str) -> TrainConfig:
+def _parse_config(line: str, path: str, version: int) -> TrainConfig:
     if not line.startswith("config "):
         raise DataFormatError(f"{path}: missing config line")
     pairs = {}
@@ -440,6 +440,12 @@ def _parse_config(line: str, path: str) -> TrainConfig:
             raise DataFormatError(f"{path}: malformed config token {token!r}")
         k, v = token.split("=", 1)
         pairs[k] = v
+    legacy = pairs.get("conventional_bregman") if version == 1 else "0"
+    if legacy != "0":
+        raise DataFormatError(
+            f"{path}: conventional_bregman={legacy} cannot load: the additive relaxation rule "
+            "B <- B - residual was removed, only 0 (the rule B <- residual - B) is read"
+        )
     try:
         return TrainConfig(
             lambda_budget=SparsityBudget(
@@ -456,20 +462,28 @@ def _parse_config(line: str, path: str) -> TrainConfig:
             drop_mode=DropMode(pairs["drop_mode"]),
             drop_rate=float(pairs["drop_rate"]),
             seed=int(pairs["seed"]),
-            conventional_bregman=bool(int(pairs["conventional_bregman"])),
         )
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad config line ({exc})") from None
 
 
 def load_model(path) -> Model:
-    """Load a model file, validating magic, version and the shape chain."""
+    """Load a model file (either version), validating magic, version, mode,
+    class ids and the shape chain."""
     reader = _ModelReader(path)
     magic = reader.next_line().split()
-    if len(magic) != 2 or magic[0] != MODEL_MAGIC:
+    if len(magic) != 2 or magic[0] not in _MODEL_MAGICS:
         raise DataFormatError(f"{path}: bad magic (expected {MODEL_MAGIC})")
-    if magic[1] != str(MODEL_VERSION):
+    version = _MODEL_MAGICS[magic[0]]
+    if magic[1] != str(version):
         raise DataFormatError(f"{path}: unsupported version {magic[1]}")
+
+    mode = "joint"
+    if version > 1:
+        mode_parts = reader.next_line().split()
+        if len(mode_parts) != 2 or mode_parts[0] != "mode" or mode_parts[1] not in MODES:
+            raise DataFormatError(f"{path}: expected 'mode {'|'.join(MODES)}'")
+        mode = mode_parts[1]
 
     arch_line = reader.next_line()
     if not arch_line.startswith("arch "):
@@ -488,7 +502,7 @@ def load_model(path) -> Model:
         raise DataFormatError(f"{path}: bad activation line ({exc})") from None
     arch = Architecture(atoms_per_layer=atoms, activation=activation)
 
-    cfg = _parse_config(reader.next_line(), str(path))
+    cfg = _parse_config(reader.next_line(), str(path), version)
 
     classes_parts = reader.next_line().split()
     if len(classes_parts) != 2 or classes_parts[0] != "classes":
@@ -507,11 +521,15 @@ def load_model(path) -> Model:
         raise DataFormatError(f"{path}: non-integer label") from None
     if n_labels and (labels.min() < 1 or labels.max() > n_classes):
         raise DataFormatError(f"{path}: label outside 1..{n_classes}")
+    missing = np.flatnonzero(np.bincount(labels, minlength=n_classes + 1)[1:] == 0) + 1
+    if missing.size:
+        raise DataFormatError(f"{path}: class {missing[0]} of 1..{n_classes} has no stored code")
 
     dicts = [reader.expect_matrix(f"D{i}") for i in range(1, arch.depth + 1)]
     features = reader.expect_matrix("Z")
-    class_means = reader.expect_matrix("class_means")
-    class_supports = reader.expect_matrix("class_supports").astype(np.uint8)
+    if version == 1:  # class summaries that nothing reads
+        reader.expect_matrix("class_means")
+        reader.expect_matrix("class_supports")
     if reader.next_line() != "end":
         raise DataFormatError(f"{path}: missing end marker")
     for extra in reader.lines[reader.pos:]:
@@ -528,20 +546,14 @@ def load_model(path) -> Model:
         raise DataFormatError(f"{path}: Z rows {features.shape[0]} != deepest atom count {arch.feature_dim}")
     if features.shape[1] != n_labels:
         raise DataFormatError(f"{path}: Z has {features.shape[1]} columns for {n_labels} labels")
-    if class_means.shape != (arch.feature_dim, n_classes):
-        raise DataFormatError(f"{path}: class_means shape {class_means.shape} invalid")
-    if class_supports.shape != (n_classes, arch.feature_dim):
-        raise DataFormatError(f"{path}: class_supports shape {class_supports.shape} invalid")
 
     return Model(
         dictionaries=dicts,
         architecture=arch,
         features=features,
         labels=labels,
-        class_means=class_means,
-        class_supports=class_supports,
         config=cfg,
-        fit_report=None,
+        mode=mode,
     )
 
 

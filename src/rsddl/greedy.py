@@ -3,8 +3,8 @@
 The greedy pipeline factorizes one layer at a time: the first layer fits the
 data, each deeper layer fits the inverted activation of the previous layer's
 coefficients, and only the deepest layer carries the sparsity budget.  It is
-both the baseline the joint trainer is measured against and the warm start
-feeding it.
+both the baseline the joint trainer is measured against (a model of mode
+``greedy``) and the warm start feeding it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .numerics import Activation, NumericsWarning, Rng, as_matrix, normalize_columns, pinv, ridge_solve
 from .sparse import pursuit
 
-__all__ = ["Architecture", "GreedyModel", "dict_learn", "greedy_train", "greedy_encode"]
+__all__ = ["Architecture", "dict_learn", "layerwise_factorize", "compose_reconstruction"]
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,6 @@ class Architecture:
     def feature_dim(self) -> int:
         """Dimension of the deepest coefficient layer."""
         return self.atoms_per_layer[-1]
-
-
-@dataclass
-class GreedyModel:
-    """Stack of layer dictionaries learned greedily (unit-norm columns)."""
-
-    dictionaries: list[np.ndarray]
-    architecture: Architecture
 
 
 def _init_dictionary(rows: int, n_atoms: int, rng: Rng) -> np.ndarray:
@@ -187,39 +179,6 @@ def layerwise_factorize(
         if not last:
             target = act.inverse(z)
     return dicts, codes
-
-
-def greedy_train(
-    x: np.ndarray,
-    arch: Architecture,
-    s: int,
-    iters_per_layer: int,
-    rng: Rng,
-) -> tuple[GreedyModel, np.ndarray]:
-    """Train the full greedy stack; returns the model and the deepest codes."""
-    dicts, codes = layerwise_factorize(x, arch, s, iters_per_layer, rng)
-    return GreedyModel(dictionaries=dicts, architecture=arch), codes[-1]
-
-
-def greedy_encode(model: GreedyModel, x: np.ndarray, s: int) -> np.ndarray:
-    """Encode one sample through the greedy stack.
-
-    The first layer code comes from the pseudo-inverse of D1, middle layers
-    invert the activation and apply the next pseudo-inverse, and the final
-    layer runs OMP with the sparsity budget.
-    """
-    z = as_matrix(np.reshape(x, (-1, 1)), "x")
-    dicts = model.dictionaries
-    if z.shape[0] != dicts[0].shape[0]:
-        raise ValueError(f"sample length {z.shape[0]} != D1 rows {dicts[0].shape[0]}")
-    act = model.architecture.activation
-    for idx, d in enumerate(dicts):
-        target = z if idx == 0 else act.inverse(z)
-        if idx == len(dicts) - 1:
-            z = pursuit(d, target, s)
-        else:
-            z = pinv(d) @ target
-    return z.reshape(-1)
 
 
 def compose_reconstruction(dicts: list[np.ndarray], z: np.ndarray, act: Activation) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Test-time sparse encoding and support-based classification.
 
-A batch of samples (one sample is a batch of one) is encoded by the split
-scheme used in training: OMP on the deepest layer, closed-form least squares
-on the two proxy layers, and the printed relaxation updates, iterated
-``test_iters`` times.  Classification is nearest-training-sample with either
+A batch of samples (one sample is a batch of one) is encoded as the model's
+mode says.  A joint model uses the split scheme of its training: OMP on the
+deepest layer, closed-form least squares on the two proxy layers, and the
+printed relaxation updates, iterated ``test_iters`` times.  A greedy model
+uses the layer-wise chain of its training: pseudo-inverses through the upper
+layers, then OMP on the deepest.  Classification is nearest-training-sample with either
 the count of differing coordinates (l0) or the sum of absolute differences
 (l1) as the distance.
 """
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .joint import DEFAULT_SUPPORT_TOL, Model, TrainConfig, p4_lhs, p5_lhs, resolve_budget
+from .greedy import compose_reconstruction
+from .joint import Model, p4_lhs, p5_lhs, resolve_budget
 from .numerics import as_matrix, pinv
 from .sparse import pursuit_gram, unit_gram
 
@@ -27,6 +30,9 @@ __all__ = [
     "predict_batch",
     "format_prediction_lines",
 ]
+
+# Coordinates of two codes that differ by more than this count for l0.
+SUPPORT_TOL = 1e-8
 
 # Test columns per distance pass are capped so that one pass holds at most
 # this many (test, training) distances, whatever the size of the input.
@@ -60,7 +66,7 @@ def _cached(model: Model, name: str, sources: tuple, build):
     replaced (compared by identity) or another source changes (equality).
     Only sources and result are kept, never the model: no reference cycle."""
     hit = model.cache.get(name)
-    if hit is not None and all(
+    if hit is not None and len(hit[0]) == len(sources) and all(
         a is b or (not isinstance(a, np.ndarray) and a == b) for a, b in zip(hit[0], sources)
     ):
         return hit[1]
@@ -69,16 +75,27 @@ def _cached(model: Model, name: str, sources: tuple, build):
     return value
 
 
-def _encoder(model: Model, cfg: TrainConfig) -> tuple:
+def _encoder(model: Model) -> tuple:
     """pinv(D1), pinv(D2), unit_gram(D3'D3) and solve_P4/solve_P5 as linear maps: inv(L4),
     inv(L4) D1', eta1 inv(L5) D2', eta2 inv(L5), with L4, L5 their (SPD) left-hand sides."""
     d1, d2, d3 = model.dictionaries
+    cfg = model.config
 
     def build():
         i4, i5 = np.linalg.inv(p4_lhs(d1, cfg.eta1)), np.linalg.inv(p5_lhs(d2, cfg.eta1, cfg.eta2))
         return pinv(d1), pinv(d2), unit_gram(d3.T @ d3), i4, i4 @ d1.T, cfg.eta1 * i5 @ d2.T, cfg.eta2 * i5
 
     return _cached(model, "encoder", (d1, d2, d3, cfg), build)
+
+
+def _greedy_encoder(model: Model) -> tuple:
+    """pinv of every layer above the deepest, and unit_gram of the deepest."""
+    *upper, deepest = model.dictionaries
+
+    def build():
+        return [pinv(d) for d in upper], unit_gram(deepest.T @ deepest)
+
+    return _cached(model, "greedy", tuple(model.dictionaries), build)
 
 
 def _index(model: Model) -> tuple[np.ndarray, np.ndarray]:
@@ -95,34 +112,48 @@ def _index(model: Model) -> tuple[np.ndarray, np.ndarray]:
     return _cached(model, "index", (features, labels, n_classes), build)
 
 
-def encode_test(
-    model: Model,
-    x: np.ndarray,
-    cfg: TrainConfig | None = None,
-) -> EncodedFeature:
-    """Encode one sample (a vector) or a batch (samples as columns).
-
-    Runs ``test_iters`` rounds of {OMP on the deepest layer, closed-form
-    solves for the two proxy codes, relaxation updates}, with the relaxation
-    vectors initialized to ones (the training-side convention) and the codes
-    warm-started through the pseudo-inverse chain.  Every column is encoded
-    independently of the others.
-    """
-    if cfg is None:
-        cfg = model.config
-    if len(model.dictionaries) != 3:
-        raise ValueError(
-            f"test encoding needs a 3-layer model, got {len(model.dictionaries)} layers"
-        )
-    d1, d2, d3 = model.dictionaries
+def encode_test(model: Model, x: np.ndarray) -> EncodedFeature:
+    """Encode one sample (a vector) or a batch (samples as columns) as the
+    model's mode says; every column is encoded independently of the others."""
+    dicts = model.dictionaries
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     x = as_matrix(x.reshape(-1, 1) if single else x, "X")
-    if x.shape[0] != d1.shape[0]:
-        raise ValueError(f"sample length {x.shape[0]} != D1 rows {d1.shape[0]}")
-    budget = resolve_budget(cfg, model.architecture)
+    if x.shape[0] != dicts[0].shape[0]:
+        raise ValueError(f"sample length {x.shape[0]} != D1 rows {dicts[0].shape[0]}")
+    s = resolve_budget(model.config, model.architecture).per_column_s
+    z = (_encode_greedy if model.mode == "greedy" else _encode_joint)(model, x, s)
     act = model.architecture.activation
-    pinv1, pinv2, gram3, inv4, p4_x, p5_z1, p5_z = _encoder(model, cfg)
+    residual = np.linalg.norm(x - compose_reconstruction(dicts, z, act), axis=0)
+    if single:
+        return EncodedFeature(z=z[:, 0], reconstruction_residual=float(residual[0]))
+    return EncodedFeature(z=z, reconstruction_residual=residual)
+
+
+def _encode_greedy(model: Model, x: np.ndarray, s: int) -> np.ndarray:
+    """The greedy chain: ``Z_l = pinv(D_l) phi^-1(Z_{l-1})`` above the deepest
+    layer (``X`` itself into the first), then s-sparse OMP on the deepest."""
+    pinvs, gram = _greedy_encoder(model)
+    act = model.architecture.activation
+    target = x
+    for p in pinvs:
+        target = act.inverse(p @ target)
+    return pursuit_gram(gram, model.dictionaries[-1].T @ target, np.einsum("ij,ij->j", target, target), s)
+
+
+def _encode_joint(model: Model, x: np.ndarray, s: int) -> np.ndarray:
+    """``test_iters`` rounds of {OMP on the deepest layer, closed-form solves
+    for the two proxy codes, relaxation updates}, with the relaxation vectors
+    initialized to ones (the training-side convention) and the codes
+    warm-started through the pseudo-inverse chain."""
+    if len(model.dictionaries) != 3:
+        raise ValueError(
+            f"joint test encoding needs a 3-layer model, got {len(model.dictionaries)} layers"
+        )
+    cfg = model.config
+    d1, d2, d3 = model.dictionaries
+    act = model.architecture.activation
+    pinv1, pinv2, gram3, inv4, p4_x, p5_z1, p5_z = _encoder(model)
 
     z1 = pinv1 @ x
     z2 = pinv2 @ act.inverse(z1)
@@ -132,22 +163,17 @@ def encode_test(
     f2 = act.forward(d2 @ z2)
     for _ in range(cfg.test_iters):
         target = act.inverse(z2 - b2)
-        z = pursuit_gram(gram3, d3.T @ target, np.einsum("ij,ij->j", target, target), budget.per_column_s)
+        z = pursuit_gram(gram3, d3.T @ target, np.einsum("ij,ij->j", target, target), s)
         f3 = act.forward(d3 @ z)
         z1 = x4 + inv4 @ (cfg.eta1 * (f2 + b1))
         z2 = p5_z1 @ act.inverse(z1 - b1) + p5_z @ (f3 + b2)
         f2 = act.forward(d2 @ z2)
         b1 = z1 - f2 - b1
         b2 = z2 - f3 - b2
-
-    recon = d1 @ act.forward(d2 @ f3)
-    residual = np.linalg.norm(x - recon, axis=0)
-    if single:
-        return EncodedFeature(z=z[:, 0], reconstruction_residual=float(residual[0]))
-    return EncodedFeature(z=z, reconstruction_residual=residual)
+    return z
 
 
-def _classify(model: Model, f: EncodedFeature, rule: str, support_tol: float) -> Prediction | list[Prediction]:
+def _classify(model: Model, f: EncodedFeature, rule: str) -> Prediction | list[Prediction]:
     features, starts = _index(model)
     z = f.z.reshape(f.z.shape[0], -1)
     n_train = features.shape[1]
@@ -159,7 +185,7 @@ def _classify(model: Model, f: EncodedFeature, rule: str, support_tol: float) ->
         dist = np.zeros((zc.shape[1], n_train))
         for row, ref in zip(zc, features):
             diff = np.abs(ref[None, :] - row[:, None])
-            dist += (diff > support_tol) if rule == "l0" else diff
+            dist += (diff > SUPPORT_TOL) if rule == "l0" else diff
         scores[lo:lo + chunk] = np.minimum.reduceat(dist, starts, axis=1)
     labels = np.argmin(scores, axis=1) + 1  # first minimum: smallest class id wins ties
     classes = range(1, starts.size + 1)
@@ -170,36 +196,26 @@ def _classify(model: Model, f: EncodedFeature, rule: str, support_tol: float) ->
     return preds[0] if f.z.ndim == 1 else preds
 
 
-def classify_l0(
-    model: Model, f: EncodedFeature, support_tol: float = DEFAULT_SUPPORT_TOL
-) -> Prediction | list[Prediction]:
+def classify_l0(model: Model, f: EncodedFeature) -> Prediction | list[Prediction]:
     """Nearest training feature by count of differing coordinates
-    (|z_test - z_train| above ``support_tol``); a list for a batch."""
-    return _classify(model, f, "l0", support_tol)
+    (|z_test - z_train| above :data:`SUPPORT_TOL`); a list for a batch."""
+    return _classify(model, f, "l0")
 
 
-def classify_l1(
-    model: Model, f: EncodedFeature, support_tol: float = DEFAULT_SUPPORT_TOL
-) -> Prediction | list[Prediction]:
+def classify_l1(model: Model, f: EncodedFeature) -> Prediction | list[Prediction]:
     """Nearest training feature by sum of absolute coordinate differences;
     a list for a batch."""
-    return _classify(model, f, "l1", support_tol)
+    return _classify(model, f, "l1")
 
 
-def predict_batch(
-    model: Model,
-    x: np.ndarray,
-    rule: str = "l0",
-    cfg: TrainConfig | None = None,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-) -> list[Prediction]:
+def predict_batch(model: Model, x: np.ndarray, rule: str = "l0") -> list[Prediction]:
     """Encode and classify every column of ``x`` in one batch."""
     x = as_matrix(x, "X")
     if rule not in ("l0", "l1"):
         raise ValueError(f"unknown rule {rule!r} (expected 'l0' or 'l1')")
-    feature = encode_test(model, x, cfg=cfg)
+    feature = encode_test(model, x)
     classify = classify_l0 if rule == "l0" else classify_l1
-    return classify(model, feature, support_tol)
+    return classify(model, feature)
 
 
 def format_prediction_lines(predictions: list[Prediction]) -> str:

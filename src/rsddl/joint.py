@@ -9,8 +9,7 @@ D3, the Gram matrix and the class-mean snapshot, and no class reads another
 class's result, so each inner step is one grouped SOMP with one group per
 class, and P and C are one class-sorted (competitor, atom, column) array
 each.  Relaxation variables follow the printed update rule
-``B <- residual - B`` (an involution around the residual); the conventional
-additive rule is available behind ``TrainConfig.conventional_bregman``.
+``B <- residual - B`` (an involution around the residual).
 
 Optional stochastic regularization: DropOut zeroes entries of the
 intermediate coefficient layers after the coefficient solves and before the
@@ -29,7 +28,7 @@ import numpy as np
 
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
 from .numerics import Activation, Rng, as_matrix, normalize_columns, pinv
-from .sparse import DEFAULT_RESIDUAL_TOL, SparsityBudget, prox_push, pursuit, pursuit_gram, unit_gram
+from .sparse import SparsityBudget, prox_push, pursuit, pursuit_gram, unit_gram
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataio import Dataset
@@ -41,6 +40,7 @@ __all__ = [
     "Model",
     "FitReport",
     "IterationRecord",
+    "MODES",
     "TrainingDivergedError",
     "resolve_budget",
     "build_model",
@@ -58,8 +58,11 @@ __all__ = [
     "class_mean_matrix",
 ]
 
-DEFAULT_SUPPORT_TOL = 1e-8
 DIVERGENCE_LIMIT = 1e12
+
+# How a model encodes test samples: by the joint split scheme, or by the
+# greedy layer-wise chain it was trained with.
+MODES = ("joint", "greedy")
 
 # Columns per pass over the (competitor, atom, column) arrays of P6 are capped
 # so that one pass holds at most this many elements, whatever the class count.
@@ -100,7 +103,6 @@ class TrainConfig:
     drop_mode: DropMode = DropMode.DROPCONNECT
     drop_rate: float = 0.10
     seed: int = 0
-    conventional_bregman: bool = False
 
     def __post_init__(self):
         if self.lambda_weight < 0:
@@ -199,26 +201,27 @@ class FitReport:
 
 @dataclass
 class Model:
-    """Trained classifier state: dictionaries, stored codes, class summaries.
-    ``cache`` holds unpersisted inference factors derived from the arrays,
-    which are replaced, never modified in place."""
+    """Trained classifier state: dictionaries, stored codes with their class
+    ids 1..C, and the mode (one of :data:`MODES`) that says how test samples
+    are encoded.  ``cache`` holds unpersisted inference factors derived from
+    the arrays, which are replaced, never modified in place."""
 
     dictionaries: list[np.ndarray]
     architecture: Architecture
     features: np.ndarray
     labels: np.ndarray
-    class_means: np.ndarray
-    class_supports: np.ndarray
     config: TrainConfig
+    mode: str = "joint"
     fit_report: FitReport | None = None
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+
     @property
     def num_classes(self) -> int:
-        return self.class_supports.shape[0]
-
-    def class_columns(self, c: int) -> np.ndarray:
-        return np.where(self.labels == c)[0]
+        return int(self.labels.max())
 
 
 def class_mean_matrix(z: np.ndarray, class_cols: dict[int, np.ndarray], n_classes: int) -> np.ndarray:
@@ -391,7 +394,6 @@ def solve_P6(
     p: np.ndarray,
     c_relax: np.ndarray,
     act: Activation,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> np.ndarray:
     """Inner ADMM for the row-sparse, support-diverse codes of every class.
 
@@ -411,7 +413,7 @@ def solve_P6(
     target = act.inverse(z2[:, order] - b2[:, order])
     z = np.zeros((d3.shape[1], order.size))
     if mu == 0 or competitors.shape[1] == 0:
-        z[:, order] = pursuit(d3, target, row_s, groups=cls, residual_tol=residual_tol)
+        z[:, order] = pursuit(d3, target, row_s, groups=cls)
         return z
 
     gram = unit_gram(eta2 * (d3.T @ d3) + competitors.shape[1] * gamma * np.eye(d3.shape[1]))
@@ -423,7 +425,7 @@ def solve_P6(
             blocks = zbar + c_relax[:, :, cols] - p[:, :, cols]
             corr[:, cols] += gamma * blocks.sum(axis=0)
             y_sq[cols] += gamma * np.einsum("kij,kij->j", blocks, blocks)
-        z_sorted = pursuit_gram(gram, corr, y_sq, row_s, groups=cls, residual_tol=residual_tol)
+        z_sorted = pursuit_gram(gram, corr, y_sq, row_s, groups=cls)
         for cols, zbar in _competitor_means(class_means, cls, competitors):
             shifted = zbar - z_sorted[:, cols]
             p[:, :, cols] = prox_push(shifted + c_relax[:, :, cols], mu, gamma)
@@ -432,28 +434,17 @@ def solve_P6(
     return z
 
 
-def bregman_update(state: JointState, conventional: bool = False) -> JointState:
-    """Relaxation-variable sweep.
-
-    Printed rule (default): ``B <- residual - B`` for B1, B2 and every C;
-    conventional rule: ``B <- B - residual``.  Uses the class-mean snapshot
-    held in the state.
-    """
+def bregman_update(state: JointState) -> JointState:
+    """Relaxation-variable sweep by the printed rule ``B <- residual - B`` for
+    B1, B2 and every C.  Uses the class-mean snapshot held in the state."""
     act = state.activation
-    r1 = state.z1 - act.forward(state.d2 @ state.z2)
-    r2 = state.z2 - act.forward(state.d3 @ state.z)
-    if conventional:
-        state.b1 = state.b1 - r1
-        state.b2 = state.b2 - r2
-    else:
-        state.b1 = r1 - state.b1
-        state.b2 = r2 - state.b2
+    state.b1 = state.z1 - act.forward(state.d2 @ state.z2) - state.b1
+    state.b2 = state.z2 - act.forward(state.d3 @ state.z) - state.b2
     order, cls, competitors = _class_layout(state.class_cols)
     z_sorted = state.z[:, order]
     for cols, zbar in _competitor_means(state.class_means, cls, competitors):
         resid = state.p[:, :, cols] - (zbar - z_sorted[:, cols])
-        c = state.c_relax[:, :, cols]
-        state.c_relax[:, :, cols] = c - resid if conventional else resid - c
+        state.c_relax[:, :, cols] = resid - state.c_relax[:, :, cols]
     return state
 
 
@@ -518,29 +509,22 @@ def build_model(
     labels,
     num_classes: int,
     cfg: TrainConfig,
+    mode: str = "joint",
     fit_report: FitReport | None = None,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
 ) -> Model:
-    """Package dictionaries and deepest codes into a classification model."""
+    """Package dictionaries and deepest codes into a classification model
+    encoded by ``mode``."""
     labels = np.asarray(labels, dtype=np.int64).copy()
-    features = np.asarray(features, dtype=np.float64).copy()
-    class_cols = {c: np.where(labels == c)[0] for c in range(1, num_classes + 1)}
-    for c, cols in class_cols.items():
-        if cols.size == 0:
-            raise ValueError(f"class {c} has no samples")
-    a = features.shape[0]
-    supports = np.zeros((num_classes, a), dtype=np.uint8)
     for c in range(1, num_classes + 1):
-        row_norms = np.linalg.norm(features[:, class_cols[c]], axis=1)
-        supports[c - 1] = (row_norms > support_tol).astype(np.uint8)
+        if not np.any(labels == c):
+            raise ValueError(f"class {c} has no samples")
     return Model(
         dictionaries=[d.copy() for d in dicts],
         architecture=arch,
-        features=features,
+        features=np.asarray(features, dtype=np.float64).copy(),
         labels=labels,
-        class_means=class_mean_matrix(features, class_cols, num_classes),
-        class_supports=supports,
         config=cfg,
+        mode=mode,
         fit_report=fit_report,
     )
 
@@ -645,7 +629,7 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         if cfg.drop_mode is DropMode.DROPCONNECT and not final_iter:
             apply_dropconnect(state, cfg.drop_rate, rng.substream("drop", it))
 
-        bregman_update(state, conventional=cfg.conventional_bregman)
+        bregman_update(state)
 
         obj = objective_value(
             x, [state.d1, state.d2, state.d3], state.z, class_cols, cfg.lambda_weight, cfg.mu, act

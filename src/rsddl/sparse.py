@@ -25,7 +25,8 @@ __all__ = [
     "prox_push",
 ]
 
-DEFAULT_RESIDUAL_TOL = 1e-7
+# Absolute stop test: a group stops once its squared residual is at or below this squared.
+_RESIDUAL_TOL = 1e-7
 
 # Columns with l2 norm at or below this are considered dead atoms.
 _DEAD_COLUMN_TOL = 1e-12
@@ -74,7 +75,6 @@ def pursuit_gram(
     y_sq: np.ndarray,
     s: int,
     groups: np.ndarray | None = None,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> np.ndarray:
     """Greedy pursuit of every column of ``Y ~ D Z`` from ``unit_gram(D'D)``,
     ``D'Y`` and the squared column norms of ``Y``.  ``groups`` labels each
@@ -86,7 +86,7 @@ def pursuit_gram(
     ``|d_i' r|`` (SOMP: row norm of ``D'R`` over the group's columns), ties to
     the smaller index, then refits the support by one stacked k x k Gram
     solve.  A group whose squared residual norm, ``||y||^2 - coef' (D'y)_support``
-    summed over its columns, is at or below ``residual_tol**2`` or 1e-12 of its
+    summed over its columns, is at or below ``(1e-7)**2`` or 1e-12 of its
     ``||y||^2`` (the rounding of that difference) stops and leaves the working set.
     """
     g, live_norms, alive = prepared
@@ -112,7 +112,7 @@ def pursuit_gram(
     z = np.zeros((g.shape[0], n + 1))
     support = np.zeros((c.shape[0], steps), dtype=np.intp)
     group = np.arange(c.shape[0])[:, None]
-    stop = np.maximum(residual_tol * residual_tol, _RESIDUAL_FLOOR * y2)
+    stop = np.maximum(_RESIDUAL_TOL * _RESIDUAL_TOL, _RESIDUAL_FLOOR * y2)
     resid, r2 = c, y2
     for k in range(steps):
         going = r2 > stop
@@ -159,7 +159,6 @@ def pursuit(
     y: np.ndarray,
     s: int,
     groups: np.ndarray | None = None,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> np.ndarray:
     """:func:`pursuit_gram` against an explicit dictionary ``d`` (any column
     scaling, dead atoms allowed) for the columns of ``y``."""
@@ -167,7 +166,7 @@ def pursuit(
     y = as_matrix(y, "Y")
     if y.shape[0] != d.shape[0]:
         raise ValueError(f"signal rows {y.shape[0]} != dictionary rows {d.shape[0]}")
-    return pursuit_gram(unit_gram(d.T @ d), d.T @ y, np.einsum("ij,ij->j", y, y), s, groups, residual_tol)
+    return pursuit_gram(unit_gram(d.T @ d), d.T @ y, np.einsum("ij,ij->j", y, y), s, groups)
 
 
 def prox_push(v, mu: float, gamma: float) -> np.ndarray:

@@ -3,8 +3,9 @@ import pytest
 
 from rsddl.cli import main
 from rsddl.dataio import HsiCube, load_labels, load_matrix_csv, load_model, save_cube, save_labels, save_matrix_csv
+from rsddl.joint import resolve_budget
 from rsddl.numerics import Rng
-from util import two_class_deep_factor_data, two_class_mixture_data
+from util import class_distances_reference, greedy_encode, two_class_deep_factor_data, two_class_mixture_data
 
 
 @pytest.fixture()
@@ -102,6 +103,28 @@ class TestClassify:
         )
         assert rc == 0
         return tmp_path
+
+    def test_two_layer_greedy_model_uses_greedy_encoder(self, data_files):
+        tmp, ds = data_files
+        rc = run(
+            ["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt",
+             "--arch", "8,4", "--mode", "greedy", "--iters", "4", "--seed", "3",
+             "--out", tmp / "g.rsddl"]
+        )
+        assert rc == 0
+        model = load_model(tmp / "g.rsddl")
+        assert model.mode == "greedy" and len(model.dictionaries) == 2
+        s = resolve_budget(model.config, model.architecture).per_column_s
+        for rule in ("l0", "l1"):
+            out = tmp / f"g_{rule}.tsv"
+            assert run(["classify", "--model", tmp / "g.rsddl", "--data", tmp / "data.csv",
+                        "--rule", rule, "--out", out]) == 0
+            got = [int(line.split("\t")[1]) for line in out.read_text().splitlines()]
+            want = []
+            for j in range(ds.x.shape[1]):
+                ref = class_distances_reference(model, greedy_encode(model, ds.x[:, j], s), rule)
+                want.append(min(ref, key=lambda item: item[1])[0])
+            assert got == want
 
     def test_both_rules_same_row_count(self, trained):
         tmp = trained

@@ -7,12 +7,23 @@ from rsddl.greedy import (
     Architecture,
     compose_reconstruction,
     dict_learn,
-    greedy_encode,
-    greedy_train,
     layerwise_factorize,
 )
+from rsddl.inference import encode_test, predict_batch
+from rsddl.joint import TrainConfig, build_model
 from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng, normalize_columns, pinv
-from util import planted_dictionary_data
+from rsddl.sparse import SparsityBudget
+from util import MIXTURE_ARCH, class_distances_reference, greedy_encode, planted_dictionary_data
+
+
+def greedy_model(x, arch, s, iters, rng, labels=None):
+    """``rsddl train --mode greedy`` without the files: a ``greedy`` model
+    with budget ``s`` (one class unless ``labels`` are given), and the
+    deepest training codes."""
+    dicts, codes = layerwise_factorize(x, arch, s, iters, rng)
+    labels = np.ones(x.shape[1], dtype=np.int64) if labels is None else labels
+    cfg = TrainConfig(lambda_budget=SparsityBudget(s, s), seed=0)
+    return build_model(dicts, arch, codes[-1], labels, int(labels.max()), cfg, mode="greedy"), codes[-1]
 
 
 class TestArchitecture:
@@ -83,24 +94,25 @@ class TestDictLearn:
 
 class TestGreedyTrain:
     def test_single_layer_equals_dict_learn(self):
-        model, z = greedy_train(np.eye(4), Architecture((4,)), 1, 20, Rng(3))
+        dicts, codes = layerwise_factorize(np.eye(4), Architecture((4,)), 1, 20, Rng(3))
         d_ref, z_ref = dict_learn(np.eye(4), 4, 1, 20, Rng(3).substream("layer", 0))
-        assert np.array_equal(model.dictionaries[0], d_ref)
-        assert np.array_equal(z, z_ref)
+        assert np.array_equal(dicts[0], d_ref)
+        assert np.array_equal(codes[-1], z_ref)
 
     def test_three_layer_shapes_and_budgets(self):
         rng = Rng(7)
         x = rng.standard_normal((20, 60))
-        model, z = greedy_train(x, Architecture((16, 8, 4)), 2, 5, Rng(7))
-        assert [d.shape for d in model.dictionaries] == [(20, 16), (16, 8), (8, 4)]
+        dicts, codes = layerwise_factorize(x, Architecture((16, 8, 4)), 2, 5, Rng(7))
+        z = codes[-1]
+        assert [d.shape for d in dicts] == [(20, 16), (16, 8), (8, 4)]
         assert np.all(np.isfinite(z))
         assert np.all(np.count_nonzero(z, axis=0) <= 2)
 
     def test_unit_columns_every_layer(self):
         rng = Rng(8)
         x = rng.standard_normal((12, 40))
-        model, _ = greedy_train(x, Architecture((10, 6, 4)), 2, 6, Rng(8))
-        for d in model.dictionaries:
+        dicts, _ = layerwise_factorize(x, Architecture((10, 6, 4)), 2, 6, Rng(8))
+        for d in dicts:
             assert np.allclose(np.linalg.norm(d, axis=0), 1.0, atol=1e-9)
 
     def test_identity_two_layer_trifactorization(self):
@@ -108,8 +120,8 @@ class TestGreedyTrain:
         x = np.hstack([np.eye(8), np.eye(8), 0.5 * np.eye(8)])
         # the live code rows of the last layer are linearly dependent
         with pytest.warns(NumericsWarning, match="singular normal equations"):
-            model, z = greedy_train(x, Architecture((8, 8), activation=act), 2, 20, Rng(4))
-        recon = compose_reconstruction(model.dictionaries, z, act)
+            dicts, codes = layerwise_factorize(x, Architecture((8, 8), activation=act), 2, 20, Rng(4))
+        recon = compose_reconstruction(dicts, codes[-1], act)
         assert np.linalg.norm(x - recon) / np.linalg.norm(x) < 0.1
 
     def test_wide_layer_takes_minimum_norm_fit(self):
@@ -139,30 +151,57 @@ class TestGreedyTrain:
 
 
 class TestGreedyEncode:
-    def test_single_layer_identity(self):
-        model, _ = greedy_train(np.eye(3), Architecture((3,)), 1, 5, Rng(0))
-        model.dictionaries[0] = np.eye(3)
-        assert np.allclose(greedy_encode(model, [0.0, 2.0, 0.0], 1), [0.0, 2.0, 0.0])
+    """The greedy branch of ``encode_test`` (its oracle is ``util.greedy_encode``)."""
 
-    def _trained(self):
+    def test_single_layer_identity(self):
+        model, _ = greedy_model(np.eye(3), Architecture((3,)), 1, 5, Rng(0))
+        model.dictionaries = [np.eye(3)]
+        assert np.allclose(encode_test(model, [0.0, 2.0, 0.0]).z, [0.0, 2.0, 0.0])
+
+    def _trained(self, atoms=(8, 6, 4)):
         rng = Rng(9)
         d0, _ = normalize_columns(rng.standard_normal((12, 10)))
         x = d0 @ np.abs(rng.standard_normal((10, 30))) * 0.3
-        arch = Architecture((8, 6, 4))
-        model, z = greedy_train(x, arch, 2, 10, Rng(9))
+        arch = Architecture(atoms)
+        model, z = greedy_model(x, arch, 2, 10, Rng(9), labels=1 + np.arange(30) % 2)
         return x, arch, model, z
+
+    @staticmethod
+    def _check_against_reference(model, x):
+        """Batch and batches of one against the oracle: same supports,
+        |dz| <= 1e-9 and the oracle code's l0/l1 labels."""
+        s = model.config.lambda_budget.per_column_s
+        batch = encode_test(model, x)
+        labels = {rule: [p.label for p in predict_batch(model, x, rule=rule)] for rule in ("l0", "l1")}
+        for j in range(x.shape[1]):
+            z_ref = greedy_encode(model, x[:, j], s)
+            for z in (batch.z[:, j], encode_test(model, x[:, j]).z):
+                assert np.array_equal(z != 0.0, z_ref != 0.0)
+                assert np.max(np.abs(z - z_ref)) <= 1e-9
+            for rule, got in labels.items():
+                ref = class_distances_reference(model, z_ref, rule)
+                best = min(score for _, score in ref)
+                assert got[j] == next(c for c, score in ref if score == best)
+                assert predict_batch(model, x[:, [j]], rule=rule)[0].label == got[j]
+
+    @pytest.mark.parametrize("atoms", [(8, 6, 4), (8, 4), (4,)])
+    def test_matches_reference(self, atoms):
+        x, _, model, _ = self._trained(atoms)
+        self._check_against_reference(model, x)
+
+    def test_mixture_fixture_matches_reference(self, mixture_bundle):
+        train = mixture_bundle["train"]
+        model, _ = greedy_model(train.x, MIXTURE_ARCH, 1, 15, Rng(7), labels=train.labels)
+        self._check_against_reference(model, mixture_bundle["x_test"][:, ::5])
 
     def test_training_columns_within_twice_their_residual(self):
         x, arch, model, z = self._trained()
         recon = compose_reconstruction(model.dictionaries, z, arch.activation)
         train_res = np.linalg.norm(x - recon, axis=0)
-        for j in range(x.shape[1]):
-            ze = greedy_encode(model, x[:, j], 2)
-            r = np.linalg.norm(
-                x[:, j]
-                - compose_reconstruction(model.dictionaries, ze.reshape(-1, 1), arch.activation).ravel()
-            )
-            assert r <= 2.0 * max(train_res[j], 1e-12)
+        encoded = encode_test(model, x)
+        r = np.linalg.norm(x - compose_reconstruction(model.dictionaries, encoded.z, arch.activation), axis=0)
+        assert np.allclose(encoded.reconstruction_residual, r, rtol=0.0, atol=1e-12)
+        assert np.all(r <= 2.0 * np.maximum(train_res, 1e-12))
 
     def test_full_budget_never_worse(self):
         # nested-support property of the final-layer fit: the exhaustive
@@ -170,20 +209,17 @@ class TestGreedyEncode:
         x, arch, model, _ = self._trained()
         d1, d2, d3 = model.dictionaries
         act = arch.activation
+        target = act.inverse(np.linalg.pinv(d2) @ act.inverse(np.linalg.pinv(d1) @ x[:, 0:30:7]))
 
-        def deep_residual(j, s):
-            z1 = np.linalg.pinv(d1) @ x[:, [j]]
-            z2 = np.linalg.pinv(d2) @ act.inverse(z1)
-            target = act.inverse(z2)
-            ze = greedy_encode(model, x[:, j], s)
-            return np.linalg.norm(target.ravel() - d3 @ ze)
+        def deep_residual(s):
+            model.config = TrainConfig(lambda_budget=SparsityBudget(s, s), seed=0)
+            return np.linalg.norm(target - d3 @ encode_test(model, x[:, 0:30:7]).z, axis=0)
 
-        for j in range(0, 30, 7):
-            full = deep_residual(j, 4)
-            for s in (1, 2, 3):
-                assert full <= deep_residual(j, s) + 1e-9
+        full = deep_residual(4)
+        for s in (1, 2, 3):
+            assert np.all(full <= deep_residual(s) + 1e-9)
 
     def test_dimension_mismatch(self):
-        model, _ = greedy_train(np.eye(3), Architecture((3,)), 1, 3, Rng(0))
+        model, _ = greedy_model(np.eye(3), Architecture((3,)), 1, 3, Rng(0))
         with pytest.raises(ValueError):
-            greedy_encode(model, [1.0, 2.0], 1)
+            encode_test(model, [1.0, 2.0])

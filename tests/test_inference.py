@@ -231,8 +231,6 @@ class TestEncodeTest:
             architecture=arch,
             features=np.eye(2),
             labels=np.array([1, 2]),
-            class_means=np.eye(2),
-            class_supports=np.eye(2, dtype=np.uint8),
             config=TrainConfig(seed=0),
         )
         with pytest.raises(ValueError):
@@ -257,7 +255,7 @@ class TestEncoderMaps:
         for cfg in (TrainConfig(seed=0), TrainConfig(seed=0, eta1=0.3, eta2=2.5)):
             model = random_model(act, cfg, rng)
             d1, d2, d3 = model.dictionaries
-            _, _, _, inv4, p4_x, p5_z1, p5_z = _encoder(model, cfg)
+            _, _, _, inv4, p4_x, p5_z1, p5_z = _encoder(model)
             x = rng.standard_normal((12, n))
             z2 = rng.standard_normal((7, n))
             b1 = rng.standard_normal((9, n))
@@ -362,7 +360,12 @@ class TestModelCache:
         data, model = deep_factor_model
         base = encode_test(model, data.x[:, :3])
         other = TrainConfig(seed=7, eta1=5.0, eta2=0.2)
-        changed = encode_test(model, data.x[:, :3], cfg=other)
+        trained = model.config
+        model.config = other
+        try:
+            changed = encode_test(model, data.x[:, :3])
+        finally:
+            model.config = trained
         assert not np.allclose(base.z, changed.z)
         fresh = build_model(model.dictionaries, model.architecture, model.features, model.labels, 2, other)
         assert np.array_equal(changed.z, encode_test(fresh, data.x[:, :3]).z)
@@ -371,14 +374,16 @@ class TestModelCache:
     def test_eta_change_rebuilds_maps(self):
         base = TrainConfig(seed=0)
         model = random_model(Activation(ActivationKind.TANH), base, Rng(61))
-        before = _encoder(model, base)
+        before = _encoder(model)
         for other in (dataclasses.replace(base, eta1=0.4), dataclasses.replace(base, eta2=3.0)):
-            maps = _encoder(model, other)
+            model.config = other
+            maps = _encoder(model)
             fresh = build_model(model.dictionaries, model.architecture, model.features, model.labels, 2, other)
-            for got, want, old in zip(maps[3:], _encoder(fresh, other)[3:], before[3:]):
+            for got, want, old in zip(maps[3:], _encoder(fresh)[3:], before[3:]):
                 assert np.array_equal(got, want)
             assert any(not np.allclose(got, old) for got, old in zip(maps[3:], before[3:]))
-        for got, old in zip(_encoder(model, base)[3:], before[3:]):
+        model.config = base
+        for got, old in zip(_encoder(model)[3:], before[3:]):
             assert np.array_equal(got, old)
 
     def test_no_reference_cycle(self):

@@ -15,7 +15,6 @@ from rsddl.joint import (
     apply_dropconnect,
     apply_dropout,
     bregman_update,
-    build_model,
     class_mean_matrix,
     joint_train,
     objective_value,
@@ -343,27 +342,18 @@ class TestBregmanUpdate:
         assert np.allclose(state.b2, b2_0, atol=1e-12)
         assert np.allclose(state.c_relax, c_0, atol=1e-12)
 
-    def test_conventional_rule(self):
-        state = self._state()
-        state.b2 = np.ones_like(state.b2)
-        r2 = state.z2 - state.activation.forward(state.d3 @ state.z)
-        bregman_update(state, conventional=True)
-        assert np.allclose(state.b2, np.ones_like(state.b2) - r2, atol=1e-12)
-
     def test_relaxation_residual_per_class_pair(self):
         # C[0] of class 1 pairs with mean 2 and of class 2 with mean 1 (the
-        # class-sorted layout); both rules against the residual P - (mean - Z)
-        for conventional in (False, True):
-            state = self._state()
-            state.p = Rng(4).standard_normal(state.p.shape)
-            c_0 = state.c_relax.copy()
-            resid = np.empty_like(state.p)
-            for c, k in ((1, 2), (2, 1)):
-                cols = state.class_cols[c]
-                resid[0][:, cols] = state.p[0][:, cols] - (state.class_means[:, [k - 1]] - state.z[:, cols])
-            bregman_update(state, conventional=conventional)
-            expected = c_0 - resid if conventional else resid - c_0
-            assert np.allclose(state.c_relax, expected, atol=1e-12)
+        # class-sorted layout); the rule against the residual P - (mean - Z)
+        state = self._state()
+        state.p = Rng(4).standard_normal(state.p.shape)
+        c_0 = state.c_relax.copy()
+        resid = np.empty_like(state.p)
+        for c, k in ((1, 2), (2, 1)):
+            cols = state.class_cols[c]
+            resid[0][:, cols] = state.p[0][:, cols] - (state.class_means[:, [k - 1]] - state.z[:, cols])
+        bregman_update(state)
+        assert np.allclose(state.c_relax, resid - c_0, atol=1e-12)
 
     def test_shapes_preserved(self):
         state = self._state()
@@ -465,7 +455,6 @@ class TestJointTrain:
         for a, b in zip(model.dictionaries, again.dictionaries):
             assert np.array_equal(a, b)
         assert np.array_equal(model.features, again.features)
-        assert np.array_equal(model.class_means, again.class_means)
         assert model.fit_report.lines == again.fit_report.lines
 
     def test_objective_and_feasibility_improve(self, deep_factor_model):
@@ -562,19 +551,6 @@ class TestJointTrain:
             joint_train(data, DEEP_ARCH, TrainConfig(drop_mode=DropMode.NONE, seed=1, outer_iters=2))
 
     def test_model_summaries_consistent(self, deep_factor_model):
-        data, model = deep_factor_model
+        _, model = deep_factor_model
         assert model.num_classes == 2
-        assert model.class_supports.shape == (2, 4)
-        assert model.class_means.shape == (4, 2)
-        cols1 = model.class_columns(1)
-        assert np.allclose(model.class_means[:, 0], model.features[:, cols1].mean(axis=1))
-
-
-class TestBuildModel:
-    def test_supports_and_means(self):
-        features = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 4.0]])
-        dicts = [np.eye(2), np.eye(2), np.eye(2)]
-        arch = Architecture((2, 2, 2), activation=IDENTITY)
-        model = build_model(dicts, arch, features, [1, 1, 2, 2], 2, TrainConfig(seed=0))
-        assert model.class_supports.tolist() == [[1, 0], [0, 1]]
-        assert np.allclose(model.class_means[:, 0], [1.5, 0.0])
+        assert model.mode == "joint"

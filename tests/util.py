@@ -8,7 +8,8 @@ import numpy as np
 from rsddl.dataio import make_dataset
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns
 from rsddl.greedy import Architecture
-from rsddl.joint import DEFAULT_SUPPORT_TOL, resolve_budget, solve_P4, solve_P5
+from rsddl.inference import SUPPORT_TOL
+from rsddl.joint import resolve_budget, solve_P4, solve_P5
 
 
 def dct_basis(n):
@@ -155,10 +156,10 @@ def hard_threshold_per_column(m, s):
     return out
 
 
-def class_support(zc, support_tol=DEFAULT_SUPPORT_TOL):
+def class_support(zc):
     """Binary row-usage vector of a class block: 1 where the row is nonzero."""
     row_norms = np.linalg.norm(np.asarray(zc, dtype=np.float64), axis=1)
-    return (row_norms > support_tol).astype(np.uint8)
+    return (row_norms > SUPPORT_TOL).astype(np.uint8)
 
 
 def _check_unit_dictionary(d, s):
@@ -230,7 +231,7 @@ def pursuit_reference(d, y, s, rows=False, residual_tol=1e-7):
     return z
 
 
-def encode_reference(model, x, support_tol=DEFAULT_SUPPORT_TOL):
+def encode_reference(model, x):
     """Test encoding of one sample as it was first written: per-sample
     pseudo-inverses and the column-loop OMP.  Returns (z, residual)."""
     cfg = model.config
@@ -252,11 +253,29 @@ def encode_reference(model, x, support_tol=DEFAULT_SUPPORT_TOL):
     return z[:, 0], float(np.linalg.norm(xcol - recon))
 
 
-def class_distances_reference(model, z, rule, support_tol=DEFAULT_SUPPORT_TOL):
+def greedy_encode(model, x, s):
+    """Greedy-chain encoding of one sample as the package first shipped it:
+    pseudo-inverses through the upper layers, then OMP with budget ``s`` on
+    the deepest.  The oracle for a ``greedy`` model's ``encode_test``."""
+    z = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    dicts = model.dictionaries
+    if z.shape[0] != dicts[0].shape[0]:
+        raise ValueError(f"sample length {z.shape[0]} != D1 rows {dicts[0].shape[0]}")
+    act = model.architecture.activation
+    for idx, d in enumerate(dicts):
+        target = z if idx == 0 else act.inverse(z)
+        if idx == len(dicts) - 1:
+            z = pursuit_reference(d, target, s)
+        else:
+            z = np.linalg.pinv(d) @ target
+    return z.reshape(-1)
+
+
+def class_distances_reference(model, z, rule):
     """Per-class minimum distance of one code, one np.where per class."""
     diffs = model.features - z[:, None]
     if rule == "l0":
-        distances = np.sum(np.abs(diffs) > support_tol, axis=0).astype(np.float64)
+        distances = np.sum(np.abs(diffs) > SUPPORT_TOL, axis=0).astype(np.float64)
     else:
         distances = np.sum(np.abs(diffs), axis=0)
     return [
