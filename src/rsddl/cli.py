@@ -28,7 +28,6 @@ from .dataio import (
     save_labels,
     save_matrix_csv,
     save_model,
-    save_pca,
 )
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
 from .inference import format_prediction_lines, predict_batch
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.add_argument("--labels", required=True, help="ground-truth raster (RSGT1 format)")
     p_feat.add_argument("--window", type=int, default=None, help="spatial window size (default 4)")
     p_feat.add_argument("--dims", type=int, default=None, help="PCA output dimension (default 200)")
-    p_feat.add_argument("--out", required=True, help="output prefix (<out>.csv/.labels/.pca)")
+    p_feat.add_argument("--out", required=True, help="output prefix (<out>.csv/.labels)")
     p_feat.add_argument("--config", default=None, help="key=value config file")
     p_feat.set_defaults(func=cmd_features)
 
@@ -165,13 +164,12 @@ def cmd_features(args) -> int:
     _info(f"config: window={window} dims={dims}")
 
     cube = load_cube(args.cube, args.labels)
-    dataset, projection = extract_spatial_spectral(cube, window=window, d=dims)
+    dataset, _ = extract_spatial_spectral(cube, window=window, d=dims)
     save_matrix_csv(dataset.x, args.out + ".csv")
     save_labels(dataset.labels, args.out + ".labels")
-    save_pca(projection, args.out + ".pca")
     _info(
         f"extracted {dataset.n_samples} samples x {dataset.dim} dims "
-        f"({dataset.num_classes} classes) -> {args.out}.csv/.labels/.pca"
+        f"({dataset.num_classes} classes) -> {args.out}.csv/.labels"
     )
     return 0
 

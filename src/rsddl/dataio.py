@@ -47,8 +47,6 @@ __all__ = [
     "split_per_class",
     "save_model",
     "load_model",
-    "save_pca",
-    "load_pca",
 ]
 
 MODEL_MAGIC = "RSDDL2"
@@ -57,7 +55,6 @@ MODEL_VERSION = 2
 _MODEL_MAGICS = {"RSDDL1": 1, MODEL_MAGIC: MODEL_VERSION}
 CUBE_MAGIC = "RSHSI1"
 GT_MAGIC = "RSGT1"
-PCA_MAGIC = "RSPCA1"
 
 
 class DataFormatError(ValueError):
@@ -114,26 +111,43 @@ def make_dataset(x, labels, num_classes: int | None = None) -> Dataset:
 # ---------------------------------------------------------------------------
 # CSV matrices and label lists
 
+def _parse_bulk(lines: list[str], delimiter: str | None) -> np.ndarray | None:
+    """``lines`` as one float array through numpy's tokenizer, or None where
+    a line is blank, the tokenizer refuses them or a value is non-finite; the
+    per-line parsers then decide (``float`` also takes e.g. ``1_0``) and word
+    the error."""
+    if not lines or not all(map(str.strip, lines)):  # loadtxt warns on input without data
+        return None
+    try:
+        x = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return x if np.all(np.isfinite(x)) else None
+
+
 def load_matrix_csv(path) -> np.ndarray:
     """Read a samples-as-rows CSV and return the samples-as-columns matrix."""
-    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                values = [float(cell) for cell in cells]
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric cell") from None
-            if any(not np.isfinite(v) for v in values):
-                raise DataFormatError(f"{path}:{lineno}: non-finite value")
-            if rows and len(values) != len(rows[0]):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(values)}"
-                )
-            rows.append(values)
+        text = [line.strip() for line in fh]
+    x = _parse_bulk([line for line in text if line], ",")
+    if x is not None:
+        return x.T
+    rows: list[list[float]] = []
+    for lineno, line in enumerate(text, 1):
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            values = [float(cell) for cell in cells]
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric cell") from None
+        if any(not np.isfinite(v) for v in values):
+            raise DataFormatError(f"{path}:{lineno}: non-finite value")
+        if rows and len(values) != len(rows[0]):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(values)}"
+            )
+        rows.append(values)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     return np.array(rows, dtype=np.float64).T
@@ -142,9 +156,9 @@ def load_matrix_csv(path) -> np.ndarray:
 def save_matrix_csv(x: np.ndarray, path) -> None:
     """Write a samples-as-columns matrix as a samples-as-rows CSV."""
     x = as_matrix(x, "X")
+    row = ",".join(["%.17g"] * x.shape[0]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for j in range(x.shape[1]):
-            fh.write(",".join("%.17g" % v for v in x[:, j]) + "\n")
+        fh.write("".join(row % tuple(col) for col in x.T.tolist()))
 
 
 def load_labels(path) -> np.ndarray:
@@ -252,7 +266,7 @@ def load_cube(cube_path, gt_path) -> HsiCube:
 
 @dataclass
 class PcaProjection:
-    """Stored projection statistics so test features use training statistics."""
+    """PCA mean and basis that map raw window vectors to features."""
 
     mean: np.ndarray
     basis: np.ndarray
@@ -344,9 +358,8 @@ def split_per_class(ds: Dataset, counts: dict[int, int], rng: Rng) -> tuple[Data
 # Model persistence
 
 def _render_matrix(name: str, m: np.ndarray) -> list[str]:
-    lines = [f"matrix {name} {m.shape[0]} {m.shape[1]}"]
-    lines.extend(" ".join("%.17g" % v for v in m[i]) for i in range(m.shape[0]))
-    return lines
+    row = " ".join(["%.17g"] * m.shape[1])
+    return [f"matrix {name} {m.shape[0]} {m.shape[1]}"] + [row % tuple(r) for r in m.tolist()]
 
 
 def _render_config(cfg: TrainConfig, budget: SparsityBudget) -> str:
@@ -417,6 +430,10 @@ class _ModelReader:
             self.fail("non-integer matrix dims")
         if rows < 1 or cols < 1:
             self.fail("matrix dims must be positive")
+        out = _parse_bulk(self.lines[self.pos : self.pos + rows], None)
+        if out is not None and out.shape == (rows, cols):
+            self.pos += rows
+            return out
         out = np.empty((rows, cols))
         for i in range(rows):
             cells = self.next_line().split()
@@ -504,14 +521,16 @@ def load_model(path) -> Model:
 
     cfg = _parse_config(reader.next_line(), str(path), version)
 
-    classes_parts = reader.next_line().split()
-    if len(classes_parts) != 2 or classes_parts[0] != "classes":
-        raise DataFormatError(f"{path}: missing classes line")
-    n_classes = int(classes_parts[1])
-    labels_parts = reader.next_line().split()
-    if len(labels_parts) != 2 or labels_parts[0] != "labels":
-        raise DataFormatError(f"{path}: missing labels line")
-    n_labels = int(labels_parts[1])
+    counts = []
+    for key in ("classes", "labels"):
+        parts = reader.next_line().split()
+        if len(parts) != 2 or parts[0] != key:
+            raise DataFormatError(f"{path}: missing {key} line")
+        try:
+            counts.append(int(parts[1]))
+        except ValueError:
+            raise DataFormatError(f"{path}: non-integer {key} count {parts[1]!r}") from None
+    n_classes, n_labels = counts
     label_cells = reader.next_line().split()
     if len(label_cells) != n_labels:
         raise DataFormatError(f"{path}: expected {n_labels} labels, got {len(label_cells)}")
@@ -555,29 +574,3 @@ def load_model(path) -> Model:
         config=cfg,
         mode=mode,
     )
-
-
-# ---------------------------------------------------------------------------
-# PCA statistics persistence (so test features use training statistics)
-
-def save_pca(projection: PcaProjection, path) -> None:
-    lines = [f"{PCA_MAGIC} 1"]
-    lines.extend(_render_matrix("mean", projection.mean))
-    lines.extend(_render_matrix("basis", projection.basis))
-    lines.append("end")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_pca(path) -> PcaProjection:
-    reader = _ModelReader(path)
-    magic = reader.next_line().split()
-    if len(magic) != 2 or magic[0] != PCA_MAGIC:
-        raise DataFormatError(f"{path}: bad magic (expected {PCA_MAGIC})")
-    mean = reader.expect_matrix("mean")
-    basis = reader.expect_matrix("basis")
-    if reader.next_line() != "end":
-        raise DataFormatError(f"{path}: missing end marker")
-    if basis.shape[0] != mean.shape[0]:
-        raise DataFormatError(f"{path}: basis rows != mean rows")
-    return PcaProjection(mean=mean, basis=basis)

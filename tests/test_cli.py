@@ -239,7 +239,7 @@ class TestFeatures:
         labels = load_labels(tmp / "feat.labels")
         assert x.shape == (6, 36)  # d rows per sample column
         assert labels.size == 36
-        assert (tmp / "feat.pca").exists()
+        assert sorted(p.name for p in tmp.glob("feat*")) == ["feat.csv", "feat.labels"]
 
     def test_window_one_spectral(self, cube_files):
         tmp = cube_files

@@ -9,19 +9,19 @@ from rsddl.dataio import (
     load_labels,
     load_matrix_csv,
     load_model,
-    load_pca,
     make_dataset,
     save_cube,
     save_labels,
     save_matrix_csv,
     save_model,
-    save_pca,
     split_per_class,
 )
 from rsddl.greedy import Architecture
 from rsddl.joint import DropMode, TrainConfig, build_model
 from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng
 from rsddl.sparse import SparsityBudget
+
+from util import load_matrix_csv_reference
 
 
 class TestCsv:
@@ -57,6 +57,131 @@ class TestCsv:
         p.write_text("1,2\n3,x\n")
         with pytest.raises(DataFormatError, match=":2"):
             load_matrix_csv(p)
+
+
+def _round_trip_values():
+    """Doubles from 1e-300 to 1e300, subnormals, signed zeros and
+    non-terminating fractions, as a 7-row matrix."""
+    rng = Rng(3)
+    normal = 10.0 ** np.linspace(-300, 300, 61) * (1 + 9 * rng.random(61))
+    subnormal = np.array([5e-324, 1e-320, 2.2250738585072009e-308, 1.5e-310])
+    special = np.array([0.0, -0.0, 1 / 3, -2 / 3, 0.1, np.pi, 1e300, -1e-300, 1.7976931348623157e308])
+    values = np.concatenate([normal, -normal, subnormal, -subnormal, special])
+    values = np.concatenate([values, np.full(-values.size % 7, 0.5)])
+    return values.reshape(7, -1)
+
+
+class TestCsvMatchesLineByLine:
+    """The bulk reader against one ``float()`` per cell: the same array bit
+    for bit, or the same error naming the same line."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"1,2\r\n3,4\r\n",
+            b"\n1,2\n   \n\t\n3,4\n \n",
+            b" 1 , 2 \n\t3\t,  -4.5e-3\n",
+            b"1\n2\n-0\n",
+            b"1.5,2,3\n",
+            b"1_0,2\n3,4\n",
+            b"+.5,5.,1E3\n-0,0,1e-320\n",
+        ],
+        ids=["crlf", "blank-lines", "spaces", "one-column", "one-row", "underscore", "notation"],
+    )
+    def test_values(self, tmp_path, text):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text)
+        got, want = load_matrix_csv(p), load_matrix_csv_reference(p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_17_digit_round_trip(self, tmp_path):
+        x = _round_trip_values()
+        p = tmp_path / "m.csv"
+        save_matrix_csv(x, p)
+        got = load_matrix_csv(p)
+        assert got.tobytes() == x.tobytes() == load_matrix_csv_reference(p).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1,2\n3,nan\n", ":2: non-finite value"),
+            ("1,2\n\ninf,4\n", ":3: non-finite value"),
+            ("1,-Infinity\n", ":1: non-finite value"),
+            ("1,2\n3,1e400\n", ":2: non-finite value"),
+            ("1,2\n3,4,5\n", ":2: expected 2 columns, got 3"),
+            ("1,2,3\n4,5\n", ":2: expected 3 columns, got 2"),
+            ("1,2,\n", ":1: non-numeric cell"),
+            ("1,2\n3,4 # note\n", ":2: non-numeric cell"),
+            ("# header\n1,2\n", ":1: non-numeric cell"),
+            ("\ufeff1,2\n", ":1: non-numeric cell"),
+            ("1,,2\n", ":1: non-numeric cell"),
+            ("", ": empty file"),
+            ("\n \n\t\n", ": empty file"),
+        ],
+        ids=["nan", "inf-after-blank", "-Infinity", "overflow", "ragged-wide", "ragged-short",
+             "trailing-comma", "hash-in-cell", "hash-line", "bom", "empty-cell", "empty", "blank"],
+    )
+    def test_errors(self, tmp_path, text, where):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataFormatError) as want:
+            load_matrix_csv_reference(p)
+        with pytest.raises(DataFormatError) as got:
+            load_matrix_csv(p)
+        assert str(got.value) == str(want.value) == f"{p}{where}"
+
+
+class TestSavedBytes:
+    """Writers render every value as ``%.17g``: golden bytes."""
+
+    def test_matrix_csv(self, tmp_path):
+        x = np.array([[0.1, -0.0, 1 / 3], [5e-324, 1e300, -1.5e-7]])
+        save_matrix_csv(x, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b"0.10000000000000001,4.9406564584124654e-324\n"
+            b"-0,1.0000000000000001e+300\n"
+            b"0.33333333333333331,-1.4999999999999999e-07\n"
+        )
+
+    def test_matrix_csv_matches_per_cell_rendering(self, tmp_path):
+        x = _round_trip_values()
+        save_matrix_csv(x, tmp_path / "m.csv")
+        want = "".join(",".join("%.17g" % v for v in x[:, j]) + "\n" for j in range(x.shape[1]))
+        assert (tmp_path / "m.csv").read_bytes() == want.encode("ascii")
+
+    def test_model(self, tmp_path):
+        arch = Architecture((2, 2, 1))
+        d1 = np.array([[0.1, 2.0], [-0.0, 1 / 3], [5e-324, -1e300]])
+        d2 = np.array([[1.0, -2.5e-10], [0.7, 3.0]])
+        d3 = np.array([[0.6], [-0.8]])
+        cfg = TrainConfig(lambda_budget=SparsityBudget(1, 1), drop_mode=DropMode.NONE, seed=3)
+        model = build_model([d1, d2, d3], arch, np.array([[0.25, -7.0]]), [1, 2], 2, cfg)
+        save_model(model, tmp_path / "m.rsddl")
+        assert (tmp_path / "m.rsddl").read_text(encoding="ascii") == (
+            "RSDDL2 2\n"
+            "mode joint\n"
+            "arch 2,2,1\n"
+            "activation tanh 9.9999999999999995e-07\n"
+            "config lambda_weight=0.10000000000000001 mu=0.5 eta1=1 eta2=1 "
+            "gamma=0.10000000000000001 per_column_s=1 row_s=1 outer_iters=15 inner_iters=5 "
+            "test_iters=10 drop_mode=none drop_rate=0.10000000000000001 seed=3\n"
+            "classes 2\n"
+            "labels 2\n"
+            "1 2\n"
+            "matrix D1 3 2\n"
+            "0.10000000000000001 2\n"
+            "-0 0.33333333333333331\n"
+            "4.9406564584124654e-324 -1.0000000000000001e+300\n"
+            "matrix D2 2 2\n"
+            "1 -2.5000000000000002e-10\n"
+            "0.69999999999999996 3\n"
+            "matrix D3 2 1\n"
+            "0.59999999999999998\n"
+            "-0.80000000000000004\n"
+            "matrix Z 1 2\n"
+            "0.25 -7\n"
+            "end\n"
+        )
 
 
 class TestLabels:
@@ -340,6 +465,23 @@ class TestModelPersistence:
         with pytest.raises(DataFormatError):
             load_model(tmp_path / "t.rsddl")
 
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (6, "classes two", "non-integer classes count 'two'"),
+            (7, "labels 6.0", "non-integer labels count '6.0'"),
+        ],
+    )
+    def test_non_integer_count(self, tmp_path, line, text, message):
+        path = tmp_path / "m.rsddl"
+        save_model(small_model(), path)
+        lines = path.read_text().split("\n")
+        lines[line - 1] = text
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "m.rsddl").write_text("WRONG 1\n")
         with pytest.raises(DataFormatError, match="magic"):
@@ -404,13 +546,55 @@ class TestModelPersistence:
             load_model(path)
 
 
-class TestPcaPersistence:
-    def test_round_trip(self, tmp_path):
-        rng = Rng(13)
-        from rsddl.dataio import PcaProjection
+def _cell(row, value, at=0):
+    cells = row.split()
+    cells[at] = value
+    return " ".join(cells)
 
-        proj = PcaProjection(mean=rng.standard_normal((6, 1)), basis=rng.standard_normal((6, 3)))
-        save_pca(proj, tmp_path / "p.pca")
-        loaded = load_pca(tmp_path / "p.pca")
-        assert np.array_equal(proj.mean, loaded.mean)
-        assert np.array_equal(proj.basis, loaded.basis)
+
+class TestModelMatrixReader:
+    """Matrix blocks of ``small_model``'s file: D1 (20 x 16) on lines 10-29,
+    D2 (16 x 8) on 31-46, D3 on 48-55 and Z (4 x 6) on 57-60.  Every error
+    names the line the per-row reader stops at."""
+
+    @staticmethod
+    def saved(tmp_path):
+        path = tmp_path / "m.rsddl"
+        save_model(small_model(), path)
+        return path, path.read_text().split("\n")
+
+    @pytest.mark.parametrize(
+        "first, last, edit, message",
+        [
+            (10, 10, lambda r: _cell(r, "abc"), ":10: matrix D1 row 0: non-numeric value"),
+            (34, 34, lambda r: _cell(r, "0x1", 5), ":34: matrix D2 row 3: non-numeric value"),
+            (34, 34, lambda r: _cell(r, "inf", 2), ":46: matrix D2: non-finite entries"),
+            (59, 59, lambda r: _cell(r, "nan"), ":60: matrix Z: non-finite entries"),
+            (15, 15, lambda r: r.rsplit(" ", 1)[0], ":15: matrix D1 row 5: expected 16 values, got 15"),
+            (10, 29, lambda r: r + " 0", ":10: matrix D1 row 0: expected 16 values, got 17"),
+            (10, 29, lambda r: "", ":10: matrix D1 row 0: expected 16 values, got 0"),
+            (10, 29, lambda r: " \t", ":10: matrix D1 row 0: expected 16 values, got 0"),
+            (59, None, lambda r: None, ": truncated file"),
+        ],
+        ids=["non-numeric", "non-numeric-later-row", "inf", "nan", "short-row", "all-rows-wide",
+             "blank-rows", "whitespace-rows", "cut-short"],
+    )
+    def test_errors(self, tmp_path, first, last, edit, message):
+        """``edit`` rewrites file lines ``first``..``last`` (to the end for
+        None) one by one, and drops those it maps to None."""
+        path, lines = self.saved(tmp_path)
+        block = lines[first - 1 : last]
+        lines[first - 1 : last] = [r for r in map(edit, block) if r is not None]
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}{message}"
+
+    def test_cells_only_float_takes(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        lines[9] = _cell(lines[9], "1_0")
+        lines[57] = _cell(lines[57], "-2_5e-1", 1)
+        path.write_text("\n".join(lines))
+        model = load_model(path)
+        assert model.dictionaries[0][0, 0] == 10.0
+        assert model.features[1, 1] == -2.5

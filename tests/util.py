@@ -5,7 +5,7 @@ Everything here is seeded through the package Rng so tests are bit-stable.
 
 import numpy as np
 
-from rsddl.dataio import make_dataset
+from rsddl.dataio import DataFormatError, make_dataset
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns
 from rsddl.greedy import Architecture
 from rsddl.inference import SUPPORT_TOL
@@ -282,3 +282,28 @@ def class_distances_reference(model, z, rule):
         (c, float(distances[np.where(model.labels == c)[0]].min()))
         for c in range(1, model.num_classes + 1)
     ]
+
+
+def load_matrix_csv_reference(path):
+    """``load_matrix_csv`` as one ``float()`` per cell, line by line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            try:
+                values = [float(cell) for cell in cells]
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: non-numeric cell") from None
+            if any(not np.isfinite(v) for v in values):
+                raise DataFormatError(f"{path}:{lineno}: non-finite value")
+            if rows and len(values) != len(rows[0]):
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(values)}"
+                )
+            rows.append(values)
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
+    return np.array(rows, dtype=np.float64).T
