@@ -13,6 +13,7 @@ stderr and the run log for reproducibility.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -32,10 +33,11 @@ from .dataio import (
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
 from .inference import format_prediction_lines, predict_batch
 from .joint import (
+    MODES,
     DropMode,
+    Model,
     TrainConfig,
     TrainingDivergedError,
-    build_model,
     joint_train,
     resolve_budget,
 )
@@ -44,6 +46,10 @@ from .numerics import Activation, ActivationKind, Rng, pinv
 from .sparse import SparsityBudget
 
 __all__ = ["main", "entry"]
+
+
+# Defaults of the feature flags: those of extract_spatial_spectral.
+_FEATURE_DEFAULTS = inspect.signature(extract_spatial_spectral).parameters
 
 
 class UsageError(Exception):
@@ -104,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat = sub.add_parser("features", help="extract spatial-spectral features from a cube")
     p_feat.add_argument("--cube", required=True, help="cube file (RSHSI1 format)")
     p_feat.add_argument("--labels", required=True, help="ground-truth raster (RSGT1 format)")
-    p_feat.add_argument("--window", type=int, default=None, help="spatial window size (default 4)")
-    p_feat.add_argument("--dims", type=int, default=None, help="PCA output dimension (default 200)")
+    p_feat.add_argument("--window", type=int, default=None,
+                        help=f"spatial window size (default {_FEATURE_DEFAULTS['window'].default})")
+    p_feat.add_argument("--dims", type=int, default=None,
+                        help=f"PCA output dimension (default {_FEATURE_DEFAULTS['d'].default})")
     p_feat.add_argument("--out", required=True, help="output prefix (<out>.csv/.labels)")
     p_feat.add_argument("--config", default=None, help="key=value config file")
     p_feat.set_defaults(func=cmd_features)
@@ -127,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--eta2", type=float, default=None)
     p_train.add_argument("--drop", choices=["none", "out", "connect"], default=None)
     p_train.add_argument("--drop-rate", dest="drop_rate", type=float, default=None)
-    p_train.add_argument("--iters", type=int, default=None, help="outer iterations (default 15)")
+    p_train.add_argument("--iters", type=int, default=None,
+                         help=f"outer iterations (default {TrainConfig.outer_iters})")
     p_train.add_argument("--inner-iters", dest="inner_iters", type=int, default=None)
     p_train.add_argument("--test-iters", dest="test_iters", type=int, default=None)
     p_train.add_argument("--seed", type=int, default=None)
@@ -155,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_features(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
-    window = _resolve(args, file_cfg, "window", 4, int)
-    dims = _resolve(args, file_cfg, "dims", 200, int)
+    window = _resolve(args, file_cfg, "window", _FEATURE_DEFAULTS["window"].default, int)
+    dims = _resolve(args, file_cfg, "dims", _FEATURE_DEFAULTS["d"].default, int)
     if window < 1:
         raise UsageError(f"window must be >= 1, got {window}")
     if dims < 1:
@@ -176,61 +185,53 @@ def cmd_features(args) -> int:
 
 def _effective_train_config(args):
     file_cfg = _read_config_file(args.config) if args.config else {}
-    mode = _resolve(args, file_cfg, "mode", "joint", str)
-    if mode not in ("joint", "greedy"):
+    mode = _resolve(args, file_cfg, "mode", MODES[0], str)
+    if mode not in MODES:
         raise UsageError(f"mode must be joint or greedy, got {mode!r}")
     arch_text = _resolve(args, file_cfg, "arch", "100,50,25", str)
     atoms = _parse_arch(arch_text)
-    act_name = _resolve(args, file_cfg, "activation", "tanh", str)
+    act_name = _resolve(args, file_cfg, "activation", Activation().kind.value, str)
     try:
         activation = Activation(kind=ActivationKind(act_name))
     except ValueError:
         raise UsageError(f"activation must be tanh or identity, got {act_name!r}") from None
 
-    lambda_s = _resolve(args, file_cfg, "lambda_s", None, int)
-    row_s = _resolve(args, file_cfg, "row_s", None, int)
-    if (lambda_s is None) != (row_s is None):
-        deepest = atoms[-1]
-        fallback = max(1, -(-deepest // 5))  # ceil(0.2 * deepest)
-        lambda_s = lambda_s if lambda_s is not None else fallback
-        row_s = row_s if row_s is not None else fallback
-    budget = None
-    if lambda_s is not None:
-        try:
-            budget = SparsityBudget(per_column_s=lambda_s, row_s=row_s)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-
-    drop_name = _resolve(args, file_cfg, "drop", "connect", str)
+    defaults = TrainConfig()
+    drop_name = _resolve(args, file_cfg, "drop", defaults.drop_mode.value, str)
     try:
         drop_mode = DropMode(drop_name)
     except ValueError:
         raise UsageError(f"drop must be none, out or connect, got {drop_name!r}") from None
 
     try:
+        arch = Architecture(atoms_per_layer=atoms, activation=activation)
+        derived = resolve_budget(defaults, arch)
+        budget = SparsityBudget(
+            per_column_s=_resolve(args, file_cfg, "lambda_s", derived.per_column_s, int),
+            row_s=_resolve(args, file_cfg, "row_s", derived.row_s, int),
+        )
+        budget.validate_for(arch.feature_dim)
         cfg = TrainConfig(
             lambda_budget=budget,
-            lambda_weight=_resolve(args, file_cfg, "lambda_weight", 0.1, float),
-            mu=_resolve(args, file_cfg, "mu", 0.5, float),
-            eta1=_resolve(args, file_cfg, "eta1", 1.0, float),
-            eta2=_resolve(args, file_cfg, "eta2", 1.0, float),
-            gamma=_resolve(args, file_cfg, "gamma", 0.1, float),
-            outer_iters=_resolve(args, file_cfg, "iters", 15, int),
-            inner_iters=_resolve(args, file_cfg, "inner_iters", 5, int),
-            test_iters=_resolve(args, file_cfg, "test_iters", 10, int),
+            lambda_weight=_resolve(args, file_cfg, "lambda_weight", defaults.lambda_weight, float),
+            mu=_resolve(args, file_cfg, "mu", defaults.mu, float),
+            eta1=_resolve(args, file_cfg, "eta1", defaults.eta1, float),
+            eta2=_resolve(args, file_cfg, "eta2", defaults.eta2, float),
+            gamma=_resolve(args, file_cfg, "gamma", defaults.gamma, float),
+            outer_iters=_resolve(args, file_cfg, "iters", defaults.outer_iters, int),
+            inner_iters=_resolve(args, file_cfg, "inner_iters", defaults.inner_iters, int),
+            test_iters=_resolve(args, file_cfg, "test_iters", defaults.test_iters, int),
             drop_mode=drop_mode,
-            drop_rate=_resolve(args, file_cfg, "drop_rate", 0.10, float),
-            seed=_resolve(args, file_cfg, "seed", 0, int),
+            drop_rate=_resolve(args, file_cfg, "drop_rate", defaults.drop_rate, float),
+            seed=_resolve(args, file_cfg, "seed", defaults.seed, int),
         )
-        arch = Architecture(atoms_per_layer=atoms, activation=activation)
-        resolve_budget(cfg, arch)  # validate budgets against the architecture
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return mode, arch, cfg
 
 
 def _echo_config(mode: str, arch: Architecture, cfg: TrainConfig, sinks) -> None:
-    budget = resolve_budget(cfg, arch)
+    budget = cfg.lambda_budget
     line = (
         f"config: mode={mode} arch={','.join(str(a) for a in arch.atoms_per_layer)} "
         f"activation={arch.activation.kind.value} lambda_s={budget.per_column_s} "
@@ -256,12 +257,11 @@ def cmd_train(args) -> int:
         if mode == "joint":
             model = joint_train(dataset, arch, cfg, log=log)
         else:
-            budget = resolve_budget(cfg, arch)
             dicts, codes = layerwise_factorize(
-                dataset.x, arch, budget.per_column_s, cfg.outer_iters, Rng(cfg.seed)
+                dataset.x, arch, cfg.lambda_budget.per_column_s, cfg.outer_iters, Rng(cfg.seed)
             )
             z = codes[-1]
-            model = build_model(dicts, arch, z, dataset.labels, dataset.num_classes, cfg, mode="greedy")
+            model = Model(dicts, arch, z, dataset.labels, cfg, mode="greedy")
             # per-layer residuals: upper layers coded by the encoder's pseudo-inverse
             # chain, the deepest by its training codes
             act = arch.activation
@@ -282,11 +282,6 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     x = load_matrix_csv(args.data)
-    if x.shape[0] != model.dictionaries[0].shape[0]:
-        raise DataFormatError(
-            f"data dimension {x.shape[0]} does not match model input "
-            f"dimension {model.dictionaries[0].shape[0]}"
-        )
     predictions = predict_batch(model, x, rule=args.rule)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_prediction_lines(predictions))

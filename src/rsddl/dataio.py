@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greedy import Architecture
-from .joint import MODES, DropMode, Model, TrainConfig, resolve_budget
+from .joint import MODES, DropMode, Model, TrainConfig
 from .numerics import Activation, ActivationKind, Rng, as_matrix, pca_fit
 from .sparse import SparsityBudget
 
@@ -362,7 +362,8 @@ def _render_matrix(name: str, m: np.ndarray) -> list[str]:
     return [f"matrix {name} {m.shape[0]} {m.shape[1]}"] + [row % tuple(r) for r in m.tolist()]
 
 
-def _render_config(cfg: TrainConfig, budget: SparsityBudget) -> str:
+def _render_config(cfg: TrainConfig) -> str:
+    budget = cfg.lambda_budget
     fields = [
         ("lambda_weight", "%.17g" % cfg.lambda_weight),
         ("mu", "%.17g" % cfg.mu),
@@ -384,13 +385,12 @@ def _render_config(cfg: TrainConfig, budget: SparsityBudget) -> str:
 def save_model(model: Model, path) -> None:
     """Write the model in the versioned text format (17-digit decimals)."""
     arch = model.architecture
-    budget = resolve_budget(model.config, arch)
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
         f"mode {model.mode}",
         "arch " + ",".join(str(a) for a in arch.atoms_per_layer),
         f"activation {arch.activation.kind.value} %.17g" % arch.activation.clamp_eps,
-        _render_config(model.config, budget),
+        _render_config(model.config),
         f"classes {model.num_classes}",
         f"labels {model.labels.size}",
         " ".join(str(int(v)) for v in model.labels),
@@ -485,8 +485,10 @@ def _parse_config(line: str, path: str, version: int) -> TrainConfig:
 
 
 def load_model(path) -> Model:
-    """Load a model file (either version), validating magic, version, mode,
-    class ids and the shape chain."""
+    """Load a model file (either version), validating its layout (magic,
+    version, header lines, the class count against the labels, the end
+    marker); a model the file describes but :class:`Model` rejects is a
+    :class:`DataFormatError` too."""
     reader = _ModelReader(path)
     magic = reader.next_line().split()
     if len(magic) != 2 or magic[0] not in _MODEL_MAGICS:
@@ -555,22 +557,7 @@ def load_model(path) -> Model:
         if extra.strip():
             raise DataFormatError(f"{path}: trailing content after end marker")
 
-    # shape chain
-    for i, d in enumerate(dicts):
-        if d.shape[1] != arch.atoms_per_layer[i]:
-            raise DataFormatError(f"{path}: D{i + 1} has {d.shape[1]} atoms, arch says {arch.atoms_per_layer[i]}")
-        if i > 0 and d.shape[0] != arch.atoms_per_layer[i - 1]:
-            raise DataFormatError(f"{path}: D{i + 1} rows break the layer chain")
-    if features.shape[0] != arch.feature_dim:
-        raise DataFormatError(f"{path}: Z rows {features.shape[0]} != deepest atom count {arch.feature_dim}")
-    if features.shape[1] != n_labels:
-        raise DataFormatError(f"{path}: Z has {features.shape[1]} columns for {n_labels} labels")
-
-    return Model(
-        dictionaries=dicts,
-        architecture=arch,
-        features=features,
-        labels=labels,
-        config=cfg,
-        mode=mode,
-    )
+    try:
+        return Model(dicts, arch, features, labels, cfg, mode=mode)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

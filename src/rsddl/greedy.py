@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Activation, NumericsWarning, Rng, as_matrix, normalize_columns, pinv, ridge_solve
+from .numerics import (
+    DEAD_ATOM_TOL, Activation, NumericsWarning, Rng, as_matrix, normalize_columns, pinv, ridge_solve
+)
 from .sparse import pursuit
 
 __all__ = ["Architecture", "dict_learn", "layerwise_factorize", "compose_reconstruction"]
@@ -66,7 +68,7 @@ def _reseed_dead_atoms(d: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarra
     for rank, atom in enumerate(dead):
         col = x[:, worst[rank % x.shape[1]]]
         norm = np.linalg.norm(col)
-        d[:, atom] = col / norm if norm > 1e-12 else 0.0
+        d[:, atom] = col / norm if norm > DEAD_ATOM_TOL else 0.0
     return d
 
 
@@ -77,7 +79,7 @@ def _fit_dictionary(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     live = np.any(z != 0.0, axis=1)
     d = np.zeros((x.shape[0], z.shape[0]))
     if np.any(live):
-        d[:, live] = ridge_solve(z[live].T, x.T, 0.0).T
+        d[:, live] = ridge_solve(z[live].T, x.T).T
     return d
 
 
@@ -139,7 +141,7 @@ def _als_factorize(x: np.ndarray, n_atoms: int, iters: int, rng: Rng) -> tuple[n
             return pinv(a) @ b
     else:
         def solve(a, b):
-            return ridge_solve(a, b, 0.0)
+            return ridge_solve(a, b)
     d = _init_dictionary(x.shape[0], n_atoms, rng)
     z = np.zeros((n_atoms, x.shape[1]))
     for _ in range(iters):

@@ -12,12 +12,13 @@ the count of differing coordinates (l0) or the sum of absolute differences
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .greedy import compose_reconstruction
-from .joint import Model, p4_lhs, p5_lhs, resolve_budget
+from .joint import Model, p4_lhs, p5_lhs
 from .numerics import as_matrix, pinv
 from .sparse import pursuit_gram, unit_gram
 
@@ -50,66 +51,52 @@ class EncodedFeature:
 
 @dataclass
 class Prediction:
-    """Predicted label with per-class minimum distances (sorted by class id)."""
+    """Predicted label, per-class minimum distances (sorted by class id) and
+    the winning distance."""
 
     label: int
     per_class_score: list[tuple[int, float]]
     rule: str
-
-    @property
-    def distance(self) -> float:
-        return min(score for _, score in self.per_class_score)
+    distance: float
 
 
-def _cached(model: Model, name: str, sources: tuple, build):
-    """``build()`` memoized on the model, rebuilt when a source array is
-    replaced (compared by identity) or another source changes (equality).
-    Only sources and result are kept, never the model: no reference cycle."""
-    hit = model.cache.get(name)
-    if hit is not None and len(hit[0]) == len(sources) and all(
-        a is b or (not isinstance(a, np.ndarray) and a == b) for a, b in zip(hit[0], sources)
-    ):
-        return hit[1]
-    value = build()
-    model.cache[name] = (sources, value)
-    return value
+def _per_model(build):
+    """Memoize ``build(model)`` in ``model.cache``.  A model is frozen, so the
+    result never goes stale; only the result is kept, never the model, so
+    there is no reference cycle."""
+
+    @functools.wraps(build)
+    def cached(model: Model):
+        if build.__name__ not in model.cache:
+            model.cache[build.__name__] = build(model)
+        return model.cache[build.__name__]
+
+    return cached
 
 
+@_per_model
 def _encoder(model: Model) -> tuple:
     """pinv(D1), pinv(D2), unit_gram(D3'D3) and solve_P4/solve_P5 as linear maps: inv(L4),
     inv(L4) D1', eta1 inv(L5) D2', eta2 inv(L5), with L4, L5 their (SPD) left-hand sides."""
     d1, d2, d3 = model.dictionaries
     cfg = model.config
-
-    def build():
-        i4, i5 = np.linalg.inv(p4_lhs(d1, cfg.eta1)), np.linalg.inv(p5_lhs(d2, cfg.eta1, cfg.eta2))
-        return pinv(d1), pinv(d2), unit_gram(d3.T @ d3), i4, i4 @ d1.T, cfg.eta1 * i5 @ d2.T, cfg.eta2 * i5
-
-    return _cached(model, "encoder", (d1, d2, d3, cfg), build)
+    i4, i5 = np.linalg.inv(p4_lhs(d1, cfg.eta1)), np.linalg.inv(p5_lhs(d2, cfg.eta1, cfg.eta2))
+    return pinv(d1), pinv(d2), unit_gram(d3.T @ d3), i4, i4 @ d1.T, cfg.eta1 * i5 @ d2.T, cfg.eta2 * i5
 
 
+@_per_model
 def _greedy_encoder(model: Model) -> tuple:
     """pinv of every layer above the deepest, and unit_gram of the deepest."""
     *upper, deepest = model.dictionaries
-
-    def build():
-        return [pinv(d) for d in upper], unit_gram(deepest.T @ deepest)
-
-    return _cached(model, "greedy", tuple(model.dictionaries), build)
+    return [pinv(d) for d in upper], unit_gram(deepest.T @ deepest)
 
 
+@_per_model
 def _index(model: Model) -> tuple[np.ndarray, np.ndarray]:
     """Training codes with columns sorted by label, and each class's first column."""
-    features, labels, n_classes = model.features, model.labels, model.num_classes
-
-    def build():
-        order = np.argsort(labels, kind="stable")
-        starts = np.searchsorted(labels[order], np.arange(1, n_classes + 1))
-        if np.any(np.diff(np.append(starts, labels.size)) == 0):
-            raise ValueError("every class needs at least one stored training code")
-        return np.ascontiguousarray(features[:, order]), starts
-
-    return _cached(model, "index", (features, labels, n_classes), build)
+    order = np.argsort(model.labels, kind="stable")
+    starts = np.searchsorted(model.labels[order], np.arange(1, model.num_classes + 1))
+    return np.ascontiguousarray(model.features[:, order]), starts
 
 
 def encode_test(model: Model, x: np.ndarray) -> EncodedFeature:
@@ -120,8 +107,8 @@ def encode_test(model: Model, x: np.ndarray) -> EncodedFeature:
     single = x.ndim == 1
     x = as_matrix(x.reshape(-1, 1) if single else x, "X")
     if x.shape[0] != dicts[0].shape[0]:
-        raise ValueError(f"sample length {x.shape[0]} != D1 rows {dicts[0].shape[0]}")
-    s = resolve_budget(model.config, model.architecture).per_column_s
+        raise ValueError(f"data dimension {x.shape[0]} does not match model input dimension {dicts[0].shape[0]}")
+    s = model.config.lambda_budget.per_column_s
     z = (_encode_greedy if model.mode == "greedy" else _encode_joint)(model, x, s)
     act = model.architecture.activation
     residual = np.linalg.norm(x - compose_reconstruction(dicts, z, act), axis=0)
@@ -146,10 +133,6 @@ def _encode_joint(model: Model, x: np.ndarray, s: int) -> np.ndarray:
     for the two proxy codes, relaxation updates}, with the relaxation vectors
     initialized to ones (the training-side convention) and the codes
     warm-started through the pseudo-inverse chain."""
-    if len(model.dictionaries) != 3:
-        raise ValueError(
-            f"joint test encoding needs a 3-layer model, got {len(model.dictionaries)} layers"
-        )
     cfg = model.config
     d1, d2, d3 = model.dictionaries
     act = model.architecture.activation
@@ -187,11 +170,12 @@ def _classify(model: Model, f: EncodedFeature, rule: str) -> Prediction | list[P
             diff = np.abs(ref[None, :] - row[:, None])
             dist += (diff > SUPPORT_TOL) if rule == "l0" else diff
         scores[lo:lo + chunk] = np.minimum.reduceat(dist, starts, axis=1)
-    labels = np.argmin(scores, axis=1) + 1  # first minimum: smallest class id wins ties
+    winner = np.argmin(scores, axis=1)  # first minimum: smallest class id wins ties
+    distances = scores[np.arange(winner.size), winner].tolist()
     classes = range(1, starts.size + 1)
     preds = [
-        Prediction(label=int(label), per_class_score=list(zip(classes, row.tolist())), rule=rule)
-        for label, row in zip(labels, scores)
+        Prediction(label=int(w) + 1, per_class_score=list(zip(classes, row)), rule=rule, distance=dist)
+        for w, row, dist in zip(winner, scores.tolist(), distances)
     ]
     return preds[0] if f.z.ndim == 1 else preds
 

@@ -20,14 +20,14 @@ after the dictionary solves.  Neither perturbs the final iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
-from .numerics import Activation, Rng, as_matrix, normalize_columns, pinv
+from .numerics import DEAD_ATOM_TOL, Activation, Rng, as_matrix, normalize_columns, pinv
 from .sparse import SparsityBudget, prox_push, pursuit, pursuit_gram, unit_gram
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +43,6 @@ __all__ = [
     "MODES",
     "TrainingDivergedError",
     "resolve_budget",
-    "build_model",
     "joint_train",
     "solve_P1",
     "solve_P2",
@@ -199,14 +198,16 @@ class FitReport:
         return "\n".join(self.lines) + "\n" if self.lines else ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """Trained classifier state: dictionaries, stored codes with their class
     ids 1..C, and the mode (one of :data:`MODES`) that says how test samples
-    are encoded.  ``cache`` holds unpersisted inference factors derived from
-    the arrays, which are replaced, never modified in place."""
+    are encoded.  The constructor alone normalizes and checks a model, and
+    stores ``config`` with its sparsity budget resolved.  Its arrays are
+    read-only copies, so ``cache`` keeps unpersisted inference factors for
+    good; ``dataclasses.replace`` makes a new model with its own cache."""
 
-    dictionaries: list[np.ndarray]
+    dictionaries: tuple[np.ndarray, ...]
     architecture: Architecture
     features: np.ndarray
     labels: np.ndarray
@@ -216,8 +217,36 @@ class Model:
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        arch = self.architecture
+        dicts = tuple(np.array(d, dtype=np.float64) for d in self.dictionaries)
+        features = np.array(self.features, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.int64).reshape(-1)
+        for a in (*dicts, features, labels):
+            a.setflags(write=False)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "joint" and arch.depth != 3:
+            raise ValueError(f"a joint model needs exactly 3 layers, got {arch.depth}")
+        if len(dicts) != arch.depth:
+            raise ValueError(f"{len(dicts)} dictionaries for {arch.depth} layers")
+        for i, d in enumerate(dicts):
+            if d.ndim != 2 or d.shape[1] != arch.atoms_per_layer[i]:
+                raise ValueError(f"D{i + 1} has shape {d.shape}, arch says {arch.atoms_per_layer[i]} atoms")
+            if i > 0 and d.shape[0] != arch.atoms_per_layer[i - 1]:
+                raise ValueError(f"D{i + 1} has {d.shape[0]} rows, which breaks the layer chain")
+        if features.shape != (arch.feature_dim, labels.size):
+            want = (arch.feature_dim, labels.size)
+            raise ValueError(f"Z has shape {features.shape}, not (deepest atoms, labels) {want}")
+        if labels.size == 0 or labels.min() < 1:
+            raise ValueError("labels must be class ids starting at 1")
+        missing = np.flatnonzero(np.bincount(labels)[1:] == 0) + 1
+        if missing.size:
+            raise ValueError(f"class {missing[0]} of 1..{labels.max()} has no stored code")
+        config = replace(self.config, lambda_budget=resolve_budget(self.config, arch))
+        object.__setattr__(self, "dictionaries", dicts)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "config", config)
 
     @property
     def num_classes(self) -> int:
@@ -295,7 +324,7 @@ def _restore_dead_columns(d: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
     previous unit-norm atoms so the dictionary keeps unit columns."""
     if prev is None:
         return d
-    dead = np.linalg.norm(d, axis=0) <= 1e-12
+    dead = np.linalg.norm(d, axis=0) <= DEAD_ATOM_TOL
     if np.any(dead):
         d = d.copy()
         d[:, dead] = prev[:, dead]
@@ -502,33 +531,6 @@ def _emit(report: FitReport, log, line: str) -> None:
         log.write(line + "\n")
 
 
-def build_model(
-    dicts: list[np.ndarray],
-    arch: Architecture,
-    features: np.ndarray,
-    labels,
-    num_classes: int,
-    cfg: TrainConfig,
-    mode: str = "joint",
-    fit_report: FitReport | None = None,
-) -> Model:
-    """Package dictionaries and deepest codes into a classification model
-    encoded by ``mode``."""
-    labels = np.asarray(labels, dtype=np.int64).copy()
-    for c in range(1, num_classes + 1):
-        if not np.any(labels == c):
-            raise ValueError(f"class {c} has no samples")
-    return Model(
-        dictionaries=[d.copy() for d in dicts],
-        architecture=arch,
-        features=np.asarray(features, dtype=np.float64).copy(),
-        labels=labels,
-        config=cfg,
-        mode=mode,
-        fit_report=fit_report,
-    )
-
-
 def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = None, log=None) -> Model:
     """Train all layers jointly on a labeled dataset.
 
@@ -656,12 +658,4 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         )
     _emit(report, log, f"joint_recon={joint_recon:.17g}")
 
-    return build_model(
-        final_dicts,
-        arch,
-        state.z,
-        data.labels,
-        n_classes,
-        cfg,
-        fit_report=report,
-    )
+    return Model(final_dicts, arch, state.z, data.labels, cfg, fit_report=report)

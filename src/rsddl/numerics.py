@@ -25,6 +25,12 @@ __all__ = [
     "Rng",
 ]
 
+# Columns (atoms) with l2 norm at or below this are dead.
+DEAD_ATOM_TOL = 1e-12
+
+# pinv drops singular values below this fraction of the largest.
+PINV_REL_TOL = 1e-10
+
 
 class NumericsWarning(UserWarning):
     """Diagnostics channel for degenerate solve paths (fallbacks, rank loss)."""
@@ -42,53 +48,48 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def normalize_columns(d: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def normalize_columns(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale the columns of ``d`` to unit l2 norm.
 
     Returns ``(normalized, scales)`` where ``scales`` holds the original column
-    norms.  Columns with norm below ``tol`` are left untouched and get scale
-    1.0, so dead atoms stay detectable by the caller.
+    norms.  Dead columns (norm at or below :data:`DEAD_ATOM_TOL`) are left
+    untouched and get scale 1.0, so they stay detectable by the caller.
     """
     d = np.array(d, dtype=np.float64)
     norms = np.linalg.norm(d, axis=0)
-    alive = norms > tol
+    alive = norms > DEAD_ATOM_TOL
     d[:, alive] /= norms[alive]
     return d, np.where(alive, norms, 1.0)
 
 
-def pinv(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def pinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD.
 
-    Singular values below ``rel_tol`` times the largest singular value are
-    treated as exactly zero, which keeps the inverse finite for rank-deficient
-    inputs (e.g. dictionaries with zeroed entries).
+    Singular values below :data:`PINV_REL_TOL` times the largest singular
+    value are treated as exactly zero, which keeps the inverse finite for
+    rank-deficient inputs (e.g. dictionaries with zeroed entries).
     """
     a = as_matrix(a, "A")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = rel_tol * s[0]  # s is sorted descending
+    cutoff = PINV_REL_TOL * s[0]  # s is sorted descending
     keep = s > cutoff
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T
 
 
-def ridge_solve(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
-    """Minimize ``||B - A X||_F^2 + alpha ||X||_F^2`` over X.
+def ridge_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimize ``||B - A X||_F^2`` over X.
 
-    Solved through the normal equations ``(A'A + alpha I) X = A'B``.  When
-    ``alpha == 0`` and the system is singular, falls back to the
-    pseudo-inverse path (minimum-norm solution) and reports it through a
-    :class:`NumericsWarning`.
+    Solved through the normal equations ``A'A X = A'B``.  When they are
+    singular, falls back to the pseudo-inverse path (minimum-norm solution)
+    and reports it through a :class:`NumericsWarning`.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"row mismatch: A has {a.shape[0]}, B has {b.shape[0]}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    gram = a.T @ a + alpha * np.eye(a.shape[1])
+    gram = a.T @ a
     try:
         np.linalg.cholesky(gram)  # cheap positive-definiteness probe
         return np.linalg.solve(gram, a.T @ b)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix
+from .numerics import DEAD_ATOM_TOL, as_matrix
 
 __all__ = [
     "SparsityBudget",
@@ -27,9 +27,6 @@ __all__ = [
 
 # Absolute stop test: a group stops once its squared residual is at or below this squared.
 _RESIDUAL_TOL = 1e-7
-
-# Columns with l2 norm at or below this are considered dead atoms.
-_DEAD_COLUMN_TOL = 1e-12
 
 # Stop-test floor relative to ||y||^2: ||y||^2 - coef'D'y rounds at ~(m + k cond) eps ||y||^2,
 # 6 eps at most over 3,000 planted exact fits.  1e-12 (4.5e3 eps) keeps a margin for larger
@@ -60,9 +57,9 @@ class SparsityBudget:
 
 def unit_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``D'D`` prepared once for :func:`pursuit_gram`: the Gram of the unit-norm
-    live atoms (norm above 1e-12), the live atom norms and the alive mask."""
+    live atoms (norm above ``DEAD_ATOM_TOL``), the live atom norms and the alive mask."""
     norms = np.sqrt(np.diag(gram))
-    alive = norms > _DEAD_COLUMN_TOL
+    alive = norms > DEAD_ATOM_TOL
     if not np.any(alive):
         raise ValueError("dictionary has no usable (nonzero) columns")
     live_norms = norms[alive]

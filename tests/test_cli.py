@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rsddl.cli import main
+from rsddl.cli import _effective_train_config, build_parser, main
 from rsddl.dataio import HsiCube, load_labels, load_matrix_csv, load_model, save_cube, save_labels, save_matrix_csv
-from rsddl.joint import resolve_budget
+from rsddl.greedy import Architecture
+from rsddl.joint import TrainConfig, resolve_budget
 from rsddl.numerics import Rng
 from util import class_distances_reference, greedy_encode, two_class_deep_factor_data, two_class_mixture_data
 
@@ -76,6 +79,30 @@ class TestTrain:
         )
         assert rc == 2
         assert not (tmp / "x.rsddl").exists()
+
+    def test_defaults_are_train_config_defaults(self, data_files):
+        tmp, _ = data_files
+        assert run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt",
+                    "--arch", "8,6,4", "--out", tmp / "m.rsddl"]) == 0
+        assert (tmp / "m.rsddl.log").read_text().split("\n")[0] == (
+            "config: mode=joint arch=8,6,4 activation=tanh lambda_s=1 row_s=1 lambda_weight=0.1 "
+            "mu=0.5 eta1=1 eta2=1 gamma=0.1 drop=connect drop_rate=0.1 iters=15 inner_iters=5 "
+            "test_iters=10 seed=0"
+        )
+        defaults = TrainConfig()
+        budget = resolve_budget(defaults, Architecture((8, 6, 4)))
+        assert load_model(tmp / "m.rsddl").config == dataclasses.replace(defaults, lambda_budget=budget)
+
+    @pytest.mark.parametrize("deepest", [2, 4, 5, 6, 12, 23])
+    def test_one_budget_flag_keeps_the_other_default(self, deepest):
+        arch = Architecture((8, 6, deepest))
+        default = resolve_budget(TrainConfig(), arch)
+        for flag, given, other in (("--lambda-s", "per_column_s", "row_s"), ("--row-s", "row_s", "per_column_s")):
+            args = build_parser().parse_args(["train", "--data", "d.csv", "--labels", "l.txt", "--out", "m",
+                                              "--arch", f"8,6,{deepest}", flag, "2"])
+            _, _, cfg = _effective_train_config(args)
+            assert getattr(cfg.lambda_budget, given) == 2
+            assert getattr(cfg.lambda_budget, other) == getattr(default, other)
 
     def test_missing_required_flag(self):
         assert run(["train", "--data", "whatever.csv"]) == 2

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from rsddl.dataio import (
     split_per_class,
 )
 from rsddl.greedy import Architecture
-from rsddl.joint import DropMode, TrainConfig, build_model
+from rsddl.joint import DropMode, Model, TrainConfig, joint_train
 from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng
 from rsddl.sparse import SparsityBudget
 
@@ -155,7 +158,7 @@ class TestSavedBytes:
         d2 = np.array([[1.0, -2.5e-10], [0.7, 3.0]])
         d3 = np.array([[0.6], [-0.8]])
         cfg = TrainConfig(lambda_budget=SparsityBudget(1, 1), drop_mode=DropMode.NONE, seed=3)
-        model = build_model([d1, d2, d3], arch, np.array([[0.25, -7.0]]), [1, 2], 2, cfg)
+        model = Model([d1, d2, d3], arch, np.array([[0.25, -7.0]]), [1, 2], cfg)
         save_model(model, tmp_path / "m.rsddl")
         assert (tmp_path / "m.rsddl").read_text(encoding="ascii") == (
             "RSDDL2 2\n"
@@ -387,7 +390,7 @@ def small_model():
         drop_mode=DropMode.NONE,
         seed=42,
     )
-    return build_model([d1, d2, d3], arch, features, [1, 1, 1, 2, 2, 2], 2, cfg)
+    return Model([d1, d2, d3], arch, features, [1, 1, 1, 2, 2, 2], cfg)
 
 
 def version_1_text(model, conventional_bregman=0):
@@ -497,8 +500,7 @@ class TestModelPersistence:
             load_model(tmp_path / "bad.rsddl")
 
     def test_greedy_mode_round_trip(self, tmp_path):
-        model = small_model()
-        model.mode = "greedy"
+        model = dataclasses.replace(small_model(), mode="greedy")
         path = tmp_path / "g.rsddl"
         save_model(model, path)
         assert path.read_text().split("\n")[1] == "mode greedy"
@@ -544,6 +546,46 @@ class TestModelPersistence:
         path.write_text(path.read_text() + "extra\n")
         with pytest.raises(DataFormatError, match="trailing"):
             load_model(path)
+
+    def test_two_layer_joint_file_rejected(self, tmp_path):
+        arch = Architecture((3, 2))
+        rng = Rng(4)
+        model = Model([rng.standard_normal((5, 3)), rng.standard_normal((3, 2))], arch,
+                      rng.standard_normal((2, 2)), [1, 2], TrainConfig(), mode="greedy")
+        path = tmp_path / "m.rsddl"
+        save_model(model, path)
+        assert isinstance(load_model(path), Model)
+        path.write_text(path.read_text().replace("mode greedy", "mode joint", 1))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: a joint model needs exactly 3 layers"):
+            load_model(path)
+
+    def test_broken_layer_chain_rejected(self, tmp_path):
+        path, lines = TestModelMatrixReader.saved(tmp_path)
+        assert lines[29] == "matrix D2 16 8"
+        lines[29] = "matrix D2 15 8"
+        del lines[45]  # the last row of D2
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: D2 has 15 rows"):
+            load_model(path)
+
+    def test_codes_labels_mismatch_rejected(self, tmp_path):
+        path, lines = TestModelMatrixReader.saved(tmp_path)
+        assert lines[6:8] == ["labels 6", "1 1 1 2 2 2"]
+        lines[6:8] = ["labels 5", "1 1 1 2 2"]
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: Z has shape \\(4, 6\\)"):
+            load_model(path)
+
+    def test_trained_config_equals_loaded(self, tmp_path):
+        """A model trained with the derived budget (``lambda_budget=None``)
+        holds the same config as its saved and reloaded copy."""
+        rng = Rng(8)
+        data = make_dataset(rng.standard_normal((6, 8)), [1, 2] * 4)
+        model = joint_train(data, Architecture((5, 4, 3)), TrainConfig(outer_iters=2))
+        assert model.config.lambda_budget == SparsityBudget(1, 1)
+        path = tmp_path / "m.rsddl"
+        save_model(model, path)
+        assert load_model(path).config == model.config
 
 
 def _cell(row, value, at=0):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from rsddl.greedy import (
     layerwise_factorize,
 )
 from rsddl.inference import encode_test, predict_batch
-from rsddl.joint import TrainConfig, build_model
+from rsddl.joint import Model, TrainConfig
 from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng, normalize_columns, pinv
 from rsddl.sparse import SparsityBudget
 from util import MIXTURE_ARCH, class_distances_reference, greedy_encode, planted_dictionary_data
@@ -23,7 +24,7 @@ def greedy_model(x, arch, s, iters, rng, labels=None):
     dicts, codes = layerwise_factorize(x, arch, s, iters, rng)
     labels = np.ones(x.shape[1], dtype=np.int64) if labels is None else labels
     cfg = TrainConfig(lambda_budget=SparsityBudget(s, s), seed=0)
-    return build_model(dicts, arch, codes[-1], labels, int(labels.max()), cfg, mode="greedy"), codes[-1]
+    return Model(dicts, arch, codes[-1], labels, cfg, mode="greedy"), codes[-1]
 
 
 class TestArchitecture:
@@ -155,7 +156,7 @@ class TestGreedyEncode:
 
     def test_single_layer_identity(self):
         model, _ = greedy_model(np.eye(3), Architecture((3,)), 1, 5, Rng(0))
-        model.dictionaries = [np.eye(3)]
+        model = dataclasses.replace(model, dictionaries=[np.eye(3)])
         assert np.allclose(encode_test(model, [0.0, 2.0, 0.0]).z, [0.0, 2.0, 0.0])
 
     def _trained(self, atoms=(8, 6, 4)):
@@ -212,8 +213,8 @@ class TestGreedyEncode:
         target = act.inverse(np.linalg.pinv(d2) @ act.inverse(np.linalg.pinv(d1) @ x[:, 0:30:7]))
 
         def deep_residual(s):
-            model.config = TrainConfig(lambda_budget=SparsityBudget(s, s), seed=0)
-            return np.linalg.norm(target - d3 @ encode_test(model, x[:, 0:30:7]).z, axis=0)
+            at_s = dataclasses.replace(model, config=TrainConfig(lambda_budget=SparsityBudget(s, s), seed=0))
+            return np.linalg.norm(target - d3 @ encode_test(at_s, x[:, 0:30:7]).z, axis=0)
 
         full = deep_residual(4)
         for s in (1, 2, 3):

@@ -14,7 +14,7 @@ from rsddl.inference import (
     format_prediction_lines,
     predict_batch,
 )
-from rsddl.joint import TrainConfig, build_model, resolve_budget, solve_P4, solve_P5
+from rsddl.joint import Model, TrainConfig, resolve_budget, solve_P4, solve_P5
 from rsddl.numerics import Activation, ActivationKind, Rng
 from util import class_distances_reference, class_support, encode_reference, two_class_deep_factor_data
 
@@ -48,7 +48,7 @@ def toy_model():
     labels = [1, 1, 1, 2, 2, 2, 2]
     arch = Architecture((6, 6, 6), activation=Activation(ActivationKind.IDENTITY))
     dicts = [np.eye(6), np.eye(6), np.eye(6)]
-    return build_model(dicts, arch, features, labels, 2, TrainConfig(seed=0))
+    return Model(dicts, arch, features, labels, TrainConfig(seed=0))
 
 
 class TestClassSupport:
@@ -88,7 +88,7 @@ class TestClassifyL0:
     def test_tie_breaks_to_smaller_class(self):
         features = np.array([[1.0, 0.0], [0.0, 1.0]])
         arch = Architecture((2, 2, 2), activation=Activation(ActivationKind.IDENTITY))
-        model = build_model([np.eye(2)] * 3, arch, features, [1, 2], 2, TrainConfig(seed=0))
+        model = Model([np.eye(2)] * 3, arch, features, [1, 2], TrainConfig(seed=0))
         z = np.array([2.0, 2.0])  # distance 2 to both stored features
         pred = classify_l0(model, EncodedFeature(z, 0.0))
         assert pred.label == 1
@@ -140,8 +140,7 @@ class TestClassifyL1:
         model = toy_model()
         z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
         pred = classify_l1(model, EncodedFeature(z, 0.0))
-        scaled = toy_model()
-        scaled.features = scaled.features * 3.0
+        scaled = dataclasses.replace(model, features=model.features * 3.0)
         pred_scaled = classify_l1(scaled, EncodedFeature(z * 3.0, 0.0))
         assert pred.label == pred_scaled.label
 
@@ -150,9 +149,7 @@ class TestClassifyL1:
         z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
         base = classify_l1(model, EncodedFeature(z, 0.0))
         perm = Rng(5).permutation(7)
-        shuffled = toy_model()
-        shuffled.features = shuffled.features[:, perm]
-        shuffled.labels = shuffled.labels[perm]
+        shuffled = dataclasses.replace(model, features=model.features[:, perm], labels=model.labels[perm])
         pred = classify_l1(shuffled, EncodedFeature(z, 0.0))
         assert pred.label == base.label
         assert pred.per_class_score == base.per_class_score
@@ -224,24 +221,21 @@ class TestEncodeTest:
 
     def test_requires_three_layers(self):
         arch = Architecture((2, 2), activation=Activation(ActivationKind.IDENTITY))
-        from rsddl.joint import Model
-
-        model = Model(
-            dictionaries=[np.eye(2), np.eye(2)],
-            architecture=arch,
-            features=np.eye(2),
-            labels=np.array([1, 2]),
-            config=TrainConfig(seed=0),
-        )
-        with pytest.raises(ValueError):
-            encode_test(model, np.ones(2))
+        with pytest.raises(ValueError, match="joint model needs exactly 3 layers"):
+            Model(
+                dictionaries=[np.eye(2), np.eye(2)],
+                architecture=arch,
+                features=np.eye(2),
+                labels=np.array([1, 2]),
+                config=TrainConfig(seed=0),
+            )
 
 
 def random_model(act, cfg, rng):
     """Model with random 12x9, 9x7 and 7x5 dictionaries and four stored codes."""
     dicts = [rng.standard_normal((12, 9)), 0.3 * rng.standard_normal((9, 7)), 0.3 * rng.standard_normal((7, 5))]
     arch = Architecture((9, 7, 5), activation=act)
-    return build_model(dicts, arch, rng.standard_normal((5, 4)), [1, 1, 2, 2], 2, cfg)
+    return Model(dicts, arch, rng.standard_normal((5, 4)), [1, 1, 2, 2], cfg)
 
 
 class TestEncoderMaps:
@@ -343,48 +337,52 @@ class TestBatchedEncoder:
 
 
 class TestModelCache:
+    """A model is frozen, so its cached factors never go stale; a model made
+    by ``dataclasses.replace`` computes its own."""
+
+    def test_assignment_is_refused(self):
+        model = toy_model()
+        for name, value in (("features", np.eye(6)), ("config", TrainConfig(seed=1)), ("cache", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            model.features[0, 0] = 1.0
+
     def test_replaced_arrays_are_seen(self):
         model = toy_model()
         z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
         x = z.copy()  # identity dictionaries
         before = classify_l1(model, EncodedFeature(z, 0.0))
         encoded = encode_test(model, x)
-        model.features = np.hstack([CLASS2, CLASS1])
-        model.labels = np.array([1, 1, 1, 1, 2, 2, 2])
-        after = classify_l1(model, EncodedFeature(z, 0.0))
+        swapped = dataclasses.replace(model, features=np.hstack([CLASS2, CLASS1]), labels=[1, 1, 1, 1, 2, 2, 2])
+        after = classify_l1(swapped, EncodedFeature(z, 0.0))
         assert before.label == 1 and after.label == 2
-        model.dictionaries = [2.0 * np.eye(6), np.eye(6), np.eye(6)]
-        assert not np.allclose(encode_test(model, x).z, encoded.z)
+        scaled = dataclasses.replace(model, dictionaries=[2.0 * np.eye(6), np.eye(6), np.eye(6)])
+        assert not np.allclose(encode_test(scaled, x).z, encoded.z)
+        assert classify_l1(model, EncodedFeature(z, 0.0)) == before
+        assert np.array_equal(encode_test(model, x).z, encoded.z)
 
     def test_config_change_is_seen(self, deep_factor_model):
         data, model = deep_factor_model
         base = encode_test(model, data.x[:, :3])
         other = TrainConfig(seed=7, eta1=5.0, eta2=0.2)
-        trained = model.config
-        model.config = other
-        try:
-            changed = encode_test(model, data.x[:, :3])
-        finally:
-            model.config = trained
+        changed = encode_test(dataclasses.replace(model, config=other), data.x[:, :3])
         assert not np.allclose(base.z, changed.z)
-        fresh = build_model(model.dictionaries, model.architecture, model.features, model.labels, 2, other)
+        fresh = Model(model.dictionaries, model.architecture, model.features, model.labels, other)
         assert np.array_equal(changed.z, encode_test(fresh, data.x[:, :3]).z)
         assert np.array_equal(base.z, encode_test(model, data.x[:, :3]).z)
 
-    def test_eta_change_rebuilds_maps(self):
+    def test_replaced_model_gets_own_factors(self):
         base = TrainConfig(seed=0)
         model = random_model(Activation(ActivationKind.TANH), base, Rng(61))
         before = _encoder(model)
         for other in (dataclasses.replace(base, eta1=0.4), dataclasses.replace(base, eta2=3.0)):
-            model.config = other
-            maps = _encoder(model)
-            fresh = build_model(model.dictionaries, model.architecture, model.features, model.labels, 2, other)
+            maps = _encoder(dataclasses.replace(model, config=other))
+            fresh = Model(model.dictionaries, model.architecture, model.features, model.labels, other)
             for got, want, old in zip(maps[3:], _encoder(fresh)[3:], before[3:]):
                 assert np.array_equal(got, want)
             assert any(not np.allclose(got, old) for got, old in zip(maps[3:], before[3:]))
-        model.config = base
-        for got, old in zip(_encoder(model)[3:], before[3:]):
-            assert np.array_equal(got, old)
+        assert _encoder(model) is before
 
     def test_no_reference_cycle(self):
         import gc

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -10,6 +11,7 @@ from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.joint import (
     DropMode,
     JointState,
+    Model,
     TrainConfig,
     TrainingDivergedError,
     apply_dropconnect,
@@ -82,6 +84,73 @@ class TestTrainConfig:
         cfg = TrainConfig(lambda_budget=SparsityBudget(5, 5))
         with pytest.raises(ValueError):
             resolve_budget(cfg, Architecture((8, 6, 4)))
+
+
+def valid_model_args():
+    """Keyword arguments of a valid 3-layer joint model: arch (4, 3, 2) on
+    5-dim inputs and three stored codes of classes 1, 2, 2."""
+    rng = Rng(3)
+    return dict(
+        dictionaries=[rng.standard_normal((5, 4)), rng.standard_normal((4, 3)), rng.standard_normal((3, 2))],
+        architecture=Architecture((4, 3, 2)),
+        features=rng.standard_normal((2, 3)),
+        labels=[1, 2, 2],
+        config=TrainConfig(seed=0),
+    )
+
+
+class TestModel:
+    def test_normalizes_inputs(self):
+        args = valid_model_args()
+        args["features"] = args["features"].astype(np.float32)
+        model = Model(**args)
+        assert isinstance(model.dictionaries, tuple)
+        assert all(d.dtype == np.float64 and not d.flags.writeable for d in model.dictionaries)
+        assert model.features.dtype == np.float64 and not model.features.flags.writeable
+        assert model.labels.dtype == np.int64 and model.labels.tolist() == [1, 2, 2]
+        assert model.dictionaries[0] is not args["dictionaries"][0]
+        assert model.config == dataclasses.replace(args["config"], lambda_budget=SparsityBudget(1, 1))
+        assert model.num_classes == 2
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(mode="layerwise"), "mode must be one of"),
+            (dict(architecture=Architecture((4, 2))), "joint model needs exactly 3 layers"),
+            (dict(mode="greedy", architecture=Architecture((4, 3, 2, 2))), "3 dictionaries for 4 layers"),
+            (dict(architecture=Architecture((4, 3, 3))), "D3 has shape \\(3, 2\\), arch says 3 atoms"),
+            (dict(architecture=Architecture((5, 3, 2))), "D1 has shape \\(5, 4\\), arch says 5 atoms"),
+            (dict(dictionaries=[np.ones((5, 4)), np.ones((5, 3)), np.ones((3, 2))]), "D2 has 5 rows"),
+            (dict(features=np.ones((3, 3))), "Z has shape \\(3, 3\\), not .* \\(2, 3\\)"),
+            (dict(labels=[1, 2]), "Z has shape \\(2, 3\\), not .* \\(2, 2\\)"),
+            (dict(labels=[1, 3, 3]), "class 2 of 1..3 has no stored code"),
+            (dict(labels=[0, 1, 2]), "class ids starting at 1"),
+            (dict(config=TrainConfig(lambda_budget=SparsityBudget(3, 1))), "per_column_s=3 exceeds atom count 2"),
+            (dict(config=TrainConfig(lambda_budget=SparsityBudget(1, 3))), "row_s=3 exceeds atom count 2"),
+        ],
+        ids=["mode", "joint-depth", "dictionary-count", "atoms", "first-atoms", "chain", "z-rows",
+             "z-columns", "missing-class", "class-zero", "column-budget", "row-budget"],
+    )
+    def test_rejects(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            Model(**{**valid_model_args(), **change})
+
+    def test_greedy_model_of_any_depth(self):
+        args = valid_model_args()
+        model = Model(**{**args, "dictionaries": args["dictionaries"][:2], "architecture": Architecture((4, 3)),
+                         "features": np.ones((3, 3)), "mode": "greedy"})
+        assert model.architecture.depth == 2
+
+    def test_frozen(self):
+        model = Model(**valid_model_args())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.mode = "greedy"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.labels = np.array([1, 1, 2])
+
+    def test_trained_model_holds_resolved_budget(self, deep_factor_model):
+        _, model = deep_factor_model
+        assert model.config.lambda_budget == resolve_budget(TrainConfig(), model.architecture)
 
 
 class TestSolveP1:

@@ -48,47 +48,32 @@ class TestPinv:
         with pytest.raises(ValueError):
             pinv(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
-    def test_rel_tol_range(self):
-        with pytest.raises(ValueError):
-            pinv(np.eye(2), rel_tol=0.0)
-        with pytest.raises(ValueError):
-            pinv(np.eye(2), rel_tol=1.0)
-
 
 class TestRidgeSolve:
     def test_alpha_zero_identity(self):
-        x = ridge_solve(np.eye(2), np.array([[3.0], [4.0]]), 0.0)
+        x = ridge_solve(np.eye(2), np.array([[3.0], [4.0]]))
         assert np.allclose(x, [[3.0], [4.0]])
-
-    def test_alpha_one_identity(self):
-        x = ridge_solve(np.eye(2), np.array([[3.0], [4.0]]), 1.0)
-        assert np.allclose(x, [[1.5], [2.0]])
 
     def test_matches_normal_equation_oracle(self):
         rng = Rng(5)
         a = rng.standard_normal((6, 4))
         b = rng.standard_normal((6, 2))
-        alpha = 0.1
         # independent oracle: explicit inverse of the 4x4 normal matrix
-        oracle = np.linalg.inv(a.T @ a + alpha * np.eye(4)) @ (a.T @ b)
-        assert np.allclose(ridge_solve(a, b, alpha), oracle, atol=1e-9)
+        oracle = np.linalg.inv(a.T @ a) @ (a.T @ b)
+        assert np.allclose(ridge_solve(a, b), oracle, atol=1e-9)
 
     def test_alpha_zero_full_rank_matches_pinv(self):
         rng = Rng(6)
         a = rng.standard_normal((7, 3))
         b = rng.standard_normal((7, 2))
-        assert np.allclose(ridge_solve(a, b, 0.0), pinv(a) @ b, atol=1e-8)
+        assert np.allclose(ridge_solve(a, b), pinv(a) @ b, atol=1e-8)
 
     def test_singular_falls_back_with_warning(self):
         a = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank 1
         b = np.array([[1.0], [2.0]])
-        with pytest.warns(NumericsWarning):
-            x = ridge_solve(a, b, 0.0)
+        with pytest.warns(NumericsWarning, match="fallback"):
+            x = ridge_solve(a, b)
         assert np.allclose(x, pinv(a) @ b)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            ridge_solve(np.eye(2), np.eye(2), -1.0)
 
 
 class TestPcaFit:
