@@ -28,7 +28,7 @@ import numpy as np
 
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
 from .numerics import DEAD_ATOM_TOL, Activation, Rng, as_matrix, normalize_columns, pinv
-from .sparse import SparsityBudget, prox_push, pursuit, pursuit_gram, unit_gram
+from .sparse import SparsityBudget, group_columns, prox_push, pursuit, pursuit_gram, unit_gram
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataio import Dataset
@@ -446,21 +446,41 @@ def solve_P6(
         return z
 
     gram = unit_gram(eta2 * (d3.T @ d3) + competitors.shape[1] * gamma * np.eye(d3.shape[1]))
+    table = group_columns(cls, cls.size)
     corr_top = eta2 * (d3.T @ target)
     sq_top = eta2 * np.einsum("ij,ij->j", target, target)
-    for _ in range(inner_iters):
-        corr, y_sq = corr_top.copy(), sq_top.copy()
-        for cols, zbar in _competitor_means(class_means, cls, competitors):
-            blocks = zbar + c_relax[:, :, cols] - p[:, :, cols]
-            corr[:, cols] += gamma * blocks.sum(axis=0)
-            y_sq[cols] += gamma * np.einsum("kij,kij->j", blocks, blocks)
-        z_sorted = pursuit_gram(gram, corr, y_sq, row_s, groups=cls)
-        for cols, zbar in _competitor_means(class_means, cls, competitors):
-            shifted = zbar - z_sorted[:, cols]
-            p[:, :, cols] = prox_push(shifted + c_relax[:, :, cols], mu, gamma)
-            c_relax[:, :, cols] = p[:, :, cols] - shifted - c_relax[:, :, cols]
+    chunks = list(_competitor_means(class_means, cls, competitors))
+    corr, y_sq = corr_top.copy(), sq_top.copy()
+    for cols, zbar in chunks:
+        _add_competitor_terms(corr, y_sq, cols, zbar + c_relax[:, :, cols] - p[:, :, cols], gamma)
+    # one pass per inner step: step t's P and C updates, then step t+1's
+    # correlation from them, slice by slice in two reused buffers
+    buffers = np.empty((2,) + chunks[0][1].shape)
+    for step in range(inner_iters):
+        z_sorted = pursuit_gram(gram, corr, y_sq, row_s, table)
+        more = step < inner_iters - 1
+        if more:
+            corr, y_sq = corr_top.copy(), sq_top.copy()
+        for cols, zbar in chunks:
+            p_cols, c_cols = p[:, :, cols], c_relax[:, :, cols]
+            shifted, pushed = buffers[:, :, :, : zbar.shape[2]]
+            np.subtract(zbar, z_sorted[:, cols], out=shifted)
+            p_cols[...] = prox_push(np.add(shifted, c_cols, out=pushed), mu, gamma)
+            np.subtract(p_cols, shifted, out=shifted)
+            np.subtract(shifted, c_cols, out=c_cols)
+            if more:
+                blocks = np.add(zbar, c_cols, out=shifted)
+                blocks -= p_cols
+                _add_competitor_terms(corr, y_sq, cols, blocks, gamma)
     z[:, order] = z_sorted
     return z
+
+
+def _add_competitor_terms(corr: np.ndarray, y_sq: np.ndarray, cols: slice, blocks: np.ndarray, gamma: float) -> None:
+    """Add the competitor rows' share, ``blocks = mean_k + C_k - P_k`` for the
+    columns ``cols``, to the P6 correlation and squared target norms."""
+    corr[:, cols] += gamma * blocks.sum(axis=0)
+    y_sq[cols] += gamma * np.einsum("kij,kij->j", blocks, blocks)
 
 
 def bregman_update(state: JointState) -> JointState:

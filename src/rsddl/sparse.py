@@ -7,6 +7,10 @@ over all columns at once, or SOMP (Tropp, Gilbert & Strauss 2006) with one
 row support per labelled group of columns (all classes of P6 in one call).
 It needs only ``D'D``, prepared once per dictionary by :func:`unit_gram`,
 and ``D'Y``, so a structured system (the stacked P6 system) is never built.
+Supports are chosen by Gram-Schmidt in Gram form, one rank-one update of
+``D'R`` per step as in Batch-OMP's progressive Cholesky (Rubinstein et al.,
+section 3), and the coefficients come from one LAPACK solve per support size
+on the final supports.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "SparsityBudget",
     "pursuit",
     "pursuit_gram",
+    "group_columns",
     "unit_gram",
     "prox_push",
 ]
@@ -28,10 +33,17 @@ __all__ = [
 # Absolute stop test: a group stops once its squared residual is at or below this squared.
 _RESIDUAL_TOL = 1e-7
 
-# Stop-test floor relative to ||y||^2: ||y||^2 - coef'D'y rounds at ~(m + k cond) eps ||y||^2,
-# 6 eps at most over 3,000 planted exact fits.  1e-12 (4.5e3 eps) keeps a margin for larger
-# m and cond; a fit of real data reaches it only by explaining all but 1e-6 of its norm.
+# Stop-test floor relative to ||y||^2: the running residual, ||y||^2 less each step's squared
+# projection, rounds at about (m + k cond) eps ||y||^2: at most 6.2 eps over 3,000 planted exact
+# fits (8-127 rows, 1-5 atoms, scales 1e-3-1e7) and 7.0 eps over 3,000 planted SOMP blocks of 2-6
+# columns.  1e-12 (4.5e3 eps) keeps a margin for larger m and cond; a fit of real data reaches it
+# only by explaining all but 1e-6 of its norm.
 _RESIDUAL_FLOOR = 1e-12
+
+# An atom whose squared distance from the span of the support (as a unit atom) is at or below
+# this is dependent on it, within 1e-5 rad, and never enters the support.  Rounding leaves a
+# picked or exactly duplicated atom at about k eps, far below.
+_DEPENDENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,20 +83,25 @@ def pursuit_gram(
     corr: np.ndarray,
     y_sq: np.ndarray,
     s: int,
-    groups: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Greedy pursuit of every column of ``Y ~ D Z`` from ``unit_gram(D'D)``,
-    ``D'Y`` and the squared column norms of ``Y``.  ``groups`` labels each
-    column: the columns of one label share one row support (SOMP), so a
-    constant label is one SOMP block; ``None`` gives every column its own
-    support (OMP).  Dead atoms stay zero and ``s`` is capped at the live count.
+    ``D'Y`` and the squared column norms of ``Y``.  ``cols`` is the
+    :func:`group_columns` table of the columns that share one row support
+    (SOMP); ``None`` gives every column its own support (OMP).  Dead atoms stay
+    zero and ``s`` is capped at the live count.
 
-    Each step picks, per group, the unselected atom with the largest
-    ``|d_i' r|`` (SOMP: row norm of ``D'R`` over the group's columns), ties to
-    the smaller index, then refits the support by one stacked k x k Gram
-    solve.  A group whose squared residual norm, ``||y||^2 - coef' (D'y)_support``
-    summed over its columns, is at or below ``(1e-7)**2`` or 1e-12 of its
-    ``||y||^2`` (the rounding of that difference) stops and leaves the working set.
+    Each step picks, per group, the eligible atom with the largest ``|d_i' r|``
+    (SOMP: row norm of ``D'R`` over the group's columns), ties to the smaller
+    index.  The support is chosen by Gram-Schmidt in Gram form: ``D'q`` of the
+    picked atoms, orthonormalized in selection order, update ``D'R`` and the
+    squared residual norm one rank at a time.  An atom whose pivot (its squared
+    distance from the span of the support, as a unit atom) is at or below 1e-10
+    is dependent and never enters the support; a group left with no eligible
+    atom stops.  So does a group whose squared residual norm, summed over its
+    columns, is at or below ``(1e-7)**2`` or 1e-12 of its ``||y||^2``.  The
+    coefficients are solved once, on each group's final support: one stacked
+    k x k Gram solve per support size.
     """
     g, live_norms, alive = prepared
     if s < 1:
@@ -97,40 +114,50 @@ def pursuit_gram(
     # arrays below are (group, atom, slot), with cols[group, slot] the column;
     # groups smaller than the largest are padded with slots pointing at an
     # appended all-zero column n
-    if groups is None:
+    if cols is None:
         cols = np.arange(n)[:, None]
         c = c.T[:, :, None]
     else:
-        cols = _group_columns(groups, n)
         padded = np.append(c, np.zeros((c.shape[0], 1)), axis=1)
-        c = np.ascontiguousarray(padded[:, cols].transpose(1, 0, 2))
+        c = padded[:, cols].transpose(1, 0, 2)
         y2 = np.append(y2, 0.0)[cols].sum(axis=1)
-    steps = min(s, g.shape[0])
-    z = np.zeros((g.shape[0], n + 1))
-    support = np.zeros((c.shape[0], steps), dtype=np.intp)
-    group = np.arange(c.shape[0])[:, None]
+    atoms = g.shape[0]
+    steps = min(s, atoms)
+    z = np.zeros((atoms, n + 1))
+    support = np.empty((c.shape[0], steps), dtype=np.intp)
+    basis = np.empty((c.shape[0], steps, atoms))  # D'q of the picked atoms
+    left = np.ones((c.shape[0], atoms))  # each atom's pivot against the support
+    group = np.arange(c.shape[0])
     stop = np.maximum(_RESIDUAL_TOL * _RESIDUAL_TOL, _RESIDUAL_FLOOR * y2)
-    resid, r2 = c, y2
+    alpha, r2 = c, y2  # D'R and the squared residual norm
+    wide = c.shape[2] > 1  # a group of several columns (SOMP)
     for k in range(steps):
-        going = r2 > stop
-        if not going.all():
-            c, cols, y2, stop, support, resid = (v[going] for v in (c, cols, y2, stop, support, resid))
+        score = np.einsum("gat,gat->ga", alpha, alpha) if wide else np.square(alpha[:, :, 0])
+        np.putmask(score, left <= _DEPENDENT_TOL, -1.0)
+        pick = score.argmax(axis=1)
+        v = g[pick]
+        if k:
+            v -= (basis[group, :k, pick][:, None, :] @ basis[:, :k])[:, 0]
+        pivot = v[group, pick]  # at or below the tolerance only when no atom is eligible
+        going = (r2 > stop) & (pivot > _DEPENDENT_TOL)
+        if np.count_nonzero(going) < going.size:
+            _fit(g, c[~going], support[~going, :k], cols[~going], z)
+            c, cols, stop, support, basis, left, alpha, r2, pick, v, pivot = (
+                a[going] for a in (c, cols, stop, support, basis, left, alpha, r2, pick, v, pivot)
+            )
             group = group[: c.shape[0]]
             if c.shape[0] == 0:
                 break
-        score = np.einsum("gat,gat->ga", resid, resid)
-        score[group, support[:, :k]] = -1.0
-        support[:, k] = score.argmax(axis=1)
-        sup = support[:, : k + 1]
-        sub_gram = g[sup[:, :, None], sup[:, None, :]]
-        rhs = c[group, sup]
-        try:
-            coef = np.linalg.solve(sub_gram, rhs)
-        except np.linalg.LinAlgError:  # linearly dependent support: minimum-norm fit
-            coef = np.linalg.pinv(sub_gram) @ rhs
-        z[sup[:, :, None], cols[:, None, :]] = coef
-        resid = c - np.einsum("gka,gkt->gat", g[sup], coef)
-        r2 = y2 - np.einsum("gkt,gkt->g", coef, rhs)
+        root = np.sqrt(pivot)[:, None]
+        v /= root
+        w = alpha[group, pick] / root
+        alpha = alpha - v[:, :, None] * w[:, None, :]
+        r2 = r2 - np.add.reduce(w * w, axis=1)
+        left -= v * v
+        basis[:, k] = v
+        support[:, k] = pick
+    else:
+        _fit(g, c, support, cols, z)
     if all_alive:
         return z[:, :n] / live_norms[:, None]
     out = np.zeros((alive.size, n))
@@ -138,9 +165,19 @@ def pursuit_gram(
     return out
 
 
-def _group_columns(groups: np.ndarray, n: int) -> np.ndarray:
-    """(group, slot) table of column indices, groups in label order and
-    columns in their own order, short groups padded with ``n``."""
+def _fit(g: np.ndarray, c: np.ndarray, support: np.ndarray, cols: np.ndarray, z: np.ndarray) -> None:
+    """Solve each group's coefficients on its support (all of one size) and
+    write them into ``z``."""
+    if support.size == 0:
+        return
+    rhs = c[np.arange(c.shape[0])[:, None], support]
+    z[support[:, :, None], cols[:, None, :]] = np.linalg.solve(g[support[:, :, None], support[:, None, :]], rhs)
+
+
+def group_columns(groups: np.ndarray, n: int) -> np.ndarray:
+    """(group, slot) table of the column indices of each label in ``groups``,
+    groups in label order and columns in their own order, short groups padded
+    with ``n``; the ``cols`` argument of :func:`pursuit_gram`."""
     groups = np.asarray(groups)
     if groups.shape != (n,):
         raise ValueError(f"groups must label each of the {n} columns, got shape {groups.shape}")
@@ -158,12 +195,16 @@ def pursuit(
     groups: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`pursuit_gram` against an explicit dictionary ``d`` (any column
-    scaling, dead atoms allowed) for the columns of ``y``."""
+    scaling, dead atoms allowed) for the columns of ``y``.  ``groups`` labels
+    each column: the columns of one label share one row support (SOMP), so a
+    constant label is one SOMP block; ``None`` gives every column its own
+    support (OMP)."""
     d = as_matrix(d, "D")
     y = as_matrix(y, "Y")
     if y.shape[0] != d.shape[0]:
         raise ValueError(f"signal rows {y.shape[0]} != dictionary rows {d.shape[0]}")
-    return pursuit_gram(unit_gram(d.T @ d), d.T @ y, np.einsum("ij,ij->j", y, y), s, groups)
+    cols = None if groups is None else group_columns(groups, y.shape[1])
+    return pursuit_gram(unit_gram(d.T @ d), d.T @ y, np.einsum("ij,ij->j", y, y), s, cols)
 
 
 def prox_push(v, mu: float, gamma: float) -> np.ndarray:

@@ -30,7 +30,7 @@ from rsddl.joint import (
 )
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns, pinv
 from rsddl.sparse import SparsityBudget, pursuit
-from util import DEEP_ARCH, two_class_deep_factor_data
+from util import DEEP_ARCH, solve_P6_reference, two_class_deep_factor_data
 
 
 IDENTITY = Activation(ActivationKind.IDENTITY)
@@ -363,6 +363,56 @@ class TestSolveP6:
         overlap_zero = len(run(0.0) & competitor_support)
         overlap_huge = len(run(1e6) & competitor_support)
         assert overlap_huge <= overlap_zero
+
+
+class TestSolveP6MatchesTwoPass:
+    """The one-pass ``solve_P6`` against ``solve_P6_reference``, the two-pass
+    form it replaced: identical Z, P and C."""
+
+    @staticmethod
+    def _check(sizes, row_s=3, mu=0.5, gamma=0.1, eta2=1.0, inner_iters=5, atoms=7, seed=30):
+        rng = Rng(seed)
+        n_classes = len(sizes)
+        d3, _ = normalize_columns(rng.standard_normal((9, atoms)))
+        d3 = d3 * (0.5 + rng.random(atoms))  # DropConnect leaves atoms off unit norm
+        labels = rng.permutation(np.repeat(np.arange(1, n_classes + 1), sizes))
+        class_cols = {c: np.flatnonzero(labels == c) for c in range(1, n_classes + 1)}
+        n = labels.size
+        z2 = 0.4 * rng.standard_normal((9, n))
+        b2 = 0.1 * rng.standard_normal((9, n))
+        means = rng.standard_normal((atoms, n_classes))
+        p = rng.standard_normal((n_classes - 1, atoms, n))
+        c = rng.standard_normal((n_classes - 1, atoms, n))
+        p_ref, c_ref = p.copy(), c.copy()
+        args = (z2, b2, d3, means, class_cols, row_s, mu, gamma, eta2, inner_iters)
+        z = solve_P6(*args, p, c, TANH)
+        z_ref = solve_P6_reference(*args, p_ref, c_ref, TANH)
+        assert np.array_equal(z, z_ref)
+        assert np.array_equal(p, p_ref)
+        assert np.array_equal(c, c_ref)
+        return z
+
+    def test_uneven_class_sizes(self):
+        for seed in range(5):
+            self._check([1, 6, 3, 9, 2], seed=seed)
+        self._check([4, 1, 7], inner_iters=1)
+        self._check([5, 2, 8, 3], row_s=7, gamma=1.0, eta2=0.3)
+
+    def test_passes_over_several_slices(self, monkeypatch):
+        # 40 classes of 3-5 columns: 39 competitors x 7 atoms = 273 elements
+        # per column, so one pass spans three 2^14-element slices, the last short
+        sizes = [3 + c % 3 for c in range(40)]
+        assert sum(sizes) > 2 * (joint._PAIR_CHUNK // (39 * 7))
+        self._check(sizes, row_s=2)
+        monkeypatch.setattr(joint, "_PAIR_CHUNK", 7 * 39 * 7)  # slices of 7 columns
+        self._check(sizes, row_s=2, seed=31)
+
+    def test_mu_zero(self):
+        z = self._check([3, 5, 2], mu=0.0)
+        assert np.any(z != 0.0)
+
+    def test_single_class(self):
+        self._check([6])
 
 
 class TestBregmanUpdate:

@@ -3,15 +3,23 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rsddl.joint import solve_P6
+import rsddl.inference
+import rsddl.joint
+import rsddl.sparse
+from rsddl.greedy import Architecture
+from rsddl.inference import predict_batch
+from rsddl.joint import DropMode, TrainConfig, joint_train, solve_P6
 from rsddl.numerics import Activation, Rng, normalize_columns
-from rsddl.sparse import SparsityBudget, prox_push, pursuit, pursuit_gram, unit_gram
+from rsddl.sparse import SparsityBudget, group_columns, prox_push, pursuit, pursuit_gram, unit_gram
 from util import (
     coherence,
     hard_threshold_per_column,
+    labels_of,
     low_coherence_frame,
+    many_class_mixture,
     planted_row_sparse,
     planted_sparse_signal,
+    pursuit_gram_reference,
     pursuit_reference,
 )
 
@@ -348,10 +356,149 @@ class TestUnitGram:
         assert np.allclose(np.diag(g), 1.0, rtol=1e-14)
         for s in (1, 4, 9, 12):
             for rows, groups in groupings(7):
-                z = pursuit_gram((g, norms, alive), d.T @ y, np.sum(y * y, axis=0), s, groups)
+                cols = None if groups is None else group_columns(groups, 7)
+                z = pursuit_gram((g, norms, alive), d.T @ y, np.sum(y * y, axis=0), s, cols)
                 assert np.array_equal(z, pursuit(d, y, s, groups))
                 assert np.all(z[[0, 5, 11]] == 0.0)
                 TestAgainstReference._assert_same(z, pursuit_reference(d, y, s, rows=rows))
+
+
+class TestMatchesPreviousKernel:
+    """The Gram-Schmidt kernel against ``pursuit_gram_reference``, the kernel
+    with one k x k solve per step that it replaced: identical outputs."""
+
+    @staticmethod
+    def _both(d, y, s, groups=None):
+        prepared = unit_gram(d.T @ d)
+        corr, y_sq = d.T @ y, np.sum(y * y, axis=0)
+        cols = None if groups is None else group_columns(groups, y.shape[1])
+        return pursuit_gram(prepared, corr, y_sq, s, cols), pursuit_gram_reference(prepared, corr, y_sq, s, groups)
+
+    def test_random_omp_and_somp_with_uneven_groups(self):
+        rng = Rng(60)
+        for trial in range(200):
+            tr = rng.substream("random", trial)
+            m, a, n = 4 + trial % 13, 3 + trial % 17, 1 + trial % 11
+            d = tr.standard_normal((m, a)) * (0.2 + tr.random(a))
+            y = tr.standard_normal((m, n))
+            s = 1 + trial % (a + 2)
+            # labels 0..3 drawn at random: uneven groups in shuffled order
+            labels = np.floor(4 * tr.random(n)).astype(np.int64)
+            for groups in (None, labels, np.zeros(n)):
+                z, ref = self._both(d, y, s, groups)
+                assert np.array_equal(z, ref)
+
+    def test_early_stops_and_exact_fits_at_any_scale(self):
+        rng = Rng(61)
+        for trial, scale in enumerate(np.logspace(-150, 150, 13)):
+            tr = rng.substream("scale", trial)
+            d = tr.standard_normal((20, 30))
+            z0 = np.zeros((30, 12))
+            for j in range(12):
+                z0[tr.permutation(30)[: j % 4], j] = scale * (0.5 + tr.random(j % 4))
+            y = d @ z0  # 0- to 3-sparse exact fits, including zero columns
+            _, zr, yr = planted_row_sparse(d, 3, 8, tr)
+            labels = np.array([0, 0, 1, 1, 1, 2, 2, 2])
+            for yy, groups in ((y, None), (scale * yr, labels), (scale * yr, np.zeros(8))):
+                for s in (2, 3, 6):
+                    z, ref = self._both(d, yy, s, groups)
+                    assert np.array_equal(z, ref)
+
+    def test_dead_atoms_and_budget_at_or_above_live_count(self):
+        rng = Rng(62)
+        for trial in range(20):
+            tr = rng.substream("dead", trial)
+            d = tr.standard_normal((9, 7)) * (0.5 + tr.random(7))
+            d[:, tr.permutation(7)[: 1 + trial % 3]] = 0.0
+            live = int(np.count_nonzero(np.any(d != 0.0, axis=0)))
+            y = tr.standard_normal((9, 6))
+            for s in (live - 1, live, live + 1, 7, 10):
+                for groups in (None, np.array([2, 0, 2, 1, 1, 2]), np.zeros(6)):
+                    z, ref = self._both(d, y, max(s, 1), groups)
+                    assert np.array_equal(z, ref)
+
+    def test_picked_atoms_stay_out_at_rounding_level_scores(self):
+        # once a0, a1 explain the part of y in range(D), every score is
+        # rounding noise; a2 (a0 plus a direction y lacks) is still eligible
+        # and must be picked, as the previous kernel did, rather than a picked
+        # atom whose left-over score happens to be larger
+        rng = Rng(65)
+        for trial in range(40):
+            tr = rng.substream(trial)
+            d = np.zeros((5, 3))
+            d[:3, :2] = tr.standard_normal((3, 2))
+            d[:, 2] = d[:, 0] + np.eye(5)[3]
+            y = np.zeros((5, 1))
+            y[:3, 0] = d[:3, :2] @ tr.standard_normal(2)
+            y[4, 0] = 3.0
+            z, ref = self._both(d, y, 3)
+            assert np.count_nonzero(ref) == 3
+            assert np.array_equal(z, ref)
+
+    def test_every_call_of_a_mixture_training_and_its_encodes(self, monkeypatch):
+        # the shape of the benchmark's mixture workload: 16 classes, 60 dims, arch 42,30,21
+        calls = []
+        kernel = rsddl.sparse.pursuit_gram
+
+        def recorded(prepared, corr, y_sq, s, cols=None):
+            z = kernel(prepared, corr, y_sq, s, cols)
+            calls.append((prepared, corr.copy(), np.array(y_sq), s, cols, z))
+            return z
+
+        for module in (rsddl.sparse, rsddl.joint, rsddl.inference):
+            monkeypatch.setattr(module, "pursuit_gram", recorded)
+        train, x_test = many_class_mixture()
+        cfg = TrainConfig(drop_mode=DropMode.NONE, outer_iters=10, seed=7)
+        model = joint_train(train, Architecture((42, 30, 21)), cfg)
+        trained = len(calls)
+        for j in range(x_test.shape[1]):
+            predict_batch(model, x_test[:, j : j + 1])
+        predict_batch(model, x_test)
+        assert trained > 50 and len(calls) == trained + (x_test.shape[1] + 1) * cfg.test_iters
+        assert any(call[4] is not None for call in calls)
+        for prepared, corr, y_sq, s, cols, z in calls:
+            groups = None if cols is None else labels_of(cols, corr.shape[1])
+            assert np.array_equal(z, pursuit_gram_reference(prepared, corr, y_sq, s, groups))
+
+
+class TestDependentAtoms:
+    """An atom that the support already spans never enters it; the previous
+    kernel took such atoms and fell back to a minimum-norm fit."""
+
+    def test_duplicate_is_skipped_and_the_group_stops(self):
+        # atom 2 is twice atom 0, and y keeps a part outside range(D)
+        d = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        y = np.array([[1.0], [1.0], [1.0]])
+        z = pursuit(d, y, 3)
+        assert z[:, 0].tolist() == [1.0, 1.0, 0.0]
+        prepared = unit_gram(d.T @ d)
+        ref = pursuit_gram_reference(prepared, d.T @ y, np.sum(y * y, axis=0), 3)
+        assert np.count_nonzero(ref) == 3  # the pinv fit splits atom 0's weight with atom 2
+        assert np.allclose(d @ ref, d @ z, atol=1e-12)
+
+    def test_scaled_and_sign_flipped_duplicates(self):
+        rng = Rng(63)
+        for trial in range(40):
+            tr = rng.substream("dup", trial)
+            d = tr.standard_normal((12, 8))  # tall: y keeps a part outside range(D)
+            i, j = tr.permutation(8)[:2]
+            d[:, j] = (-3.0, -1.0, 0.5, 2.0)[trial % 4] * d[:, i]
+            y = tr.standard_normal((12, 5))
+            prepared = unit_gram(d.T @ d)
+            for groups in (None, np.array([0, 1, 0, 1, 1]), np.zeros(5)):
+                cols = None if groups is None else group_columns(groups, 5)
+                z = pursuit_gram(prepared, d.T @ y, np.sum(y * y, axis=0), 8, cols)
+                ref = pursuit_gram_reference(prepared, d.T @ y, np.sum(y * y, axis=0), 8, groups)
+                blocks = [[c] for c in range(5)] if groups is None else [np.flatnonzero(groups == g) for g in set(groups)]
+                for block in blocks:
+                    used = np.any(z[:, block] != 0.0, axis=1)
+                    assert not (used[i] and used[j])
+                    # the residual of the reference's support, fitted with minimum norm
+                    ref_support = np.any(ref[:, block] != 0.0, axis=1)
+                    fit, *_ = np.linalg.lstsq(d[:, ref_support], y[:, block], rcond=None)
+                    want = y[:, block] - d[:, ref_support] @ fit
+                    got = y[:, block] - d @ z[:, block]
+                    assert np.max(np.abs(got - want)) <= 1e-9 * np.linalg.norm(y[:, block])
 
 
 def solve_P6_stacked(z2c, b2c, d3, competitor_means, row_s, mu, gamma, eta2, inner_iters, p, c_relax, act):

@@ -3,13 +3,17 @@
 Everything here is seeded through the package Rng so tests are bit-stable.
 """
 
+import argparse
+
 import numpy as np
 
+from rsddl import cli
 from rsddl.dataio import DataFormatError, make_dataset
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns
 from rsddl.greedy import Architecture
 from rsddl.inference import SUPPORT_TOL
-from rsddl.joint import resolve_budget, solve_P4, solve_P5
+from rsddl.joint import _class_layout, _competitor_means, resolve_budget, solve_P4, solve_P5
+from rsddl.sparse import prox_push, unit_gram
 
 
 def dct_basis(n):
@@ -131,6 +135,19 @@ def two_class_mixture_data(seed=6, dim=8, s_para=1.0, s_cross=0.1, n_train=200, 
     return make_dataset(xtr, ytr), xte, yte
 
 
+def many_class_mixture(seed=7, n_classes=16, dim=60, n_train=25, n_test=5, separation=14.0):
+    """Isotropic Gaussian mixture with unit noise and class means of norm
+    ``separation``, samples in class order.  Returns (train dataset, test
+    features): the shape of the benchmark's mixture workload."""
+    rng = Rng(seed)
+    means = rng.standard_normal((dim, n_classes))
+    means *= separation / np.linalg.norm(means, axis=0)
+    x = np.repeat(means, n_train, axis=1) + rng.standard_normal((dim, n_classes * n_train))
+    labels = np.repeat(np.arange(1, n_classes + 1), n_train)
+    x_test = np.repeat(means, n_test, axis=1) + rng.standard_normal((dim, n_classes * n_test))
+    return make_dataset(x, labels), x_test
+
+
 MIXTURE_ARCH = Architecture((6, 4, 2), activation=Activation(ActivationKind.IDENTITY))
 DEEP_ARCH = Architecture((16, 8, 4))
 
@@ -231,6 +248,167 @@ def pursuit_reference(d, y, s, rows=False, residual_tol=1e-7):
     return z
 
 
+# The Gram-form kernel before its supports were chosen by Gram-Schmidt: one
+# stacked k x k solve per step, with a pinv fallback.  Kept verbatim as the
+# oracle the current kernel must match bit for bit.
+
+_RESIDUAL_TOL = 1e-7
+_RESIDUAL_FLOOR = 1e-12
+
+
+def pursuit_gram_reference(
+    prepared: tuple[np.ndarray, np.ndarray, np.ndarray],
+    corr: np.ndarray,
+    y_sq: np.ndarray,
+    s: int,
+    groups: np.ndarray | None = None,
+) -> np.ndarray:
+    """Greedy pursuit of every column of ``Y ~ D Z`` from ``unit_gram(D'D)``,
+    ``D'Y`` and the squared column norms of ``Y``.  ``groups`` labels each
+    column: the columns of one label share one row support (SOMP), so a
+    constant label is one SOMP block; ``None`` gives every column its own
+    support (OMP).  Dead atoms stay zero and ``s`` is capped at the live count.
+
+    Each step picks, per group, the unselected atom with the largest
+    ``|d_i' r|`` (SOMP: row norm of ``D'R`` over the group's columns), ties to
+    the smaller index, then refits the support by one stacked k x k Gram
+    solve.  A group whose squared residual norm, ``||y||^2 - coef' (D'y)_support``
+    summed over its columns, is at or below ``(1e-7)**2`` or 1e-12 of its
+    ``||y||^2`` (the rounding of that difference) stops and leaves the working set.
+    """
+    g, live_norms, alive = prepared
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    n = corr.shape[1]
+    all_alive = live_norms.size == alive.size
+    c = (corr if all_alive else corr[alive]) / live_norms[:, None]
+    y2 = np.asarray(y_sq, dtype=np.float64)
+
+    # arrays below are (group, atom, slot), with cols[group, slot] the column;
+    # groups smaller than the largest are padded with slots pointing at an
+    # appended all-zero column n
+    if groups is None:
+        cols = np.arange(n)[:, None]
+        c = c.T[:, :, None]
+    else:
+        cols = _group_columns(groups, n)
+        padded = np.append(c, np.zeros((c.shape[0], 1)), axis=1)
+        c = np.ascontiguousarray(padded[:, cols].transpose(1, 0, 2))
+        y2 = np.append(y2, 0.0)[cols].sum(axis=1)
+    steps = min(s, g.shape[0])
+    z = np.zeros((g.shape[0], n + 1))
+    support = np.zeros((c.shape[0], steps), dtype=np.intp)
+    group = np.arange(c.shape[0])[:, None]
+    stop = np.maximum(_RESIDUAL_TOL * _RESIDUAL_TOL, _RESIDUAL_FLOOR * y2)
+    resid, r2 = c, y2
+    for k in range(steps):
+        going = r2 > stop
+        if not going.all():
+            c, cols, y2, stop, support, resid = (v[going] for v in (c, cols, y2, stop, support, resid))
+            group = group[: c.shape[0]]
+            if c.shape[0] == 0:
+                break
+        score = np.einsum("gat,gat->ga", resid, resid)
+        score[group, support[:, :k]] = -1.0
+        support[:, k] = score.argmax(axis=1)
+        sup = support[:, : k + 1]
+        sub_gram = g[sup[:, :, None], sup[:, None, :]]
+        rhs = c[group, sup]
+        try:
+            coef = np.linalg.solve(sub_gram, rhs)
+        except np.linalg.LinAlgError:  # linearly dependent support: minimum-norm fit
+            coef = np.linalg.pinv(sub_gram) @ rhs
+        z[sup[:, :, None], cols[:, None, :]] = coef
+        resid = c - np.einsum("gka,gkt->gat", g[sup], coef)
+        r2 = y2 - np.einsum("gkt,gkt->g", coef, rhs)
+    if all_alive:
+        return z[:, :n] / live_norms[:, None]
+    out = np.zeros((alive.size, n))
+    out[alive] = z[:, :n] / live_norms[:, None]
+    return out
+
+
+def _group_columns(groups: np.ndarray, n: int) -> np.ndarray:
+    """(group, slot) table of column indices, groups in label order and
+    columns in their own order, short groups padded with ``n``."""
+    groups = np.asarray(groups)
+    if groups.shape != (n,):
+        raise ValueError(f"groups must label each of the {n} columns, got shape {groups.shape}")
+    order = np.argsort(groups, kind="stable")
+    _, starts, sizes = np.unique(groups[order], return_index=True, return_counts=True)
+    cols = np.full((starts.size, sizes.max()), n)
+    cols[np.repeat(np.arange(starts.size), sizes), np.arange(n) - np.repeat(starts, sizes)] = order
+    return cols
+
+
+def labels_of(cols, n):
+    """Group label of each of the ``n`` columns of a ``group_columns`` table."""
+    labels = np.empty(n, dtype=np.int64)
+    for g, row in enumerate(cols):
+        labels[row[row < n]] = g
+    return labels
+
+
+# P6 as it was before its passes were fused: per inner step, one pass over
+# P and C for the correlation and one for the updates, each gathering the
+# competitor means again.  The oracle for ``rsddl.joint.solve_P6``.
+
+def solve_P6_reference(
+    z2: np.ndarray,
+    b2: np.ndarray,
+    d3: np.ndarray,
+    class_means: np.ndarray,
+    class_cols: dict[int, np.ndarray],
+    row_s: int,
+    mu: float,
+    gamma: float,
+    eta2: float,
+    inner_iters: int,
+    p: np.ndarray,
+    c_relax: np.ndarray,
+    act: Activation,
+) -> np.ndarray:
+    """Inner ADMM for the row-sparse, support-diverse codes of every class.
+
+    For each class c it alternates row-sparse SOMP on the stacked system
+    ``[sqrt(eta2) D3 ; sqrt(gamma) I per competitor]`` against the stacked
+    targets ``[sqrt(eta2) phi^-1(Z2c - B2c) ; sqrt(gamma) (mean_k + C - P)]``,
+    the reverse-shrinkage update of each P, and the relaxation update of each
+    C.  The stacked system is never built: SOMP runs on its Gram matrix
+    ``eta2 D3'D3 + (C-1) gamma I``, the same for every class, and its
+    correlation ``eta2 D3' T + gamma sum_k (mean_k + C_k - P_k)``, and each
+    inner step is one grouped pursuit with one group per class.  ``p`` and
+    ``c_relax`` (class-sorted, see :class:`JointState`) are updated in place.
+    With ``mu == 0`` or a single class this is plain SOMP per class on the
+    data term.  Returns Z with its columns in data order.
+    """
+    order, cls, competitors = _class_layout(class_cols)
+    target = act.inverse(z2[:, order] - b2[:, order])
+    z = np.zeros((d3.shape[1], order.size))
+    if mu == 0 or competitors.shape[1] == 0:
+        z[:, order] = pursuit_gram_reference(
+            unit_gram(d3.T @ d3), d3.T @ target, np.einsum("ij,ij->j", target, target), row_s, groups=cls
+        )
+        return z
+
+    gram = unit_gram(eta2 * (d3.T @ d3) + competitors.shape[1] * gamma * np.eye(d3.shape[1]))
+    corr_top = eta2 * (d3.T @ target)
+    sq_top = eta2 * np.einsum("ij,ij->j", target, target)
+    for _ in range(inner_iters):
+        corr, y_sq = corr_top.copy(), sq_top.copy()
+        for cols, zbar in _competitor_means(class_means, cls, competitors):
+            blocks = zbar + c_relax[:, :, cols] - p[:, :, cols]
+            corr[:, cols] += gamma * blocks.sum(axis=0)
+            y_sq[cols] += gamma * np.einsum("kij,kij->j", blocks, blocks)
+        z_sorted = pursuit_gram_reference(gram, corr, y_sq, row_s, groups=cls)
+        for cols, zbar in _competitor_means(class_means, cls, competitors):
+            shifted = zbar - z_sorted[:, cols]
+            p[:, :, cols] = prox_push(shifted + c_relax[:, :, cols], mu, gamma)
+            c_relax[:, :, cols] = p[:, :, cols] - shifted - c_relax[:, :, cols]
+    z[:, order] = z_sorted
+    return z
+
+
 def encode_reference(model, x):
     """Test encoding of one sample as it was first written: per-sample
     pseudo-inverses and the column-loop OMP.  Returns (z, residual)."""
@@ -282,6 +460,72 @@ def class_distances_reference(model, z, rule):
         (c, float(distances[np.where(model.labels == c)[0]].min()))
         for c in range(1, model.num_classes + 1)
     ]
+
+
+# The whole argparse tree as ``rsddl.cli`` built it on every call, before it
+# built only the invoked subcommand's arguments: the oracle for its help and
+# usage-error text.
+
+def build_parser_reference():
+    parser = argparse.ArgumentParser(
+        prog="rsddl",
+        description="Row-sparse discriminative deep dictionary learning pipeline.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_feat = sub.add_parser("features", help="extract spatial-spectral features from a cube")
+    p_feat.add_argument("--cube", required=True, help="cube file (RSHSI1 format)")
+    p_feat.add_argument("--labels", required=True, help="ground-truth raster (RSGT1 format)")
+    p_feat.add_argument("--window", type=int, default=None,
+                        help=f"spatial window size (default {cli._FEATURE_DEFAULTS['window'].default})")
+    p_feat.add_argument("--dims", type=int, default=None,
+                        help=f"PCA output dimension (default {cli._FEATURE_DEFAULTS['d'].default})")
+    p_feat.add_argument("--out", required=True, help="output prefix (<out>.csv/.labels)")
+    p_feat.add_argument("--config", default=None, help="key=value config file")
+    p_feat.set_defaults(func=cli.cmd_features)
+
+    p_train = sub.add_parser("train", help="train a model on a feature CSV")
+    p_train.add_argument("--data", required=True, help="feature CSV, one sample per row")
+    p_train.add_argument("--labels", required=True, help="label list, one class id per line")
+    p_train.add_argument("--arch", default=None, help="atoms per layer, e.g. 100,50,25")
+    p_train.add_argument("--mode", choices=["joint", "greedy"], default=None)
+    p_train.add_argument("--activation", choices=["tanh", "identity"], default=None)
+    p_train.add_argument("--lambda-s", dest="lambda_s", type=int, default=None,
+                         help="nonzeros per coefficient column (default: 20%% of deepest layer)")
+    p_train.add_argument("--row-s", dest="row_s", type=int, default=None,
+                         help="nonzero rows per class block (default: 20%% of deepest layer)")
+    p_train.add_argument("--lambda-weight", dest="lambda_weight", type=float, default=None)
+    p_train.add_argument("--mu", type=float, default=None, help="support-diversity weight")
+    p_train.add_argument("--gamma", type=float, default=None, help="inner ADMM weight")
+    p_train.add_argument("--eta1", type=float, default=None)
+    p_train.add_argument("--eta2", type=float, default=None)
+    p_train.add_argument("--drop", choices=["none", "out", "connect"], default=None)
+    p_train.add_argument("--drop-rate", dest="drop_rate", type=float, default=None)
+    p_train.add_argument("--iters", type=int, default=None,
+                         help=f"outer iterations (default {cli.TrainConfig.outer_iters})")
+    p_train.add_argument("--inner-iters", dest="inner_iters", type=int, default=None)
+    p_train.add_argument("--test-iters", dest="test_iters", type=int, default=None)
+    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--out", required=True, help="model output path")
+    p_train.add_argument("--log", default=None, help="run log path (default <out>.log)")
+    p_train.add_argument("--config", default=None, help="key=value config file")
+    p_train.set_defaults(func=cli.cmd_train)
+
+    p_cls = sub.add_parser("classify", help="encode and classify a feature CSV")
+    p_cls.add_argument("--model", required=True)
+    p_cls.add_argument("--data", required=True, help="feature CSV, one sample per row")
+    p_cls.add_argument("--rule", choices=["l0", "l1"], default="l0")
+    p_cls.add_argument("--out", required=True, help="prediction output path")
+    p_cls.set_defaults(func=cli.cmd_classify)
+
+    p_eval = sub.add_parser("eval", help="score predictions against ground truth")
+    p_eval.add_argument("--pred", required=True, help="prediction file or plain label list")
+    p_eval.add_argument("--truth", required=True, help="label list, one class id per line")
+    p_eval.add_argument("--pred-b", dest="pred_b", default=None,
+                        help="second prediction file for a McNemar comparison")
+    p_eval.set_defaults(func=cli.cmd_eval)
+
+    return parser
 
 
 def load_matrix_csv_reference(path):
