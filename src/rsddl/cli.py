@@ -100,7 +100,14 @@ def _parse_arch(text: str) -> tuple[int, ...]:
     return atoms
 
 
-def _features_arguments(p_feat: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rsddl",
+        description="Row-sparse discriminative deep dictionary learning pipeline.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_feat = sub.add_parser("features", help="extract spatial-spectral features from a cube")
     p_feat.add_argument("--cube", required=True, help="cube file (RSHSI1 format)")
     p_feat.add_argument("--labels", required=True, help="ground-truth raster (RSGT1 format)")
     p_feat.add_argument("--window", type=int, default=None,
@@ -111,8 +118,7 @@ def _features_arguments(p_feat: argparse.ArgumentParser) -> None:
     p_feat.add_argument("--config", default=None, help="key=value config file")
     p_feat.set_defaults(func=cmd_features)
 
-
-def _train_arguments(p_train: argparse.ArgumentParser) -> None:
+    p_train = sub.add_parser("train", help="train a model on a feature CSV")
     p_train.add_argument("--data", required=True, help="feature CSV, one sample per row")
     p_train.add_argument("--labels", required=True, help="label list, one class id per line")
     p_train.add_argument("--arch", default=None, help="atoms per layer, e.g. 100,50,25")
@@ -139,44 +145,20 @@ def _train_arguments(p_train: argparse.ArgumentParser) -> None:
     p_train.add_argument("--config", default=None, help="key=value config file")
     p_train.set_defaults(func=cmd_train)
 
-
-def _classify_arguments(p_cls: argparse.ArgumentParser) -> None:
+    p_cls = sub.add_parser("classify", help="encode and classify a feature CSV")
     p_cls.add_argument("--model", required=True)
     p_cls.add_argument("--data", required=True, help="feature CSV, one sample per row")
     p_cls.add_argument("--rule", choices=["l0", "l1"], default="l0")
     p_cls.add_argument("--out", required=True, help="prediction output path")
     p_cls.set_defaults(func=cmd_classify)
 
-
-def _eval_arguments(p_eval: argparse.ArgumentParser) -> None:
+    p_eval = sub.add_parser("eval", help="score predictions against ground truth")
     p_eval.add_argument("--pred", required=True, help="prediction file or plain label list")
     p_eval.add_argument("--truth", required=True, help="label list, one class id per line")
     p_eval.add_argument("--pred-b", dest="pred_b", default=None,
                         help="second prediction file for a McNemar comparison")
     p_eval.set_defaults(func=cmd_eval)
 
-
-# Subcommands in the order ``rsddl --help`` lists them: (help, argument builder).
-_COMMANDS = {
-    "features": ("extract spatial-spectral features from a cube", _features_arguments),
-    "train": ("train a model on a feature CSV", _train_arguments),
-    "classify": ("encode and classify a feature CSV", _classify_arguments),
-    "eval": ("score predictions against ground truth", _eval_arguments),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``rsddl`` parser.  Every subcommand is listed; only ``command``'s
-    arguments are built, or every subcommand's when ``command`` is None."""
-    parser = argparse.ArgumentParser(
-        prog="rsddl",
-        description="Row-sparse discriminative deep dictionary learning pipeline.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        p_sub = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_arguments(p_sub)
     return parser
 
 
@@ -348,10 +330,7 @@ def cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option values, so its first non-option
-    # token names the subcommand, the only one whose arguments are built
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with code 2

@@ -277,15 +277,26 @@ def _class_layout(class_cols: dict[int, np.ndarray]) -> tuple[np.ndarray, np.nda
     return order, cls, competitors
 
 
-def _competitor_means(means: np.ndarray, cls: np.ndarray, competitors: np.ndarray):
-    """Yield ``(columns, zbar)`` over the class-sorted layout in slices of at
-    most ``_PAIR_CHUNK`` elements, ``zbar`` being the (competitor, atom,
-    column) array of the competitors' means for the slice's columns."""
-    table = means.T[competitors].transpose(1, 2, 0)  # (competitor, atom, class)
-    width = max(1, _PAIR_CHUNK // max(1, table.shape[0] * table.shape[1]))
+def _competitor_table(means: np.ndarray, competitors: np.ndarray) -> np.ndarray:
+    """The (competitor, atom, class) table of each class's competitors' means."""
+    return means.T[competitors].transpose(1, 2, 0)
+
+
+def _slice_width(table: np.ndarray) -> int:
+    """Columns per slice of at most ``_PAIR_CHUNK`` (competitor, atom) elements."""
+    return max(1, _PAIR_CHUNK // max(1, table.shape[0] * table.shape[1]))
+
+
+def _competitor_means(table: np.ndarray, cls: np.ndarray):
+    """Yield ``(columns, zbar)`` over the class-sorted layout in slices of
+    :func:`_slice_width` columns, ``zbar`` being the (competitor, atom,
+    column) array of the competitors' means for the slice's columns, gathered
+    from the :func:`_competitor_table` ``table``."""
+    width = _slice_width(table)
     for lo in range(0, cls.size, width):
-        cols = slice(lo, lo + width)
-        yield cols, np.take(table, cls[cols], axis=2)
+        run = cls[lo : lo + width]  # ascending: each class's columns are adjacent
+        counts = np.bincount(run - run[0])
+        yield slice(lo, lo + width), np.repeat(table[:, :, run[0] : run[-1] + 1], counts, axis=2)
 
 
 def objective_value(
@@ -310,7 +321,7 @@ def objective_value(
     rows = np.logical_or.reduceat(z_sorted != 0.0, starts, axis=1).sum(axis=0)
     means = class_mean_matrix(z, class_cols, len(class_cols))
     differ = np.zeros((competitors.shape[1], cls.size), dtype=np.int64)
-    for cols, zbar in _competitor_means(means, cls, competitors):
+    for cols, zbar in _competitor_means(_competitor_table(means, competitors), cls):
         differ[:, cols] = np.count_nonzero(zbar != z_sorted[:, cols], axis=1)
     pairs = np.add.reduceat(differ, starts, axis=1)
     # a running sum, class by class and competitor by competitor, so the value
@@ -446,31 +457,34 @@ def solve_P6(
         return z
 
     gram = unit_gram(eta2 * (d3.T @ d3) + competitors.shape[1] * gamma * np.eye(d3.shape[1]))
-    table = group_columns(cls, cls.size)
+    groups = group_columns(cls, cls.size)
     corr_top = eta2 * (d3.T @ target)
     sq_top = eta2 * np.einsum("ij,ij->j", target, target)
-    chunks = list(_competitor_means(class_means, cls, competitors))
+    table = _competitor_table(class_means, competitors)
     corr, y_sq = corr_top.copy(), sq_top.copy()
-    for cols, zbar in chunks:
+    for cols, zbar in _competitor_means(table, cls):
         _add_competitor_terms(corr, y_sq, cols, zbar + c_relax[:, :, cols] - p[:, :, cols], gamma)
     # one pass per inner step: step t's P and C updates, then step t+1's
-    # correlation from them, slice by slice in two reused buffers
-    buffers = np.empty((2,) + chunks[0][1].shape)
+    # correlation from them, slice by slice in two reused contiguous buffers,
+    # reading C's strided view twice and writing P's and C's once
+    buffers = np.empty((2, *table.shape[:2], min(_slice_width(table), cls.size)))
     for step in range(inner_iters):
-        z_sorted = pursuit_gram(gram, corr, y_sq, row_s, table)
+        z_sorted = pursuit_gram(gram, corr, y_sq, row_s, groups)
         more = step < inner_iters - 1
         if more:
             corr, y_sq = corr_top.copy(), sq_top.copy()
-        for cols, zbar in chunks:
-            p_cols, c_cols = p[:, :, cols], c_relax[:, :, cols]
+        for cols, zbar in _competitor_means(table, cls):
+            c_cols = c_relax[:, :, cols]
             shifted, pushed = buffers[:, :, :, : zbar.shape[2]]
             np.subtract(zbar, z_sorted[:, cols], out=shifted)
-            p_cols[...] = prox_push(np.add(shifted, c_cols, out=pushed), mu, gamma)
-            np.subtract(p_cols, shifted, out=shifted)
-            np.subtract(shifted, c_cols, out=c_cols)
+            prox_push(np.add(shifted, c_cols, out=pushed), mu, gamma, out=pushed)
+            p[:, :, cols] = pushed
+            c_new = np.subtract(pushed, shifted, out=shifted)
+            c_new -= c_cols
+            c_cols[...] = c_new
             if more:
-                blocks = np.add(zbar, c_cols, out=shifted)
-                blocks -= p_cols
+                blocks = np.add(zbar, c_new, out=c_new)
+                blocks -= pushed
                 _add_competitor_terms(corr, y_sq, cols, blocks, gamma)
     z[:, order] = z_sorted
     return z
@@ -491,7 +505,7 @@ def bregman_update(state: JointState) -> JointState:
     state.b2 = state.z2 - act.forward(state.d3 @ state.z) - state.b2
     order, cls, competitors = _class_layout(state.class_cols)
     z_sorted = state.z[:, order]
-    for cols, zbar in _competitor_means(state.class_means, cls, competitors):
+    for cols, zbar in _competitor_means(_competitor_table(state.class_means, competitors), cls):
         resid = state.p[:, :, cols] - (zbar - z_sorted[:, cols])
         state.c_relax[:, :, cols] = resid - state.c_relax[:, :, cols]
     return state

@@ -130,16 +130,20 @@ def pursuit_gram(
     group = np.arange(c.shape[0])
     stop = np.maximum(_RESIDUAL_TOL * _RESIDUAL_TOL, _RESIDUAL_FLOOR * y2)
     alpha, r2 = c, y2  # D'R and the squared residual norm
-    wide = c.shape[2] > 1  # a group of several columns (SOMP)
+    # one-column groups (OMP) square instead: the einsum made one-sample
+    # predict_batch 3-7% slower (160 calls on a 16-class mixture model)
+    wide = c.shape[2] > 1
     for k in range(steps):
         score = np.einsum("gat,gat->ga", alpha, alpha) if wide else np.square(alpha[:, :, 0])
-        np.putmask(score, left <= _DEPENDENT_TOL, -1.0)
+        dependent = left <= _DEPENDENT_TOL
+        np.putmask(score, dependent, -1.0)
         pick = score.argmax(axis=1)
         v = g[pick]
         if k:
             v -= (basis[group, :k, pick][:, None, :] @ basis[:, :k])[:, 0]
-        pivot = v[group, pick]  # at or below the tolerance only when no atom is eligible
-        going = (r2 > stop) & (pivot > _DEPENDENT_TOL)
+        pivot = v[group, pick]
+        # the pick is dependent only when every atom of its group is
+        going = (r2 > stop) & ~dependent[group, pick]
         if np.count_nonzero(going) < going.size:
             _fit(g, c[~going], support[~going, :k], cols[~going], z)
             c, cols, stop, support, basis, left, alpha, r2, pick, v, pivot = (
@@ -207,12 +211,13 @@ def pursuit(
     return pursuit_gram(unit_gram(d.T @ d), d.T @ y, np.einsum("ij,ij->j", y, y), s, cols)
 
 
-def prox_push(v, mu: float, gamma: float) -> np.ndarray:
+def prox_push(v, mu: float, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
     """Reverse-shrinkage proximal map: push small magnitudes up to mu/(2 gamma).
 
     Elementwise: entries with ``|v| > mu/(2 gamma)`` pass through unchanged;
     all others become ``sign(v) * mu/(2 gamma)`` with ``sign(+-0) = +1``.  The
     operator is idempotent and never maps a magnitude below the threshold.
+    The result is written into ``out`` when given (it may be ``v`` itself).
     """
     if mu <= 0:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -221,4 +226,7 @@ def prox_push(v, mu: float, gamma: float) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     thr = mu / (2.0 * gamma)
     # branch-free: max(|v|, thr) with the sign of v, where v + 0.0 turns -0.0 into +0.0
-    return np.copysign(np.fmax(np.abs(v), thr), v + 0.0)
+    sign = v + 0.0
+    mag = np.abs(v, out=out)
+    np.fmax(mag, thr, out=mag)
+    return np.copysign(mag, sign, out=mag)

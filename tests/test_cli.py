@@ -8,13 +8,7 @@ from rsddl.dataio import HsiCube, load_labels, load_matrix_csv, load_model, save
 from rsddl.greedy import Architecture
 from rsddl.joint import TrainConfig, resolve_budget
 from rsddl.numerics import Rng
-from util import (
-    build_parser_reference,
-    class_distances_reference,
-    greedy_encode,
-    two_class_deep_factor_data,
-    two_class_mixture_data,
-)
+from util import class_distances_reference, greedy_encode, two_class_deep_factor_data, two_class_mixture_data
 
 
 @pytest.fixture()
@@ -293,53 +287,3 @@ class TestTopLevel:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
-
-
-class TestParserPerSubcommand:
-    """``main`` builds only the invoked subcommand's arguments; help and usage
-    errors must read exactly as from the whole argparse tree."""
-
-    ARGVS = [
-        [],
-        ["--help"],
-        ["-h"],
-        ["features", "--help"],
-        ["train", "--help"],
-        ["classify", "--help"],
-        ["eval", "--help"],
-        ["--bogus"],
-        ["nosuch"],
-        ["train", "--bogus", "1"],
-        ["train", "--data", "d.csv"],
-        ["classify", "--model", "m", "--data", "d", "--out", "o", "--rule", "l2"],
-        ["eval", "--pred", "p", "--truth", "t", "--pred-b"],
-        ["features", "--cube", "c", "--labels", "l", "--out", "o", "--window", "x"],
-        ["--bogus", "eval", "--pred", "p", "--truth", "t"],
-    ]
-
-    @staticmethod
-    def _captured(capsys, call):
-        try:
-            code = call()
-        except SystemExit as exc:
-            code = int(exc.code or 0)
-        out = capsys.readouterr()
-        return code, out.out, out.err
-
-    @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a) or "empty")
-    def test_text_and_exit_code_match_whole_tree(self, argv, capsys):
-        got = self._captured(capsys, lambda: main(argv))
-        want = self._captured(capsys, lambda: build_parser_reference().parse_args(argv))
-        assert got == want
-        assert got[0] in (0, 2)
-
-    def test_whole_tree_without_a_command(self):
-        assert build_parser().format_help() == build_parser_reference().format_help()
-        for name in ("features", "train", "classify", "eval"):
-            args = {"features": ["--cube", "c", "--labels", "l", "--out", "o"],
-                    "train": ["--data", "d", "--labels", "l", "--out", "o"],
-                    "classify": ["--model", "m", "--data", "d", "--out", "o"],
-                    "eval": ["--pred", "p", "--truth", "t"]}[name]
-            assert vars(build_parser().parse_args([name] + args)) == vars(
-                build_parser(name).parse_args([name] + args)
-            )

@@ -219,6 +219,19 @@ class TestProxPush:
         thr = 0.5 / (2.0 * 0.1)
         assert np.all(np.abs(out) >= np.minimum(np.abs(v), thr) - 1e-15)
 
+    def test_out_matches_a_new_array(self):
+        v = np.append(4.0 * Rng(10).standard_normal(30), [0.0, -0.0, 2.5, -2.5])
+        want = prox_push(v, 0.5, 0.1)
+        out = np.full_like(v, np.nan)
+        assert prox_push(v, 0.5, 0.1, out=out) is out
+        assert np.array_equal(np.signbit(out), np.signbit(want)) and np.array_equal(out, want)
+        strided = np.full((v.size, 2), np.nan)[:, 0]
+        prox_push(v, 0.5, 0.1, out=strided)
+        assert np.array_equal(strided, want)
+        same = v.copy()
+        prox_push(same, 0.5, 0.1, out=same)
+        assert np.array_equal(np.signbit(same), np.signbit(want)) and np.array_equal(same, want)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             prox_push(np.zeros((1, 1)), 0.0, 0.1)

@@ -3,16 +3,13 @@
 Everything here is seeded through the package Rng so tests are bit-stable.
 """
 
-import argparse
-
 import numpy as np
 
-from rsddl import cli
 from rsddl.dataio import DataFormatError, make_dataset
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns
 from rsddl.greedy import Architecture
 from rsddl.inference import SUPPORT_TOL
-from rsddl.joint import _class_layout, _competitor_means, resolve_budget, solve_P4, solve_P5
+from rsddl.joint import _PAIR_CHUNK, _class_layout, resolve_budget, solve_P4, solve_P5
 from rsddl.sparse import prox_push, unit_gram
 
 
@@ -353,6 +350,17 @@ def labels_of(cols, n):
 # P and C for the correlation and one for the updates, each gathering the
 # competitor means again.  The oracle for ``rsddl.joint.solve_P6``.
 
+def _competitor_means_reference(means, cls, competitors):
+    """The competitor-mean slices of the class-sorted layout as first written:
+    one ``np.take`` of the (competitor, atom, class) table per slice of at most
+    ``_PAIR_CHUNK`` elements."""
+    table = means.T[competitors].transpose(1, 2, 0)
+    width = max(1, _PAIR_CHUNK // max(1, table.shape[0] * table.shape[1]))
+    for lo in range(0, cls.size, width):
+        cols = slice(lo, lo + width)
+        yield cols, np.take(table, cls[cols], axis=2)
+
+
 def solve_P6_reference(
     z2: np.ndarray,
     b2: np.ndarray,
@@ -396,12 +404,12 @@ def solve_P6_reference(
     sq_top = eta2 * np.einsum("ij,ij->j", target, target)
     for _ in range(inner_iters):
         corr, y_sq = corr_top.copy(), sq_top.copy()
-        for cols, zbar in _competitor_means(class_means, cls, competitors):
+        for cols, zbar in _competitor_means_reference(class_means, cls, competitors):
             blocks = zbar + c_relax[:, :, cols] - p[:, :, cols]
             corr[:, cols] += gamma * blocks.sum(axis=0)
             y_sq[cols] += gamma * np.einsum("kij,kij->j", blocks, blocks)
         z_sorted = pursuit_gram_reference(gram, corr, y_sq, row_s, groups=cls)
-        for cols, zbar in _competitor_means(class_means, cls, competitors):
+        for cols, zbar in _competitor_means_reference(class_means, cls, competitors):
             shifted = zbar - z_sorted[:, cols]
             p[:, :, cols] = prox_push(shifted + c_relax[:, :, cols], mu, gamma)
             c_relax[:, :, cols] = p[:, :, cols] - shifted - c_relax[:, :, cols]
@@ -460,72 +468,6 @@ def class_distances_reference(model, z, rule):
         (c, float(distances[np.where(model.labels == c)[0]].min()))
         for c in range(1, model.num_classes + 1)
     ]
-
-
-# The whole argparse tree as ``rsddl.cli`` built it on every call, before it
-# built only the invoked subcommand's arguments: the oracle for its help and
-# usage-error text.
-
-def build_parser_reference():
-    parser = argparse.ArgumentParser(
-        prog="rsddl",
-        description="Row-sparse discriminative deep dictionary learning pipeline.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_feat = sub.add_parser("features", help="extract spatial-spectral features from a cube")
-    p_feat.add_argument("--cube", required=True, help="cube file (RSHSI1 format)")
-    p_feat.add_argument("--labels", required=True, help="ground-truth raster (RSGT1 format)")
-    p_feat.add_argument("--window", type=int, default=None,
-                        help=f"spatial window size (default {cli._FEATURE_DEFAULTS['window'].default})")
-    p_feat.add_argument("--dims", type=int, default=None,
-                        help=f"PCA output dimension (default {cli._FEATURE_DEFAULTS['d'].default})")
-    p_feat.add_argument("--out", required=True, help="output prefix (<out>.csv/.labels)")
-    p_feat.add_argument("--config", default=None, help="key=value config file")
-    p_feat.set_defaults(func=cli.cmd_features)
-
-    p_train = sub.add_parser("train", help="train a model on a feature CSV")
-    p_train.add_argument("--data", required=True, help="feature CSV, one sample per row")
-    p_train.add_argument("--labels", required=True, help="label list, one class id per line")
-    p_train.add_argument("--arch", default=None, help="atoms per layer, e.g. 100,50,25")
-    p_train.add_argument("--mode", choices=["joint", "greedy"], default=None)
-    p_train.add_argument("--activation", choices=["tanh", "identity"], default=None)
-    p_train.add_argument("--lambda-s", dest="lambda_s", type=int, default=None,
-                         help="nonzeros per coefficient column (default: 20%% of deepest layer)")
-    p_train.add_argument("--row-s", dest="row_s", type=int, default=None,
-                         help="nonzero rows per class block (default: 20%% of deepest layer)")
-    p_train.add_argument("--lambda-weight", dest="lambda_weight", type=float, default=None)
-    p_train.add_argument("--mu", type=float, default=None, help="support-diversity weight")
-    p_train.add_argument("--gamma", type=float, default=None, help="inner ADMM weight")
-    p_train.add_argument("--eta1", type=float, default=None)
-    p_train.add_argument("--eta2", type=float, default=None)
-    p_train.add_argument("--drop", choices=["none", "out", "connect"], default=None)
-    p_train.add_argument("--drop-rate", dest="drop_rate", type=float, default=None)
-    p_train.add_argument("--iters", type=int, default=None,
-                         help=f"outer iterations (default {cli.TrainConfig.outer_iters})")
-    p_train.add_argument("--inner-iters", dest="inner_iters", type=int, default=None)
-    p_train.add_argument("--test-iters", dest="test_iters", type=int, default=None)
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--out", required=True, help="model output path")
-    p_train.add_argument("--log", default=None, help="run log path (default <out>.log)")
-    p_train.add_argument("--config", default=None, help="key=value config file")
-    p_train.set_defaults(func=cli.cmd_train)
-
-    p_cls = sub.add_parser("classify", help="encode and classify a feature CSV")
-    p_cls.add_argument("--model", required=True)
-    p_cls.add_argument("--data", required=True, help="feature CSV, one sample per row")
-    p_cls.add_argument("--rule", choices=["l0", "l1"], default="l0")
-    p_cls.add_argument("--out", required=True, help="prediction output path")
-    p_cls.set_defaults(func=cli.cmd_classify)
-
-    p_eval = sub.add_parser("eval", help="score predictions against ground truth")
-    p_eval.add_argument("--pred", required=True, help="prediction file or plain label list")
-    p_eval.add_argument("--truth", required=True, help="label list, one class id per line")
-    p_eval.add_argument("--pred-b", dest="pred_b", default=None,
-                        help="second prediction file for a McNemar comparison")
-    p_eval.set_defaults(func=cli.cmd_eval)
-
-    return parser
 
 
 def load_matrix_csv_reference(path):
