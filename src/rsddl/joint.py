@@ -7,9 +7,11 @@ SOMP step per class with a reverse-shrinkage push driving the supports of
 different classes apart.  P6 solves every class at once: the classes share
 D3, the Gram matrix and the class-mean snapshot, and no class reads another
 class's result, so each inner step is one grouped SOMP with one group per
-class, and P and C are one class-sorted (competitor, atom, column) array
-each.  Relaxation variables follow the printed update rule
-``B <- residual - B`` (an involution around the residual).
+class.  P and C are (column, competitor, atom) arrays over the class-sorted
+columns, so P6, the relaxation sweep and the objective work in place on
+contiguous column slices; the class layout is built once per training and
+the class means once per outer iteration.  Relaxation variables follow the
+printed update rule ``B <- residual - B`` (an involution around the residual).
 
 Optional stochastic regularization: DropOut zeroes entries of the
 intermediate coefficient layers after the coefficient solves and before the
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,8 @@ __all__ = [
     "DropMode",
     "TrainConfig",
     "JointState",
+    "ClassLayout",
+    "class_layout",
     "Model",
     "FitReport",
     "IterationRecord",
@@ -63,8 +67,8 @@ DIVERGENCE_LIMIT = 1e12
 # greedy layer-wise chain it was trained with.
 MODES = ("joint", "greedy")
 
-# Columns per pass over the (competitor, atom, column) arrays of P6 are capped
-# so that one pass holds at most this many elements, whatever the class count.
+# Columns per slice of the (column, competitor, atom) arrays P and C are capped
+# so that one slice holds at most this many elements, whatever the class count.
 _PAIR_CHUNK = 1 << 14
 
 
@@ -131,15 +135,44 @@ def resolve_budget(cfg: TrainConfig, arch: Architecture) -> SparsityBudget:
     return budget
 
 
+class ClassLayout(NamedTuple):
+    """The class-sorted column layout of P and C, built once per training."""
+
+    order: np.ndarray  # the data column of each sorted column
+    cls: np.ndarray  # each sorted column's class index, 0-based
+    competitors: np.ndarray  # (class, competitor): row c lists the other classes, ascending
+    starts: np.ndarray  # each class's first sorted column
+    # per slice of at most _PAIR_CHUNK elements: (columns, first class, last class + 1, columns per class)
+    slices: tuple[tuple[slice, int, int, np.ndarray], ...]
+
+
+def class_layout(class_cols: dict[int, np.ndarray], atoms: int) -> ClassLayout:
+    """The :class:`ClassLayout` of the classes ``class_cols`` (every class
+    nonempty) for codes of ``atoms`` rows."""
+    classes = sorted(class_cols)
+    sizes = [class_cols[c].size for c in classes]
+    cls = np.repeat(np.arange(len(classes)), sizes)
+    slot = np.arange(len(classes) - 1)[None, :]
+    competitors = slot + (slot >= np.arange(len(classes))[:, None])
+    width = max(1, _PAIR_CHUNK // max(1, competitors.shape[1] * atoms))
+    slices = []
+    for lo in range(0, cls.size, width):
+        run = cls[lo : lo + width]  # ascending: each class's columns are adjacent
+        slices.append((slice(lo, lo + run.size), run[0], run[-1] + 1, np.bincount(run - run[0])))
+    starts = np.cumsum([0] + sizes[:-1])
+    order = np.concatenate([class_cols[c] for c in classes])
+    return ClassLayout(order, cls, competitors, starts, tuple(slices))
+
+
 @dataclass
 class JointState:
     """Mutable optimization state threaded through the sub-problem solvers.
 
-    ``p`` and ``c_relax`` are (competitor, atom, column) arrays over the
-    class-sorted columns (``class_cols`` concatenated in class order): the
-    slice ``[i, :, j]`` belongs to column j's class c and its i-th competitor,
-    the i-th class other than c in ascending order.  ``class_means`` is the
-    snapshot taken at the start of the current outer iteration.
+    ``p`` and ``c_relax`` are (column, competitor, atom) arrays over the
+    class-sorted columns of ``layout``: the row ``[j, i]`` belongs to sorted
+    column j's class c and its i-th competitor, the i-th class other than c
+    in ascending order.  ``class_means`` holds the class means of Z as it was
+    when the current outer iteration began.
     """
 
     x: np.ndarray
@@ -153,7 +186,7 @@ class JointState:
     b2: np.ndarray
     p: np.ndarray
     c_relax: np.ndarray
-    class_cols: dict[int, np.ndarray]
+    layout: ClassLayout
     class_means: np.ndarray
     activation: Activation
 
@@ -261,73 +294,49 @@ def class_mean_matrix(z: np.ndarray, class_cols: dict[int, np.ndarray], n_classe
     return means
 
 
-def _row_support_count(block: np.ndarray) -> int:
-    return int(np.sum(np.any(block != 0.0, axis=1)))
-
-
-def _class_layout(class_cols: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The class-sorted column layout of P and C: the column order, each
-    sorted column's class index (0-based), and the (class, competitor) table
-    whose row c lists every other class index in ascending order."""
-    classes = sorted(class_cols)
-    order = np.concatenate([class_cols[c] for c in classes])
-    cls = np.repeat(np.arange(len(classes)), [class_cols[c].size for c in classes])
-    slot = np.arange(len(classes) - 1)[None, :]
-    competitors = slot + (slot >= np.arange(len(classes))[:, None])
-    return order, cls, competitors
-
-
 def _competitor_table(means: np.ndarray, competitors: np.ndarray) -> np.ndarray:
-    """The (competitor, atom, class) table of each class's competitors' means."""
-    return means.T[competitors].transpose(1, 2, 0)
+    """The (class, competitor, atom) table of each class's competitors' means."""
+    return means.T[competitors]
 
 
-def _slice_width(table: np.ndarray) -> int:
-    """Columns per slice of at most ``_PAIR_CHUNK`` (competitor, atom) elements."""
-    return max(1, _PAIR_CHUNK // max(1, table.shape[0] * table.shape[1]))
-
-
-def _competitor_means(table: np.ndarray, cls: np.ndarray):
-    """Yield ``(columns, zbar)`` over the class-sorted layout in slices of
-    :func:`_slice_width` columns, ``zbar`` being the (competitor, atom,
-    column) array of the competitors' means for the slice's columns, gathered
-    from the :func:`_competitor_table` ``table``."""
-    width = _slice_width(table)
-    for lo in range(0, cls.size, width):
-        run = cls[lo : lo + width]  # ascending: each class's columns are adjacent
-        counts = np.bincount(run - run[0])
-        yield slice(lo, lo + width), np.repeat(table[:, :, run[0] : run[-1] + 1], counts, axis=2)
+def _competitor_means(table: np.ndarray, layout: ClassLayout):
+    """Yield ``(columns, zbar)`` over the slices of ``layout``, ``zbar`` being
+    a new (column, competitor, atom) array of the competitors' means for the
+    slice's columns, gathered from the :func:`_competitor_table` ``table``."""
+    for cols, first, last, counts in layout.slices:
+        yield cols, np.repeat(table[first:last], counts, axis=0)
 
 
 def objective_value(
     x: np.ndarray,
     dicts: list[np.ndarray],
     z: np.ndarray,
-    class_cols: dict[int, np.ndarray],
+    layout: ClassLayout,
+    means: np.ndarray,
     lambda_weight: float,
     mu: float,
     act: Activation,
-) -> float:
+) -> tuple[float, np.ndarray]:
     """Training objective with the sparsity terms evaluated as exact counts:
 
     ``||X - D1 phi(D2 phi(D3 Z))||_F^2 + lambda * sum_c rowcount(Z_c)
     - mu * sum_c sum_{k != c} nnz(mean_k - Z_c)``
+
+    ``means`` are the class means of Z (:func:`class_mean_matrix`).  Returns
+    the value and each class's row count, its support size, in class order.
     """
     recon = x - compose_reconstruction(dicts, z, act)
     value = float(np.sum(recon * recon))
-    order, cls, competitors = _class_layout(class_cols)
-    z_sorted = z[:, order]
-    starts = np.searchsorted(cls, np.arange(competitors.shape[0]))
-    rows = np.logical_or.reduceat(z_sorted != 0.0, starts, axis=1).sum(axis=0)
-    means = class_mean_matrix(z, class_cols, len(class_cols))
-    differ = np.zeros((competitors.shape[1], cls.size), dtype=np.int64)
-    for cols, zbar in _competitor_means(_competitor_table(means, competitors), cls):
-        differ[:, cols] = np.count_nonzero(zbar != z_sorted[:, cols], axis=1)
-    pairs = np.add.reduceat(differ, starts, axis=1)
+    z_rows = z.T[layout.order]
+    rows = np.logical_or.reduceat(z_rows != 0.0, layout.starts, axis=0).sum(axis=1)
+    differ = np.zeros((z_rows.shape[0], layout.competitors.shape[1]), dtype=np.int64)
+    for cols, zbar in _competitor_means(_competitor_table(means, layout.competitors), layout):
+        differ[cols] = np.count_nonzero(zbar != z_rows[cols, None, :], axis=2)
+    pairs = np.add.reduceat(differ, layout.starts, axis=0)
     # a running sum, class by class and competitor by competitor, so the value
     # rounds exactly as the loop over class pairs it replaces did
-    terms = np.vstack([lambda_weight * rows, -mu * pairs]).T.ravel()
-    return float(np.cumsum(np.append(value, terms))[-1])
+    terms = np.hstack([lambda_weight * rows[:, None], -mu * pairs]).ravel()
+    return float(np.cumsum(np.append(value, terms))[-1]), rows
 
 
 def _restore_dead_columns(d: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
@@ -425,7 +434,7 @@ def solve_P6(
     b2: np.ndarray,
     d3: np.ndarray,
     class_means: np.ndarray,
-    class_cols: dict[int, np.ndarray],
+    layout: ClassLayout,
     row_s: int,
     mu: float,
     gamma: float,
@@ -445,11 +454,11 @@ def solve_P6(
     ``eta2 D3'D3 + (C-1) gamma I``, the same for every class, and its
     correlation ``eta2 D3' T + gamma sum_k (mean_k + C_k - P_k)``, and each
     inner step is one grouped pursuit with one group per class.  ``p`` and
-    ``c_relax`` (class-sorted, see :class:`JointState`) are updated in place.
-    With ``mu == 0`` or a single class this is plain SOMP per class on the
-    data term.  Returns Z with its columns in data order.
+    ``c_relax`` (laid out by ``layout``, see :class:`JointState`) are updated
+    in place.  With ``mu == 0`` or a single class this is plain SOMP per
+    class on the data term.  Returns Z with its columns in data order.
     """
-    order, cls, competitors = _class_layout(class_cols)
+    order, cls, competitors = layout.order, layout.cls, layout.competitors
     target = act.inverse(z2[:, order] - b2[:, order])
     z = np.zeros((d3.shape[1], order.size))
     if mu == 0 or competitors.shape[1] == 0:
@@ -461,54 +470,63 @@ def solve_P6(
     corr_top = eta2 * (d3.T @ target)
     sq_top = eta2 * np.einsum("ij,ij->j", target, target)
     table = _competitor_table(class_means, competitors)
+    buffer = np.empty((layout.slices[0][0].stop,) + table.shape[1:])
     corr, y_sq = corr_top.copy(), sq_top.copy()
-    for cols, zbar in _competitor_means(table, cls):
-        _add_competitor_terms(corr, y_sq, cols, zbar + c_relax[:, :, cols] - p[:, :, cols], gamma)
-    # one pass per inner step: step t's P and C updates, then step t+1's
-    # correlation from them, slice by slice in two reused contiguous buffers,
-    # reading C's strided view twice and writing P's and C's once
-    buffers = np.empty((2, *table.shape[:2], min(_slice_width(table), cls.size)))
+    for cols, zbar in _competitor_means(table, layout):
+        zbar += c_relax[cols]
+        _add_competitor_terms(corr, y_sq, cols, np.subtract(zbar, p[cols], out=zbar), gamma, buffer)
+    # one pass per inner step: step t's P and C updates, written straight into
+    # P's and C's contiguous slices, then step t+1's correlation from them
     for step in range(inner_iters):
         z_sorted = pursuit_gram(gram, corr, y_sq, row_s, groups)
+        z_rows = z_sorted.T.copy()
         more = step < inner_iters - 1
         if more:
             corr, y_sq = corr_top.copy(), sq_top.copy()
-        for cols, zbar in _competitor_means(table, cls):
-            c_cols = c_relax[:, :, cols]
-            shifted, pushed = buffers[:, :, :, : zbar.shape[2]]
-            np.subtract(zbar, z_sorted[:, cols], out=shifted)
-            prox_push(np.add(shifted, c_cols, out=pushed), mu, gamma, out=pushed)
-            p[:, :, cols] = pushed
-            c_new = np.subtract(pushed, shifted, out=shifted)
-            c_new -= c_cols
-            c_cols[...] = c_new
+        for cols, zbar in _competitor_means(table, layout):
+            p_cols, c_cols = p[cols], c_relax[cols]
+            shifted = np.subtract(zbar, z_rows[cols, None, :], out=buffer[: zbar.shape[0]])
+            prox_push(np.add(shifted, c_cols, out=p_cols), mu, gamma, out=p_cols)
+            np.subtract(np.subtract(p_cols, shifted, out=shifted), c_cols, out=c_cols)
             if more:
-                blocks = np.add(zbar, c_new, out=c_new)
-                blocks -= pushed
-                _add_competitor_terms(corr, y_sq, cols, blocks, gamma)
+                zbar += c_cols
+                _add_competitor_terms(corr, y_sq, cols, np.subtract(zbar, p_cols, out=zbar), gamma, buffer)
     z[:, order] = z_sorted
     return z
 
 
-def _add_competitor_terms(corr: np.ndarray, y_sq: np.ndarray, cols: slice, blocks: np.ndarray, gamma: float) -> None:
+def _add_competitor_terms(corr, y_sq, cols: slice, blocks: np.ndarray, gamma: float, buffer: np.ndarray) -> None:
     """Add the competitor rows' share, ``blocks = mean_k + C_k - P_k`` for the
-    columns ``cols``, to the P6 correlation and squared target norms."""
-    corr[:, cols] += gamma * blocks.sum(axis=0)
-    y_sq[cols] += gamma * np.einsum("kij,kij->j", blocks, blocks)
+    columns ``cols``, to the P6 correlation and squared target norms, using
+    ``buffer`` (as many rows as ``blocks`` at least) as scratch."""
+    # a (competitor, atom, column) copy sums and squares in the order of P and C
+    # stored that way, keeping corr and y_sq bit for bit; over the blocks numpy
+    # orders both otherwise (y_sq moved by up to 6.75 eps) and is no faster
+    by_competitor = buffer[: blocks.shape[0]].reshape(blocks.shape[1], blocks.shape[2], blocks.shape[0])
+    np.copyto(by_competitor, blocks.transpose(1, 2, 0))
+    corr[:, cols] += gamma * by_competitor.sum(axis=0)
+    y_sq[cols] += gamma * np.einsum("kij,kij->j", by_competitor, by_competitor)
 
 
-def bregman_update(state: JointState) -> JointState:
+def bregman_update(state: JointState) -> tuple[float, float]:
     """Relaxation-variable sweep by the printed rule ``B <- residual - B`` for
-    B1, B2 and every C.  Uses the class-mean snapshot held in the state."""
+    B1, B2 and every C.  Uses the class-mean snapshot held in the state.
+    Returns the norms of the two coupling residuals it swept with, feas1
+    ``||Z1 - phi(D2 Z2)||`` and feas2 ``||Z2 - phi(D3 Z)||``."""
+    r1, r2 = _coupling_residuals(state)
+    state.b1 = r1 - state.b1
+    state.b2 = r2 - state.b2
+    z_rows = state.z.T[state.layout.order]
+    table = _competitor_table(state.class_means, state.layout.competitors)
+    for cols, zbar in _competitor_means(table, state.layout):
+        resid = np.subtract(state.p[cols], np.subtract(zbar, z_rows[cols, None, :], out=zbar), out=zbar)
+        np.subtract(resid, state.c_relax[cols], out=state.c_relax[cols])
+    return float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
+
+
+def _coupling_residuals(state: JointState) -> tuple[np.ndarray, np.ndarray]:
     act = state.activation
-    state.b1 = state.z1 - act.forward(state.d2 @ state.z2) - state.b1
-    state.b2 = state.z2 - act.forward(state.d3 @ state.z) - state.b2
-    order, cls, competitors = _class_layout(state.class_cols)
-    z_sorted = state.z[:, order]
-    for cols, zbar in _competitor_means(_competitor_table(state.class_means, competitors), cls):
-        resid = state.p[:, :, cols] - (zbar - z_sorted[:, cols])
-        state.c_relax[:, :, cols] = resid - state.c_relax[:, :, cols]
-    return state
+    return state.z1 - act.forward(state.d2 @ state.z2), state.z2 - act.forward(state.d3 @ state.z)
 
 
 def apply_dropout(state: JointState, rate: float, rng: Rng) -> JointState:
@@ -539,13 +557,6 @@ def apply_dropconnect(state: JointState, rate: float, rng: Rng) -> JointState:
         mask = rng.substream(name.upper()).random(d.shape) < rate
         setattr(state, name, np.where(mask, 0.0, d))
     return state
-
-
-def _feasibility(state: JointState) -> tuple[float, float]:
-    act = state.activation
-    f1 = float(np.linalg.norm(state.z1 - act.forward(state.d2 @ state.z2)))
-    f2 = float(np.linalg.norm(state.z2 - act.forward(state.d3 @ state.z)))
-    return f1, f2
 
 
 def _format_record(rec: IterationRecord) -> str:
@@ -589,6 +600,7 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         if cols.size == 0:
             raise ValueError(f"class {c} has no samples")
     budget = resolve_budget(cfg, arch)
+    layout = class_layout(class_cols, arch.feature_dim)
     act = arch.activation
     rng = Rng(cfg.seed)
 
@@ -608,16 +620,16 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         z=z_init,
         b1=np.ones_like(codes[0]),
         b2=np.ones_like(codes[1]),
-        p=np.ones((n_classes - 1, arch.feature_dim, x.shape[1])),
-        c_relax=np.ones((n_classes - 1, arch.feature_dim, x.shape[1])),
-        class_cols=class_cols,
+        p=np.ones((x.shape[1], n_classes - 1, arch.feature_dim)),
+        c_relax=np.ones((x.shape[1], n_classes - 1, arch.feature_dim)),
+        layout=layout,
         class_means=class_mean_matrix(z_init, class_cols, n_classes),
         activation=act,
     )
 
     greedy_recon = float(np.linalg.norm(x - compose_reconstruction(dicts, state.z, act)))
-    init_feas1, init_feas2 = _feasibility(state)
-    init_obj = objective_value(x, dicts, state.z, class_cols, cfg.lambda_weight, cfg.mu, act)
+    init_feas1, init_feas2 = (float(np.linalg.norm(r)) for r in _coupling_residuals(state))
+    init_obj, _ = objective_value(x, dicts, state.z, layout, state.class_means, cfg.lambda_weight, cfg.mu, act)
     report = FitReport(
         initial_objective=init_obj,
         initial_feas1=init_feas1,
@@ -632,7 +644,6 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
 
     for it in range(cfg.outer_iters):
         final_iter = it == cfg.outer_iters - 1
-        state.class_means = class_mean_matrix(state.z, class_cols, n_classes)
 
         # coefficient sweeps
         state.z1 = solve_P4(x, state.d1, state.d2, state.z2, state.b1, cfg.eta1, act)
@@ -642,7 +653,7 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
             state.b2,
             state.d3,
             state.class_means,
-            class_cols,
+            layout,
             budget.row_s,
             cfg.mu,
             cfg.gamma,
@@ -665,17 +676,19 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         if cfg.drop_mode is DropMode.DROPCONNECT and not final_iter:
             apply_dropconnect(state, cfg.drop_rate, rng.substream("drop", it))
 
-        bregman_update(state)
+        feas1, feas2 = bregman_update(state)
 
-        obj = objective_value(
-            x, [state.d1, state.d2, state.d3], state.z, class_cols, cfg.lambda_weight, cfg.mu, act
+        # Z stays as it is until the next P6, so these means are also the next
+        # iteration's snapshot
+        state.class_means = class_mean_matrix(state.z, class_cols, n_classes)
+        obj, rows = objective_value(
+            x, [state.d1, state.d2, state.d3], state.z, layout, state.class_means, cfg.lambda_weight, cfg.mu, act
         )
         if obj > DIVERGENCE_LIMIT:
             raise TrainingDivergedError(
                 f"objective {obj:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at iteration {it + 1}"
             )
-        feas1, feas2 = _feasibility(state)
-        supports = {c: _row_support_count(state.z[:, class_cols[c]]) for c in class_cols}
+        supports = dict(zip(class_cols, rows.tolist()))
         rec = IterationRecord(iteration=it + 1, objective=obj, feas1=feas1, feas2=feas2, support_sizes=supports)
         report.iterations.append(rec)
         _emit(report, log, _format_record(rec))

@@ -17,6 +17,7 @@ from rsddl.joint import (
     apply_dropconnect,
     apply_dropout,
     bregman_update,
+    class_layout,
     class_mean_matrix,
     joint_train,
     objective_value,
@@ -30,7 +31,17 @@ from rsddl.joint import (
 )
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns, pinv
 from rsddl.sparse import SparsityBudget, pursuit
-from util import DEEP_ARCH, solve_P6_reference, two_class_deep_factor_data
+import util
+from util import (
+    DEEP_ARCH,
+    bregman_update_reference,
+    column_layout,
+    many_class_mixture,
+    objective_value_reference,
+    solve_P6_reference,
+    support_sizes_reference,
+    two_class_deep_factor_data,
+)
 
 
 IDENTITY = Activation(ActivationKind.IDENTITY)
@@ -318,19 +329,20 @@ class TestSolveP6:
 
     @staticmethod
     def _relax(n_classes, n):
-        return np.ones((n_classes - 1, 4, n)), np.ones((n_classes - 1, 4, n))
+        return np.ones((n, n_classes - 1, 4)), np.ones((n, n_classes - 1, 4))
 
     def test_no_competitors_is_plain_somp(self):
         d3, z2, b2, class_cols = self._inputs(n_classes=1)
         p, c = self._relax(1, 8)
-        out = solve_P6(z2, b2, d3, np.zeros((4, 1)), class_cols, 2, 0.5, 0.1, 1.0, 5, p, c, TANH)
+        layout = class_layout(class_cols, 4)
+        out = solve_P6(z2, b2, d3, np.zeros((4, 1)), layout, 2, 0.5, 0.1, 1.0, 5, p, c, TANH)
         expected = pursuit(d3, TANH.inverse(z2 - b2), 2, groups=np.zeros(8))
         assert np.array_equal(out, expected)
 
     def test_mu_zero_is_plain_somp(self):
         d3, z2, b2, class_cols = self._inputs()
         p, c = self._relax(2, 16)
-        out = solve_P6(z2, b2, d3, np.zeros((4, 2)), class_cols, 2, 0.0, 0.1, 1.0, 5, p, c, TANH)
+        out = solve_P6(z2, b2, d3, np.zeros((4, 2)), class_layout(class_cols, 4), 2, 0.0, 0.1, 1.0, 5, p, c, TANH)
         for cols in class_cols.values():
             expected = pursuit(d3, TANH.inverse(z2[:, cols] - b2[:, cols]), 2, groups=np.zeros(8))
             assert np.array_equal(out[:, cols], expected)
@@ -340,7 +352,7 @@ class TestSolveP6:
         d3, z2, b2, class_cols = self._inputs(n_classes=3)
         p, c = self._relax(3, 24)
         means = Rng(3).standard_normal((4, 3))
-        out = solve_P6(z2, b2, d3, means, class_cols, 1, 0.5, 0.1, 1.0, 5, p, c, TANH)
+        out = solve_P6(z2, b2, d3, means, class_layout(class_cols, 4), 1, 0.5, 0.1, 1.0, 5, p, c, TANH)
         for cols in class_cols.values():
             assert np.count_nonzero(np.abs(out[:, cols]).sum(axis=1)) <= 1
 
@@ -356,7 +368,7 @@ class TestSolveP6:
 
         def run(mu):
             p, c = self._relax(2, 20)
-            out = solve_P6(z2, b2, d3, means, class_cols, 1, mu, 0.1, 1.0, 5, p, c, TANH)
+            out = solve_P6(z2, b2, d3, means, class_layout(class_cols, 4), 1, mu, 0.1, 1.0, 5, p, c, TANH)
             return set(np.nonzero(np.abs(out[:, class_cols[1]]).sum(axis=1))[0])
 
         competitor_support = {int(np.argmax(means[:, 1]))}
@@ -367,7 +379,7 @@ class TestSolveP6:
 
 class TestSolveP6MatchesTwoPass:
     """The one-pass ``solve_P6`` against ``solve_P6_reference``, the two-pass
-    form it replaced: identical Z, P and C."""
+    form over the (competitor, atom, column) layout: identical Z, P and C."""
 
     @staticmethod
     def _check(sizes, row_s=3, mu=0.5, gamma=0.1, eta2=1.0, inner_iters=5, atoms=7, seed=30):
@@ -384,12 +396,13 @@ class TestSolveP6MatchesTwoPass:
         p = rng.standard_normal((n_classes - 1, atoms, n))
         c = rng.standard_normal((n_classes - 1, atoms, n))
         p_ref, c_ref = p.copy(), c.copy()
-        args = (z2, b2, d3, means, class_cols, row_s, mu, gamma, eta2, inner_iters)
-        z = solve_P6(*args, p, c, TANH)
-        z_ref = solve_P6_reference(*args, p_ref, c_ref, TANH)
+        p, c = column_layout(p), column_layout(c)
+        args = (row_s, mu, gamma, eta2, inner_iters)
+        z = solve_P6(z2, b2, d3, means, class_layout(class_cols, atoms), *args, p, c, TANH)
+        z_ref = solve_P6_reference(z2, b2, d3, means, class_cols, *args, p_ref, c_ref, TANH)
         assert np.array_equal(z, z_ref)
-        assert np.array_equal(p, p_ref)
-        assert np.array_equal(c, c_ref)
+        assert np.array_equal(p, column_layout(p_ref))
+        assert np.array_equal(c, column_layout(c_ref))
         return z
 
     def test_uneven_class_sizes(self):
@@ -397,6 +410,8 @@ class TestSolveP6MatchesTwoPass:
             self._check([1, 6, 3, 9, 2], seed=seed)
         self._check([4, 1, 7], inner_iters=1)
         self._check([5, 2, 8, 3], row_s=7, gamma=1.0, eta2=0.3)
+        # one atom: numpy would sum the 11 competitors of a column pairwise
+        self._check([2, 3, 1, 4, 2, 3, 1, 2, 5, 2, 3, 1], row_s=1, atoms=1)
 
     def test_passes_over_several_slices(self, monkeypatch):
         # 40 classes of 3-5 columns: 39 competitors x 7 atoms = 273 elements
@@ -413,6 +428,43 @@ class TestSolveP6MatchesTwoPass:
 
     def test_single_class(self):
         self._check([6])
+
+    def test_kernel_calls_of_a_mixture_training(self, monkeypatch):
+        # the benchmark's mixture workload: 16 classes, 60 dims, arch 42,30,21;
+        # corr and y_sq sum the same terms in the same order in both layouts
+        calls = {"new": [], "old": []}
+
+        def recorder(kernel, key):
+            def recorded(prepared, corr, y_sq, s, groups):
+                z = kernel(prepared, corr, y_sq, s, groups)
+                calls[key].append((corr.copy(), np.array(y_sq), z))
+                return z
+
+            return recorded
+
+        train, _ = many_class_mixture()
+        class_cols = {c: np.asarray(train.class_index[c]) for c in range(1, train.num_classes + 1)}
+        solve = joint.solve_P6
+
+        def both(z2, b2, d3, means, layout, row_s, mu, gamma, eta2, inner_iters, p, c, act):
+            p_ref, c_ref = np.transpose(p, (1, 2, 0)).copy(), np.transpose(c, (1, 2, 0)).copy()
+            args = (row_s, mu, gamma, eta2, inner_iters)
+            z = solve(z2, b2, d3, means, layout, *args, p, c, act)
+            z_ref = solve_P6_reference(z2, b2, d3, means, class_cols, *args, p_ref, c_ref, act)
+            assert np.array_equal(z, z_ref)
+            assert np.array_equal(p, column_layout(p_ref)) and np.array_equal(c, column_layout(c_ref))
+            return z
+
+        monkeypatch.setattr(joint, "pursuit_gram", recorder(joint.pursuit_gram, "new"))
+        monkeypatch.setattr(util, "pursuit_gram_reference", recorder(util.pursuit_gram_reference, "old"))
+        monkeypatch.setattr(joint, "solve_P6", both)
+        cfg = TrainConfig(drop_mode=DropMode.NONE, outer_iters=10, seed=7)
+        joint_train(train, Architecture((42, 30, 21)), cfg)
+        assert len(calls["new"]) == len(calls["old"]) == cfg.outer_iters * cfg.inner_iters
+        for (corr, y_sq, z), (corr_ref, y_sq_ref, z_ref) in zip(calls["new"], calls["old"]):
+            assert np.array_equal(corr, corr_ref)
+            assert np.array_equal(y_sq, y_sq_ref)
+            assert np.array_equal(z, z_ref)
 
 
 class TestBregmanUpdate:
@@ -435,9 +487,9 @@ class TestBregmanUpdate:
             z=z,
             b1=np.zeros_like(z1),
             b2=np.zeros_like(z2),
-            p=np.ones((1, 2, 6)),
-            c_relax=np.ones((1, 2, 6)),
-            class_cols=class_cols,
+            p=np.ones((6, 1, 2)),
+            c_relax=np.ones((6, 1, 2)),
+            layout=class_layout(class_cols, 2),
             class_means=class_mean_matrix(z, class_cols, 2),
             activation=act,
         )
@@ -453,7 +505,7 @@ class TestBregmanUpdate:
         state.b1 = Rng(1).standard_normal(state.b1.shape)
         state.b2 = Rng(2).standard_normal(state.b2.shape)
         b1_0, b2_0 = state.b1.copy(), state.b2.copy()
-        state.c_relax = Rng(3).standard_normal(state.c_relax.shape)
+        state.c_relax = column_layout(Rng(3).standard_normal((1, 2, 6)))
         c_0 = state.c_relax.copy()
         bregman_update(state)
         bregman_update(state)  # primals frozen: R - (R - B) == B
@@ -465,14 +517,15 @@ class TestBregmanUpdate:
         # C[0] of class 1 pairs with mean 2 and of class 2 with mean 1 (the
         # class-sorted layout); the rule against the residual P - (mean - Z)
         state = self._state()
-        state.p = Rng(4).standard_normal(state.p.shape)
-        c_0 = state.c_relax.copy()
-        resid = np.empty_like(state.p)
+        p = Rng(4).standard_normal((1, 2, 6))
+        state.p = column_layout(p)
+        c_0 = np.ones_like(p)
+        resid = np.empty_like(p)
         for c, k in ((1, 2), (2, 1)):
-            cols = state.class_cols[c]
-            resid[0][:, cols] = state.p[0][:, cols] - (state.class_means[:, [k - 1]] - state.z[:, cols])
+            cols = np.arange(3 * c - 3, 3 * c)
+            resid[0][:, cols] = p[0][:, cols] - (state.class_means[:, [k - 1]] - state.z[:, cols])
         bregman_update(state)
-        assert np.allclose(state.c_relax, resid - c_0, atol=1e-12)
+        assert np.allclose(state.c_relax, column_layout(resid - c_0), atol=1e-12)
 
     def test_shapes_preserved(self):
         state = self._state()
@@ -497,9 +550,9 @@ class TestDropping:
             z=z,
             b1=np.zeros_like(z1),
             b2=np.zeros_like(z2),
-            p=np.zeros((0, 10, 100)),
-            c_relax=np.zeros((0, 10, 100)),
-            class_cols={1: np.arange(100)},
+            p=np.zeros((100, 0, 10)),
+            c_relax=np.zeros((100, 0, 10)),
+            layout=class_layout({1: np.arange(100)}, 10),
             class_means=np.zeros((10, 1)),
             activation=TANH,
         )
@@ -552,8 +605,78 @@ class TestObjective:
         # diversity: mean_2 = (0,0); mean_1 = (2,0)
         #   c=1: mean_2 - z_1 = (-2,0) -> 1 nonzero
         #   c=2: mean_1 - z_2 = (2,0)  -> 1 nonzero
-        value = objective_value(x, d, z, class_cols, 0.1, 0.5, act)
+        means = class_mean_matrix(z, class_cols, 2)
+        value, rows = objective_value(x, d, z, class_layout(class_cols, 2), means, 0.1, 0.5, act)
         assert value == pytest.approx(2.0 + 0.1 * 1 - 0.5 * 2)
+        assert rows.tolist() == [1, 0]
+
+
+class TestBookkeepingOnce:
+    """``joint_train`` builds the class layout once, takes the class means once
+    per outer iteration, the support sizes from the objective's row count and
+    feas1 and feas2 from the relaxation sweep's residuals.  Each must equal
+    its recomputation, bit for bit, and the sweep and the objective their
+    oracles over the (competitor, atom, column) layout."""
+
+    @staticmethod
+    def _data(case):
+        rng = Rng(19)
+        if case == "uneven":
+            labels = rng.permutation(np.repeat([1, 2, 3, 4], [2, 9, 5, 1]))
+        elif case == "one class":
+            labels = np.ones(14, dtype=np.int64)
+        else:  # 40 classes of 3-5 columns: 39 x 6 elements per column, three slices
+            labels = rng.permutation(np.repeat(np.arange(1, 41), [3 + c % 3 for c in range(40)]))
+        return make_dataset(rng.standard_normal((12, labels.size)), labels)
+
+    @pytest.mark.parametrize("act", [TANH, IDENTITY], ids=["tanh", "identity"])
+    @pytest.mark.parametrize("case", ["uneven", "one class", "40 classes"])
+    def test_matches_recomputed(self, monkeypatch, case, act):
+        data = self._data(case)
+        n_classes = data.num_classes
+        class_cols = {c: np.asarray(data.class_index[c]) for c in range(1, n_classes + 1)}
+        solve, sweep, objective = joint.solve_P6, joint.bregman_update, joint.objective_value
+        seen = {"z": None, "layouts": set(), "sweeps": 0}
+
+        def checked_p6(z2, b2, d3, class_means, layout, *args):
+            # the snapshot is the means of Z as the last objective saw it
+            assert np.array_equal(class_means, class_mean_matrix(seen["z"], class_cols, n_classes))
+            seen["layouts"].add(id(layout))
+            return solve(z2, b2, d3, class_means, layout, *args)
+
+        def checked_sweep(state):
+            p_ref = np.transpose(state.p, (1, 2, 0))
+            c_ref = np.transpose(state.c_relax, (1, 2, 0)).copy()
+            b1, b2 = bregman_update_reference(state, p_ref, c_ref, class_cols)
+            feas = sweep(state)
+            a = state.activation
+            assert feas == (
+                float(np.linalg.norm(state.z1 - a.forward(state.d2 @ state.z2))),
+                float(np.linalg.norm(state.z2 - a.forward(state.d3 @ state.z))),
+            )
+            assert np.array_equal(state.b1, b1) and np.array_equal(state.b2, b2)
+            assert np.array_equal(state.c_relax, column_layout(c_ref))
+            seen["layouts"].add(id(state.layout))
+            seen["sweeps"] += 1
+            return feas
+
+        def checked_objective(x, dicts, z, layout, means, lambda_weight, mu, a):
+            assert np.array_equal(means, class_mean_matrix(z, class_cols, n_classes))
+            value, rows = objective(x, dicts, z, layout, means, lambda_weight, mu, a)
+            assert value == objective_value_reference(x, dicts, z, class_cols, lambda_weight, mu, a)
+            assert dict(zip(class_cols, rows.tolist())) == support_sizes_reference(z, class_cols)
+            seen["layouts"].add(id(layout))
+            seen["z"] = z.copy()
+            return value, rows
+
+        monkeypatch.setattr(joint, "solve_P6", checked_p6)
+        monkeypatch.setattr(joint, "bregman_update", checked_sweep)
+        monkeypatch.setattr(joint, "objective_value", checked_objective)
+        cfg = TrainConfig(seed=3, outer_iters=3)
+        model = joint_train(data, Architecture((10, 8, 6), activation=act), cfg)
+        assert seen["sweeps"] == cfg.outer_iters and len(seen["layouts"]) == 1
+        assert len(class_layout(class_cols, 6).slices) == (3 if case == "40 classes" else 1)
+        assert model.fit_report.iterations[-1].support_sizes == support_sizes_reference(model.features, class_cols)
 
 
 class TestJointTrain:
@@ -647,20 +770,43 @@ class TestJointTrain:
         assert rep.final_feas2 == pytest.approx(37.62662553396014, rel=1e-9)
 
     def test_pair_chunk_width_leaves_model_unchanged(self, monkeypatch):
-        # four classes of unequal size in shuffled order, DropConnect on
+        # four classes of unequal size in shuffled order, DropConnect on; the
+        # width sets the slices of P6, of the relaxation sweep and of the
+        # objective, so every sweep's C and every objective must agree too
         rng = Rng(8)
         labels = rng.permutation(np.repeat([1, 2, 3, 4], [3, 9, 5, 7]))
         data = make_dataset(rng.standard_normal((12, labels.size)), labels)
         cfg = TrainConfig(seed=2, outer_iters=4)
-        models = []
+        sweep, objective = joint.bregman_update, joint.objective_value
+        runs = []
         for chunk in (1, 2**40):
+            seen = {"slices": set(), "c": [], "objective": []}
+
+            def recorded_sweep(state, seen=seen):
+                feas = sweep(state)
+                seen["slices"].add(len(state.layout.slices))
+                seen["c"].append(state.c_relax.copy())
+                return feas
+
+            def recorded_objective(*args, seen=seen):
+                value, rows = objective(*args)
+                seen["slices"].add(len(args[3].slices))
+                seen["objective"].append((value, rows.tolist()))
+                return value, rows
+
             monkeypatch.setattr(joint, "_PAIR_CHUNK", chunk)
-            models.append(joint_train(data, Architecture((10, 8, 6)), cfg))
-        a, b = models
+            monkeypatch.setattr(joint, "bregman_update", recorded_sweep)
+            monkeypatch.setattr(joint, "objective_value", recorded_objective)
+            runs.append((joint_train(data, Architecture((10, 8, 6)), cfg), seen))
+        (a, seen_a), (b, seen_b) = runs
+        assert seen_a["slices"] == {labels.size} and seen_b["slices"] == {1}
         for da, db in zip(a.dictionaries, b.dictionaries):
             assert np.array_equal(da, db)
         assert np.array_equal(a.features, b.features)
         assert a.fit_report.lines == b.fit_report.lines
+        assert len(seen_a["c"]) == cfg.outer_iters
+        assert all(np.array_equal(ca, cb) for ca, cb in zip(seen_a["c"], seen_b["c"]))
+        assert seen_a["objective"] == seen_b["objective"]
 
     def test_divergence_guard(self):
         rng = Rng(1)

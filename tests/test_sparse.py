@@ -8,11 +8,12 @@ import rsddl.joint
 import rsddl.sparse
 from rsddl.greedy import Architecture
 from rsddl.inference import predict_batch
-from rsddl.joint import DropMode, TrainConfig, joint_train, solve_P6
+from rsddl.joint import DropMode, TrainConfig, class_layout, joint_train, solve_P6
 from rsddl.numerics import Activation, Rng, normalize_columns
 from rsddl.sparse import SparsityBudget, group_columns, prox_push, pursuit, pursuit_gram, unit_gram
 from util import (
     coherence,
+    column_layout,
     hard_threshold_per_column,
     labels_of,
     low_coherence_frame,
@@ -557,7 +558,8 @@ class TestP6GramForm:
             p = rng.standard_normal((n_classes - 1, 7, n))
             c = rng.standard_normal((n_classes - 1, 7, n))
             p_ref, c_ref = p.copy(), c.copy()
-            out = solve_P6(z2, b2, d3, means, class_cols, row_s, 0.5, gamma, eta2, 5, p, c, act)
+            p, c = column_layout(p), column_layout(c)
+            out = solve_P6(z2, b2, d3, means, class_layout(class_cols, 7), row_s, 0.5, gamma, eta2, 5, p, c, act)
             lo = 0
             for k, cols in class_cols.items():
                 block = slice(lo, lo + cols.size)  # class k's columns of P and C
@@ -571,5 +573,5 @@ class TestP6GramForm:
                 )
                 TestAgainstReference._assert_same(out[:, cols], ref)
                 for i, j in enumerate(others):
-                    assert np.max(np.abs(p[i, :, block] - p_k[j])) <= 1e-9
-                    assert np.max(np.abs(c[i, :, block] - c_k[j])) <= 1e-9
+                    assert np.max(np.abs(p[block, i].T - p_k[j])) <= 1e-9
+                    assert np.max(np.abs(c[block, i].T - c_k[j])) <= 1e-9

@@ -7,9 +7,9 @@ import numpy as np
 
 from rsddl.dataio import DataFormatError, make_dataset
 from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns
-from rsddl.greedy import Architecture
+from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.inference import SUPPORT_TOL
-from rsddl.joint import _PAIR_CHUNK, _class_layout, resolve_budget, solve_P4, solve_P5
+from rsddl.joint import _PAIR_CHUNK, class_mean_matrix, resolve_budget, solve_P4, solve_P5
 from rsddl.sparse import prox_push, unit_gram
 
 
@@ -348,7 +348,26 @@ def labels_of(cols, n):
 
 # P6 as it was before its passes were fused: per inner step, one pass over
 # P and C for the correlation and one for the updates, each gathering the
-# competitor means again.  The oracle for ``rsddl.joint.solve_P6``.
+# competitor means again.  P and C are (competitor, atom, column) arrays here;
+# ``column_layout`` turns them into the (column, competitor, atom) arrays of
+# ``rsddl.joint``.  The oracle for ``rsddl.joint.solve_P6``.
+
+def _class_layout(class_cols):
+    """The class-sorted column layout of P and C: the column order, each
+    sorted column's class index (0-based), and the (class, competitor) table
+    whose row c lists every other class index in ascending order."""
+    classes = sorted(class_cols)
+    order = np.concatenate([class_cols[c] for c in classes])
+    cls = np.repeat(np.arange(len(classes)), [class_cols[c].size for c in classes])
+    slot = np.arange(len(classes) - 1)[None, :]
+    competitors = slot + (slot >= np.arange(len(classes))[:, None])
+    return order, cls, competitors
+
+
+def column_layout(a):
+    """A (competitor, atom, column) P or C as a new (column, competitor, atom) array."""
+    return np.ascontiguousarray(np.transpose(a, (2, 0, 1)))
+
 
 def _competitor_means_reference(means, cls, competitors):
     """The competitor-mean slices of the class-sorted layout as first written:
@@ -415,6 +434,47 @@ def solve_P6_reference(
             c_relax[:, :, cols] = p[:, :, cols] - shifted - c_relax[:, :, cols]
     z[:, order] = z_sorted
     return z
+
+
+# The relaxation sweep, the objective and the run log's support sizes as they
+# were before P and C changed layout and the bookkeeping was shared: the
+# oracles for ``bregman_update``, ``objective_value`` and the support sizes.
+
+def bregman_update_reference(state, p, c_relax, class_cols):
+    """The relaxation sweep of ``state`` with P and C given as (competitor,
+    atom, column) arrays; returns ``(B1, B2)`` and updates ``c_relax`` in place."""
+    act = state.activation
+    b1 = state.z1 - act.forward(state.d2 @ state.z2) - state.b1
+    b2 = state.z2 - act.forward(state.d3 @ state.z) - state.b2
+    order, cls, competitors = _class_layout(class_cols)
+    z_sorted = state.z[:, order]
+    for cols, zbar in _competitor_means_reference(state.class_means, cls, competitors):
+        resid = p[:, :, cols] - (zbar - z_sorted[:, cols])
+        c_relax[:, :, cols] = resid - c_relax[:, :, cols]
+    return b1, b2
+
+
+def support_sizes_reference(z, class_cols):
+    """Each class's count of nonzero rows of Z, one class block at a time."""
+    return {c: int(np.sum(np.any(z[:, cols] != 0.0, axis=1))) for c, cols in class_cols.items()}
+
+
+def objective_value_reference(x, dicts, z, class_cols, lambda_weight, mu, act):
+    """The training objective with its own class means, over the (competitor,
+    atom, column) layout."""
+    recon = x - compose_reconstruction(dicts, z, act)
+    value = float(np.sum(recon * recon))
+    order, cls, competitors = _class_layout(class_cols)
+    z_sorted = z[:, order]
+    starts = np.searchsorted(cls, np.arange(competitors.shape[0]))
+    rows = np.logical_or.reduceat(z_sorted != 0.0, starts, axis=1).sum(axis=0)
+    means = class_mean_matrix(z, class_cols, len(class_cols))
+    differ = np.zeros((competitors.shape[1], cls.size), dtype=np.int64)
+    for cols, zbar in _competitor_means_reference(means, cls, competitors):
+        differ[:, cols] = np.count_nonzero(zbar != z_sorted[:, cols], axis=1)
+    pairs = np.add.reduceat(differ, starts, axis=1)
+    terms = np.vstack([lambda_weight * rows, -mu * pairs]).T.ravel()
+    return float(np.cumsum(np.append(value, terms))[-1])
 
 
 def encode_reference(model, x):
