@@ -88,8 +88,8 @@ def format_rows(workload: str, rows: list[dict]) -> str:
     return "\n".join(out)
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float, python: str) -> dict:
-    cmd = [python, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
@@ -104,7 +104,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", help="repeatable; default: every workload")
     parser.add_argument("--seeds", required=True, type=parse_seeds, help='e.g. "0-9" or "3,5,8"')
     parser.add_argument("--seconds", required=True, type=float)
-    parser.add_argument("--python", default=sys.executable)
     parser.add_argument("--log", help="append one JSON line per run to this file")
     args = parser.parse_args(argv)
 
@@ -119,7 +118,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             got = {}
             for side in order:
-                got[side] = run_once(sides[side], workload, seed, args.seconds, args.python)
+                got[side] = run_once(sides[side], workload, seed, args.seconds)
                 counts[side][0] += got[side]["attempted"]
                 counts[side][1] += got[side]["failed"]
                 print(f"{workload} seed {seed} {side}: train_s "

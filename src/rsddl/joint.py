@@ -39,8 +39,6 @@ __all__ = [
     "DropMode",
     "TrainConfig",
     "JointState",
-    "ClassLayout",
-    "class_layout",
     "Model",
     "FitReport",
     "IterationRecord",
@@ -135,7 +133,7 @@ def resolve_budget(cfg: TrainConfig, arch: Architecture) -> SparsityBudget:
     return budget
 
 
-class ClassLayout(NamedTuple):
+class _ClassLayout(NamedTuple):
     """The class-sorted column layout of P and C, built once per training."""
 
     order: np.ndarray  # the data column of each sorted column
@@ -146,8 +144,8 @@ class ClassLayout(NamedTuple):
     slices: tuple[tuple[slice, int, int, np.ndarray], ...]
 
 
-def class_layout(class_cols: dict[int, np.ndarray], atoms: int) -> ClassLayout:
-    """The :class:`ClassLayout` of the classes ``class_cols`` (every class
+def _class_layout(class_cols: dict[int, np.ndarray], atoms: int) -> _ClassLayout:
+    """The :class:`_ClassLayout` of the classes ``class_cols`` (every class
     nonempty) for codes of ``atoms`` rows."""
     classes = sorted(class_cols)
     sizes = [class_cols[c].size for c in classes]
@@ -161,7 +159,7 @@ def class_layout(class_cols: dict[int, np.ndarray], atoms: int) -> ClassLayout:
         slices.append((slice(lo, lo + run.size), run[0], run[-1] + 1, np.bincount(run - run[0])))
     starts = np.cumsum([0] + sizes[:-1])
     order = np.concatenate([class_cols[c] for c in classes])
-    return ClassLayout(order, cls, competitors, starts, tuple(slices))
+    return _ClassLayout(order, cls, competitors, starts, tuple(slices))
 
 
 @dataclass
@@ -186,7 +184,7 @@ class JointState:
     b2: np.ndarray
     p: np.ndarray
     c_relax: np.ndarray
-    layout: ClassLayout
+    layout: _ClassLayout
     class_means: np.ndarray
     activation: Activation
 
@@ -299,7 +297,7 @@ def _competitor_table(means: np.ndarray, competitors: np.ndarray) -> np.ndarray:
     return means.T[competitors]
 
 
-def _competitor_means(table: np.ndarray, layout: ClassLayout):
+def _competitor_means(table: np.ndarray, layout: _ClassLayout):
     """Yield ``(columns, zbar)`` over the slices of ``layout``, ``zbar`` being
     a new (column, competitor, atom) array of the competitors' means for the
     slice's columns, gathered from the :func:`_competitor_table` ``table``."""
@@ -311,7 +309,7 @@ def objective_value(
     x: np.ndarray,
     dicts: list[np.ndarray],
     z: np.ndarray,
-    layout: ClassLayout,
+    layout: _ClassLayout,
     means: np.ndarray,
     lambda_weight: float,
     mu: float,
@@ -434,7 +432,7 @@ def solve_P6(
     b2: np.ndarray,
     d3: np.ndarray,
     class_means: np.ndarray,
-    layout: ClassLayout,
+    layout: _ClassLayout,
     row_s: int,
     mu: float,
     gamma: float,
@@ -600,7 +598,7 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         if cols.size == 0:
             raise ValueError(f"class {c} has no samples")
     budget = resolve_budget(cfg, arch)
-    layout = class_layout(class_cols, arch.feature_dim)
+    layout = _class_layout(class_cols, arch.feature_dim)
     act = arch.activation
     rng = Rng(cfg.seed)
 

@@ -14,10 +14,10 @@ from rsddl.joint import (
     Model,
     TrainConfig,
     TrainingDivergedError,
+    _class_layout,
     apply_dropconnect,
     apply_dropout,
     bregman_update,
-    class_layout,
     class_mean_matrix,
     joint_train,
     objective_value,
@@ -334,7 +334,7 @@ class TestSolveP6:
     def test_no_competitors_is_plain_somp(self):
         d3, z2, b2, class_cols = self._inputs(n_classes=1)
         p, c = self._relax(1, 8)
-        layout = class_layout(class_cols, 4)
+        layout = _class_layout(class_cols, 4)
         out = solve_P6(z2, b2, d3, np.zeros((4, 1)), layout, 2, 0.5, 0.1, 1.0, 5, p, c, TANH)
         expected = pursuit(d3, TANH.inverse(z2 - b2), 2, groups=np.zeros(8))
         assert np.array_equal(out, expected)
@@ -342,7 +342,7 @@ class TestSolveP6:
     def test_mu_zero_is_plain_somp(self):
         d3, z2, b2, class_cols = self._inputs()
         p, c = self._relax(2, 16)
-        out = solve_P6(z2, b2, d3, np.zeros((4, 2)), class_layout(class_cols, 4), 2, 0.0, 0.1, 1.0, 5, p, c, TANH)
+        out = solve_P6(z2, b2, d3, np.zeros((4, 2)), _class_layout(class_cols, 4), 2, 0.0, 0.1, 1.0, 5, p, c, TANH)
         for cols in class_cols.values():
             expected = pursuit(d3, TANH.inverse(z2[:, cols] - b2[:, cols]), 2, groups=np.zeros(8))
             assert np.array_equal(out[:, cols], expected)
@@ -352,7 +352,7 @@ class TestSolveP6:
         d3, z2, b2, class_cols = self._inputs(n_classes=3)
         p, c = self._relax(3, 24)
         means = Rng(3).standard_normal((4, 3))
-        out = solve_P6(z2, b2, d3, means, class_layout(class_cols, 4), 1, 0.5, 0.1, 1.0, 5, p, c, TANH)
+        out = solve_P6(z2, b2, d3, means, _class_layout(class_cols, 4), 1, 0.5, 0.1, 1.0, 5, p, c, TANH)
         for cols in class_cols.values():
             assert np.count_nonzero(np.abs(out[:, cols]).sum(axis=1)) <= 1
 
@@ -368,7 +368,7 @@ class TestSolveP6:
 
         def run(mu):
             p, c = self._relax(2, 20)
-            out = solve_P6(z2, b2, d3, means, class_layout(class_cols, 4), 1, mu, 0.1, 1.0, 5, p, c, TANH)
+            out = solve_P6(z2, b2, d3, means, _class_layout(class_cols, 4), 1, mu, 0.1, 1.0, 5, p, c, TANH)
             return set(np.nonzero(np.abs(out[:, class_cols[1]]).sum(axis=1))[0])
 
         competitor_support = {int(np.argmax(means[:, 1]))}
@@ -398,7 +398,7 @@ class TestSolveP6MatchesTwoPass:
         p_ref, c_ref = p.copy(), c.copy()
         p, c = column_layout(p), column_layout(c)
         args = (row_s, mu, gamma, eta2, inner_iters)
-        z = solve_P6(z2, b2, d3, means, class_layout(class_cols, atoms), *args, p, c, TANH)
+        z = solve_P6(z2, b2, d3, means, _class_layout(class_cols, atoms), *args, p, c, TANH)
         z_ref = solve_P6_reference(z2, b2, d3, means, class_cols, *args, p_ref, c_ref, TANH)
         assert np.array_equal(z, z_ref)
         assert np.array_equal(p, column_layout(p_ref))
@@ -489,7 +489,7 @@ class TestBregmanUpdate:
             b2=np.zeros_like(z2),
             p=np.ones((6, 1, 2)),
             c_relax=np.ones((6, 1, 2)),
-            layout=class_layout(class_cols, 2),
+            layout=_class_layout(class_cols, 2),
             class_means=class_mean_matrix(z, class_cols, 2),
             activation=act,
         )
@@ -552,7 +552,7 @@ class TestDropping:
             b2=np.zeros_like(z2),
             p=np.zeros((100, 0, 10)),
             c_relax=np.zeros((100, 0, 10)),
-            layout=class_layout({1: np.arange(100)}, 10),
+            layout=_class_layout({1: np.arange(100)}, 10),
             class_means=np.zeros((10, 1)),
             activation=TANH,
         )
@@ -606,7 +606,7 @@ class TestObjective:
         #   c=1: mean_2 - z_1 = (-2,0) -> 1 nonzero
         #   c=2: mean_1 - z_2 = (2,0)  -> 1 nonzero
         means = class_mean_matrix(z, class_cols, 2)
-        value, rows = objective_value(x, d, z, class_layout(class_cols, 2), means, 0.1, 0.5, act)
+        value, rows = objective_value(x, d, z, _class_layout(class_cols, 2), means, 0.1, 0.5, act)
         assert value == pytest.approx(2.0 + 0.1 * 1 - 0.5 * 2)
         assert rows.tolist() == [1, 0]
 
@@ -675,7 +675,7 @@ class TestBookkeepingOnce:
         cfg = TrainConfig(seed=3, outer_iters=3)
         model = joint_train(data, Architecture((10, 8, 6), activation=act), cfg)
         assert seen["sweeps"] == cfg.outer_iters and len(seen["layouts"]) == 1
-        assert len(class_layout(class_cols, 6).slices) == (3 if case == "40 classes" else 1)
+        assert len(_class_layout(class_cols, 6).slices) == (3 if case == "40 classes" else 1)
         assert model.fit_report.iterations[-1].support_sizes == support_sizes_reference(model.features, class_cols)
 
 

@@ -8,7 +8,7 @@ import rsddl.joint
 import rsddl.sparse
 from rsddl.greedy import Architecture
 from rsddl.inference import predict_batch
-from rsddl.joint import DropMode, TrainConfig, class_layout, joint_train, solve_P6
+from rsddl.joint import DropMode, TrainConfig, _class_layout, joint_train, solve_P6
 from rsddl.numerics import Activation, Rng, normalize_columns
 from rsddl.sparse import SparsityBudget, group_columns, prox_push, pursuit, pursuit_gram, unit_gram
 from util import (
@@ -559,7 +559,7 @@ class TestP6GramForm:
             c = rng.standard_normal((n_classes - 1, 7, n))
             p_ref, c_ref = p.copy(), c.copy()
             p, c = column_layout(p), column_layout(c)
-            out = solve_P6(z2, b2, d3, means, class_layout(class_cols, 7), row_s, 0.5, gamma, eta2, 5, p, c, act)
+            out = solve_P6(z2, b2, d3, means, _class_layout(class_cols, 7), row_s, 0.5, gamma, eta2, 5, p, c, act)
             lo = 0
             for k, cols in class_cols.items():
                 block = slice(lo, lo + cols.size)  # class k's columns of P and C
