@@ -6,9 +6,18 @@ change checkout, one run at a time, with the same seeds and ``--seconds`` on
 both sides.  Pair i runs the parent first when i is even and the change first
 when i is odd.  For each workload and end-to-end metric it then prints each
 side's median and quartiles, the change of the median, the parent's quartile
-distance and the change's wins out of the pairs (ties count for neither).
-Whether lower or higher is better is read from the change's
-``BENCHMARK.json``.
+distance, the change's wins out of the pairs (ties count for neither) and
+a verdict.  Whether lower or higher is better, and each metric's bound, are
+read from the change's ``BENCHMARK.json``.  The verdict is the first that
+holds of:
+
+* ``gain``: the change won at least 9 of 10 pairs, and its median is better
+  than the parent's by more than the parent's IQR (interquartile range);
+* ``worse``: the change's median is worse than the parent's by more than the
+  bound, a fraction of the parent's median;
+* ``unresolved``: the parent's IQR is more than the bound times its median,
+  and not every change run beats every parent run;
+* ``within bound``.
 
 Example, from the change's checkout::
 
@@ -54,9 +63,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def verdict(parent: list[float], change: list[float], wins: int, better: str, bound: float) -> str:
+    """The verdict on one metric's paired runs (see the module docstring)."""
+    sign = 1.0 if better == "higher" else -1.0
+    (p1, p2, p3), (_, c2, _) = quartiles(parent), quartiles(change)
+    gain = sign * (c2 - p2)  # positive when the change's median is better
+    if 10 * wins >= 9 * len(parent) and gain > p3 - p1:
+        return "gain"
+    if -gain > bound * abs(p2):
+        return "worse"
+    every_run = min(sign * c for c in change) > max(sign * p for p in parent)
+    if p3 - p1 > bound * abs(p2) and not every_run:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: dict[str, float]) -> list[dict]:
     """One row per metric of ``better`` (name -> "lower" or "higher") over the
-    (parent result, change result) pairs of one workload."""
+    (parent result, change result) pairs of one workload; ``bounds`` gives
+    each metric's bound."""
     rows = []
     for name, direction in better.items():
         got = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
@@ -72,18 +97,19 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
             "metric": name, "better": direction, "pairs": len(got), "wins": wins, "ties": ties,
             "parent": p_q, "change": c_q, "parent_iqr": p_q[2] - p_q[0],
             "delta": (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else float("nan"),
+            "verdict": verdict(parent, change, wins, direction, bounds[name]),
         })
     return rows
 
 
 def format_rows(workload: str, rows: list[dict]) -> str:
-    out = [f"{workload}: median [quartiles], parent -> change; change of the median; parent IQR; wins"]
+    out = [f"{workload}: median [quartiles], parent -> change; change of the median; parent IQR; wins; verdict"]
     for r in rows:
         (p1, p2, p3), (c1, c2, c3) = r["parent"], r["change"]
         out.append(
             f"  {r['metric']:24s} {p2:.6g} [{p1:.6g}, {p3:.6g}] -> {c2:.6g} [{c1:.6g}, {c3:.6g}]"
             f"  {100 * r['delta']:+.1f}%  IQR {r['parent_iqr']:.4g}"
-            f"  {r['wins']}/{r['pairs']} won ({r['better']} is better, {r['ties']} tied)"
+            f"  {r['wins']}/{r['pairs']} won ({r['better']} is better, {r['ties']} tied)  {r['verdict']}"
         )
     return "\n".join(out)
 
@@ -110,6 +136,7 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
     for workload in workloads:
@@ -129,7 +156,7 @@ def main(argv=None) -> int:
                         fh.write(json.dumps({"side": side, "workload": workload, "seed": seed,
                                              "result": got[side]}) + "\n")
             pairs.append((got["parent"], got["change"]))
-        print(format_rows(workload, summarize(pairs, better)))
+        print(format_rows(workload, summarize(pairs, better, bounds)))
         for side, (attempted, failed) in counts.items():
             print(f"  {side}: {failed} of {attempted} ops failed")
     return 0

@@ -134,23 +134,25 @@ def _encode_joint(model: Model, x: np.ndarray, s: int) -> np.ndarray:
     initialized to ones (the training-side convention) and the codes
     warm-started through the pseudo-inverse chain."""
     cfg = model.config
-    d1, d2, d3 = model.dictionaries
+    _, d2, d3 = model.dictionaries
     act = model.architecture.activation
+    # looked up once, not once per iteration: a one-sample encode is call overhead
+    d3t, eta1, forward, inverse = d3.T, cfg.eta1, act.forward, act.inverse
     pinv1, pinv2, gram3, inv4, p4_x, p5_z1, p5_z = _encoder(model)
 
     z1 = pinv1 @ x
-    z2 = pinv2 @ act.inverse(z1)
+    z2 = pinv2 @ inverse(z1)
     b1 = np.ones_like(z1)
     b2 = np.ones_like(z2)
     x4 = p4_x @ x
-    f2 = act.forward(d2 @ z2)
+    f2 = forward(d2 @ z2)
     for _ in range(cfg.test_iters):
-        target = act.inverse(z2 - b2)
-        z = pursuit_gram(gram3, d3.T @ target, np.einsum("ij,ij->j", target, target), s)
-        f3 = act.forward(d3 @ z)
-        z1 = x4 + inv4 @ (cfg.eta1 * (f2 + b1))
-        z2 = p5_z1 @ act.inverse(z1 - b1) + p5_z @ (f3 + b2)
-        f2 = act.forward(d2 @ z2)
+        target = inverse(z2 - b2)
+        z = pursuit_gram(gram3, d3t @ target, np.einsum("ij,ij->j", target, target), s)
+        f3 = forward(d3 @ z)
+        z1 = x4 + inv4 @ (eta1 * (f2 + b1))
+        z2 = p5_z1 @ inverse(z1 - b1) + p5_z @ (f3 + b2)
+        f2 = forward(d2 @ z2)
         b1 = z1 - f2 - b1
         b2 = z2 - f3 - b2
     return z

@@ -166,8 +166,10 @@ class Activation:
     def inverse(self, m) -> np.ndarray:
         m = np.asarray(m, dtype=np.float64)
         if self.kind is ActivationKind.TANH:
-            clipped = np.clip(m, -1.0 + self.clamp_eps, 1.0 - self.clamp_eps)
-            return np.arctanh(clipped)
+            # the clip of np.clip, bit for bit, without its Python-level wrapper
+            out = np.maximum(m, -1.0 + self.clamp_eps)
+            np.minimum(out, 1.0 - self.clamp_eps, out=out)
+            return np.arctanh(out, out=out)
         return m.copy()
 
 

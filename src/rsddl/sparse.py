@@ -111,57 +111,73 @@ def pursuit_gram(
     c = (corr if all_alive else corr[alive]) / live_norms[:, None]
     y2 = np.asarray(y_sq, dtype=np.float64)
 
-    # arrays below are (group, atom, slot), with cols[group, slot] the column;
-    # groups smaller than the largest are padded with slots pointing at an
-    # appended all-zero column n
-    if cols is None:
-        cols = np.arange(n)[:, None]
-        c = c.T[:, :, None]
-    else:
+    # arrays below are (group, atom) without groups, each column its own (OMP),
+    # and (group, atom, slot) with them, cols[group, slot] being the column; groups
+    # smaller than the largest are padded with slots pointing at an appended
+    # all-zero column n.  Per-group values (pick, pivot, r2, stop) are (group, 1)
+    # columns, and per-group gathers are takes at the flat offsets base + atom:
+    # a one-sample call costs numpy calls, not arithmetic, and a take costs a
+    # third of a paired fancy index.
+    grouped = cols is not None
+    if grouped:
         padded = np.append(c, np.zeros((c.shape[0], 1)), axis=1)
-        c = padded[:, cols].transpose(1, 0, 2)
+        c = np.ascontiguousarray(padded[:, cols].transpose(1, 0, 2))
         y2 = np.append(y2, 0.0)[cols].sum(axis=1)
+    else:
+        cols = np.arange(n)[:, None]
+        c = np.ascontiguousarray(c.T)
     atoms = g.shape[0]
     steps = min(s, atoms)
     z = np.zeros((atoms, n + 1))
     support = np.empty((c.shape[0], steps), dtype=np.intp)
     basis = np.empty((c.shape[0], steps, atoms))  # D'q of the picked atoms
-    left = np.ones((c.shape[0], atoms))  # each atom's pivot against the support
-    group = np.arange(c.shape[0])
-    stop = np.maximum(_RESIDUAL_TOL * _RESIDUAL_TOL, _RESIDUAL_FLOOR * y2)
-    alpha, r2 = c, y2  # D'R and the squared residual norm
-    # one-column groups (OMP) square instead: the einsum made one-sample
-    # predict_batch 3-7% slower (160 calls on a 16-class mixture model)
-    wide = c.shape[2] > 1
+    basis_t = np.empty((c.shape[0], atoms, steps))  # the same, so an atom's row is one take
+    rows_t = basis_t.reshape(-1, steps)
+    left = np.empty((c.shape[0], atoms))  # each atom's pivot against the support
+    left.fill(1.0)
+    base = np.arange(0, c.shape[0] * atoms, atoms)[:, None]  # flat offset of each group's first atom
+    alpha, r2 = c, y2[:, None]  # D'R and the squared residual norm
+    stop = np.maximum(_RESIDUAL_TOL * _RESIDUAL_TOL, _RESIDUAL_FLOOR * r2)
     for k in range(steps):
-        score = np.einsum("gat,gat->ga", alpha, alpha) if wide else np.square(alpha[:, :, 0])
-        dependent = left <= _DEPENDENT_TOL
-        np.putmask(score, dependent, -1.0)
-        pick = score.argmax(axis=1)
-        v = g[pick]
+        score = np.einsum("gat,gat->ga", alpha, alpha) if grouped else np.square(alpha)
+        if k:  # nothing is dependent before the first pick
+            np.putmask(score, left <= _DEPENDENT_TOL, -1.0)
+        pick = score.argmax(axis=1, keepdims=True)
+        flat = base + pick
+        v = g.take(pick, axis=0)
         if k:
-            v -= (basis[group, :k, pick][:, None, :] @ basis[:, :k])[:, 0]
-        pivot = v[group, pick]
-        # the pick is dependent only when every atom of its group is
-        going = (r2 > stop) & ~dependent[group, pick]
+            v -= rows_t.take(flat, axis=0)[..., :k] @ basis[:, :k]
+        v = v[:, 0]
+        pivot = v.take(flat)
+        # the pick is dependent (its score masked) only when every atom of its group is
+        going = (r2 > stop) & (score.take(flat) >= 0.0) if k else r2 > stop
         if np.count_nonzero(going) < going.size:
-            _fit(g, c[~going], support[~going, :k], cols[~going], z)
-            c, cols, stop, support, basis, left, alpha, r2, pick, v, pivot = (
-                a[going] for a in (c, cols, stop, support, basis, left, alpha, r2, pick, v, pivot)
+            going, done = going[:, 0], ~going[:, 0]
+            _fit(g, c, support[done, :k], base[done], cols[done], z)
+            c, cols, stop, support, basis, basis_t, left, alpha, r2, pick, v, pivot = (
+                a[going] for a in (c, cols, stop, support, basis, basis_t, left, alpha, r2, pick, v, pivot)
             )
-            group = group[: c.shape[0]]
             if c.shape[0] == 0:
                 break
-        root = np.sqrt(pivot)[:, None]
+            rows_t = basis_t.reshape(-1, steps)
+            base = base[: c.shape[0]]
+            flat = base + pick
+        root = np.sqrt(pivot)
         v /= root
-        w = alpha[group, pick] / root
-        alpha = alpha - v[:, :, None] * w[:, None, :]
-        r2 = r2 - np.add.reduce(w * w, axis=1)
+        if grouped:
+            w = alpha.reshape(-1, alpha.shape[2]).take(flat[:, 0], axis=0) / root
+            alpha = alpha - v[:, :, None] * w[:, None, :]
+            r2 = r2 - np.add.reduce(w * w, axis=1, keepdims=True)
+        else:
+            w = alpha.take(flat) / root
+            alpha = alpha - v * w
+            r2 = r2 - w * w
         left -= v * v
         basis[:, k] = v
-        support[:, k] = pick
+        basis_t[:, :, k] = v
+        support[:, k, None] = pick
     else:
-        _fit(g, c, support, cols, z)
+        _fit(g, c, support, base, cols, z)
     if all_alive:
         return z[:, :n] / live_norms[:, None]
     out = np.zeros((alive.size, n))
@@ -169,13 +185,14 @@ def pursuit_gram(
     return out
 
 
-def _fit(g: np.ndarray, c: np.ndarray, support: np.ndarray, cols: np.ndarray, z: np.ndarray) -> None:
-    """Solve each group's coefficients on its support (all of one size) and
-    write them into ``z``."""
+def _fit(g: np.ndarray, c: np.ndarray, support: np.ndarray, base: np.ndarray, cols: np.ndarray, z: np.ndarray) -> None:
+    """Solve the coefficients of the groups at flat offsets ``base`` of ``c``
+    on their supports (all of one size) and write them into ``z``."""
     if support.size == 0:
         return
-    rhs = c[np.arange(c.shape[0])[:, None], support]
-    z[support[:, :, None], cols[:, None, :]] = np.linalg.solve(g[support[:, :, None], support[:, None, :]], rhs)
+    rhs = c.reshape(c.shape[0] * c.shape[1], -1).take(support + base, axis=0)
+    rows = support[:, :, None]
+    z[rows, cols[:, None, :]] = np.linalg.solve(g[rows, support[:, None, :]], rhs)
 
 
 def group_columns(groups: np.ndarray, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +15,16 @@ from rsddl.inference import (
     format_prediction_lines,
     predict_batch,
 )
-from rsddl.joint import Model, TrainConfig, resolve_budget, solve_P4, solve_P5
+import rsddl.inference
+from rsddl.joint import DropMode, Model, TrainConfig, joint_train, resolve_budget, solve_P4, solve_P5
 from rsddl.numerics import Activation, ActivationKind, Rng
-from util import class_distances_reference, class_support, encode_reference, two_class_deep_factor_data
+from util import (
+    class_distances_reference,
+    class_support,
+    encode_reference,
+    many_class_mixture,
+    two_class_deep_factor_data,
+)
 
 
 # the two class blocks of the worked support-extraction example
@@ -262,6 +270,48 @@ class TestEncoderMaps:
             z2 = p5_z1 @ act.inverse(z1 - b1) + p5_z @ (act.forward(d3 @ z) + b2)
             ref = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
             assert np.max(np.abs(z2 - ref)) <= 1e-10
+
+
+class TestRequestPath:
+    """The calls of a one-sample request to a model of the benchmark's mixture
+    shape (16 classes, arch 42,30,21, a budget of 5 of 21 atoms)."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        train, x_test = many_class_mixture(seed=3, n_test=1)
+        model = joint_train(train, Architecture((42, 30, 21)), TrainConfig(drop_mode=DropMode.NONE, outer_iters=3, seed=3))
+        predict_batch(model, x_test[:, :1])  # builds the per-model factors
+        return model, x_test
+
+    @staticmethod
+    def _count(monkeypatch, counts, owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_one_pursuit_and_one_solve_per_test_iteration(self, served, monkeypatch):
+        model, x_test = served
+        counts = Counter()
+        self._count(monkeypatch, counts, rsddl.inference, "pursuit_gram")
+        self._count(monkeypatch, counts, np.linalg, "solve")
+        for j in range(x_test.shape[1]):
+            counts.clear()
+            encode_test(model, x_test[:, j])
+            assert counts == {"pursuit_gram": model.config.test_iters, "solve": model.config.test_iters}
+
+    def test_predict_batch_calls_the_encoder_and_classifiers_by_module_name(self, served, monkeypatch):
+        # the benchmark's tracer times a request by wrapping these module attributes
+        model, x_test = served
+        counts = Counter()
+        for name in ("encode_test", "classify_l0", "classify_l1"):
+            self._count(monkeypatch, counts, rsddl.inference, name)
+        for rule in ("l0", "l1"):
+            predict_batch(model, x_test[:, :1], rule=rule)
+        assert counts == {"encode_test": 2, "classify_l0": 1, "classify_l1": 1}
 
 
 class TestBatch:

@@ -149,6 +149,31 @@ class TestActivation:
         with pytest.raises(ValueError):
             Activation(clamp_eps=0.0)
 
+    @pytest.mark.parametrize("eps", [1e-6, 0.25])
+    def test_inverse_is_arctanh_of_np_clip_bit_for_bit(self, eps):
+        # signed zeros, the clamp bounds and their neighbours, +-1, values far
+        # beyond the clamp and a dense band inside it
+        edges = [0.0, -0.0, 1.0, -1.0, 1.0 - eps, -1.0 + eps, 1e300, -1e300, 2.0, -3.5, 5e-324, -5e-324]
+        edges += [np.nextafter(b, t) for b in (1.0 - eps, -1.0 + eps) for t in (-2.0, 2.0)]
+        m = np.concatenate([edges, np.linspace(-1.5, 1.5, 302)]).reshape(-1, 6)
+        want = np.arctanh(np.clip(m, -1.0 + eps, 1.0 - eps))
+        got = Activation(clamp_eps=eps).inverse(m)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit, the sign of every zero included
+        identity = Activation(kind=ActivationKind.IDENTITY, clamp_eps=eps).inverse(m)
+        assert identity.tobytes() == m.tobytes()  # never clamped
+
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_forward_and_inverse_never_write_into_their_argument(self, kind):
+        act = Activation(kind=kind)
+        m = np.array([[0.0, -0.0, 1.0, -1.0, 3.0], [-3.0, 0.5, -0.5, 1e-7, 1.0 - 1e-7]])
+        before = m.copy()
+        for fn in (act.forward, act.inverse):
+            out = fn(m)
+            out[...] = 42.0  # a result is the caller's own array
+            assert m.tobytes() == before.tobytes()
+            assert not np.shares_memory(out, m)
+
 
 class TestRng:
     def test_same_seed_same_stream(self):
