@@ -7,9 +7,10 @@ both sides.  Pair i runs the parent first when i is even and the change first
 when i is odd.  For each workload and end-to-end metric it then prints each
 side's median and quartiles, the change of the median, the parent's quartile
 distance, the change's wins out of the pairs (ties count for neither) and
-a verdict.  Whether lower or higher is better, and each metric's bound, are
-read from the change's ``BENCHMARK.json``.  The verdict is the first that
-holds of:
+a verdict, then each side's failed ops and ``src_lines`` (the ``src/`` line
+count of the benchmark's ``env`` line).  Whether lower or higher is better,
+and each metric's bound, are read from the change's ``BENCHMARK.json``.  The
+verdict is the first that holds of:
 
 * ``gain``: the change won at least 9 of 10 pairs, and its median is better
   than the parent's by more than the parent's IQR (interquartile range);
@@ -53,6 +54,14 @@ def parse_result(stdout: str) -> dict:
     if not lines:
         raise ValueError("the benchmark printed nothing")
     return json.loads(lines[-1])
+
+
+def parse_src_lines(stdout: str) -> int:
+    """The ``src_lines`` of the ``env`` line of one ``benchmarks/run.py`` run."""
+    for line in stdout.splitlines():
+        if line.startswith("env "):
+            return json.loads(line[len("env "):])["src_lines"]
+    raise ValueError("the benchmark printed no env line")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -114,13 +123,14 @@ def format_rows(workload: str, rows: list[dict]) -> str:
     return "\n".join(out)
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
+    """The result line and the ``src_lines`` of one benchmark run."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    return parse_result(proc.stdout)
+    return parse_result(proc.stdout), parse_src_lines(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -140,14 +150,15 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
     for workload in workloads:
-        pairs, counts = [], {side: [0, 0] for side in sides}
+        pairs, counts = [], {side: [0, 0, set()] for side in sides}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             got = {}
             for side in order:
-                got[side] = run_once(sides[side], workload, seed, args.seconds)
+                got[side], src_lines = run_once(sides[side], workload, seed, args.seconds)
                 counts[side][0] += got[side]["attempted"]
                 counts[side][1] += got[side]["failed"]
+                counts[side][2].add(src_lines)
                 print(f"{workload} seed {seed} {side}: train_s "
                       f"{got[side]['metrics'].get('train_s', {}).get('value', float('nan')):.4g}",
                       file=sys.stderr, flush=True)
@@ -157,8 +168,9 @@ def main(argv=None) -> int:
                                              "result": got[side]}) + "\n")
             pairs.append((got["parent"], got["change"]))
         print(format_rows(workload, summarize(pairs, better, bounds)))
-        for side, (attempted, failed) in counts.items():
-            print(f"  {side}: {failed} of {attempted} ops failed")
+        for side, (attempted, failed, src_lines) in counts.items():
+            print(f"  {side}: {failed} of {attempted} ops failed; src_lines "
+                  + ", ".join(map(str, sorted(src_lines))))
     return 0
 
 

@@ -14,10 +14,8 @@ File formats (all little-endian, documented so external data can be converted):
   ids (every id 1..C present), then D1..DL and Z, each as a ``matrix <name>
   <rows> <cols>`` line followed by rows of 17-significant-digit decimals,
   and ``end``.  Saving, loading and saving again reproduces the file byte
-  for byte.  Version 1 files (``RSDDL1 1``: no mode line, a
-  ``conventional_bregman`` config token, and ``class_means`` and
-  ``class_supports`` matrices after Z) still load, as joint models; their
-  two extra matrices are skipped.
+  for byte.  This is the only model format read: any other first line,
+  ``RSDDL1 1`` included, is rejected as a bad magic.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ __all__ = [
 
 MODEL_MAGIC = "RSDDL2"
 MODEL_VERSION = 2
-# version written under each readable magic
-_MODEL_MAGICS = {"RSDDL1": 1, MODEL_MAGIC: MODEL_VERSION}
 CUBE_MAGIC = "RSHSI1"
 GT_MAGIC = "RSGT1"
 
@@ -448,7 +444,7 @@ class _ModelReader:
         return out
 
 
-def _parse_config(line: str, path: str, version: int) -> TrainConfig:
+def _parse_config(line: str, path: str) -> TrainConfig:
     if not line.startswith("config "):
         raise DataFormatError(f"{path}: missing config line")
     pairs = {}
@@ -457,12 +453,6 @@ def _parse_config(line: str, path: str, version: int) -> TrainConfig:
             raise DataFormatError(f"{path}: malformed config token {token!r}")
         k, v = token.split("=", 1)
         pairs[k] = v
-    legacy = pairs.get("conventional_bregman") if version == 1 else "0"
-    if legacy != "0":
-        raise DataFormatError(
-            f"{path}: conventional_bregman={legacy} cannot load: the additive relaxation rule "
-            "B <- B - residual was removed, only 0 (the rule B <- residual - B) is read"
-        )
     try:
         return TrainConfig(
             lambda_budget=SparsityBudget(
@@ -485,24 +475,21 @@ def _parse_config(line: str, path: str, version: int) -> TrainConfig:
 
 
 def load_model(path) -> Model:
-    """Load a model file (either version), validating its layout (magic,
-    version, header lines, the class count against the labels, the end
-    marker); a model the file describes but :class:`Model` rejects is a
-    :class:`DataFormatError` too."""
+    """Load a model file, validating its layout (magic, version, header
+    lines, the class count against the labels, the end marker); a model the
+    file describes but :class:`Model` rejects is a :class:`DataFormatError`
+    too."""
     reader = _ModelReader(path)
     magic = reader.next_line().split()
-    if len(magic) != 2 or magic[0] not in _MODEL_MAGICS:
+    if len(magic) != 2 or magic[0] != MODEL_MAGIC:
         raise DataFormatError(f"{path}: bad magic (expected {MODEL_MAGIC})")
-    version = _MODEL_MAGICS[magic[0]]
-    if magic[1] != str(version):
+    if magic[1] != str(MODEL_VERSION):
         raise DataFormatError(f"{path}: unsupported version {magic[1]}")
 
-    mode = "joint"
-    if version > 1:
-        mode_parts = reader.next_line().split()
-        if len(mode_parts) != 2 or mode_parts[0] != "mode" or mode_parts[1] not in MODES:
-            raise DataFormatError(f"{path}: expected 'mode {'|'.join(MODES)}'")
-        mode = mode_parts[1]
+    mode_parts = reader.next_line().split()
+    if len(mode_parts) != 2 or mode_parts[0] != "mode" or mode_parts[1] not in MODES:
+        raise DataFormatError(f"{path}: expected 'mode {'|'.join(MODES)}'")
+    mode = mode_parts[1]
 
     arch_line = reader.next_line()
     if not arch_line.startswith("arch "):
@@ -521,7 +508,7 @@ def load_model(path) -> Model:
         raise DataFormatError(f"{path}: bad activation line ({exc})") from None
     arch = Architecture(atoms_per_layer=atoms, activation=activation)
 
-    cfg = _parse_config(reader.next_line(), str(path), version)
+    cfg = _parse_config(reader.next_line(), str(path))
 
     counts = []
     for key in ("classes", "labels"):
@@ -548,9 +535,6 @@ def load_model(path) -> Model:
 
     dicts = [reader.expect_matrix(f"D{i}") for i in range(1, arch.depth + 1)]
     features = reader.expect_matrix("Z")
-    if version == 1:  # class summaries that nothing reads
-        reader.expect_matrix("class_means")
-        reader.expect_matrix("class_supports")
     if reader.next_line() != "end":
         raise DataFormatError(f"{path}: missing end marker")
     for extra in reader.lines[reader.pos:]:

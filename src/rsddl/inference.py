@@ -35,9 +35,9 @@ __all__ = [
 # Coordinates of two codes that differ by more than this count for l0.
 SUPPORT_TOL = 1e-8
 
-# Test columns per distance pass are capped so that one pass holds at most
-# this many (test, training) distances, whatever the size of the input.
-_DISTANCE_CHUNK = 1 << 18
+# At most this many (test column, atom, training) differences per distance pass, or one
+# column: a block of 2^15 doubles stays in cache, and blocks of 2^17 and up measured slower.
+_DISTANCE_CHUNK = 1 << 15
 
 
 @dataclass
@@ -132,7 +132,7 @@ def _encode_joint(model: Model, x: np.ndarray, s: int) -> np.ndarray:
     """``test_iters`` rounds of {OMP on the deepest layer, closed-form solves
     for the two proxy codes, relaxation updates}, with the relaxation vectors
     initialized to ones (the training-side convention) and the codes
-    warm-started through the pseudo-inverse chain."""
+    warm-started through the pseudo-inverse chain; the last round ends at its OMP."""
     cfg = model.config
     _, d2, d3 = model.dictionaries
     act = model.architecture.activation
@@ -146,9 +146,11 @@ def _encode_joint(model: Model, x: np.ndarray, s: int) -> np.ndarray:
     b2 = np.ones_like(z2)
     x4 = p4_x @ x
     f2 = forward(d2 @ z2)
-    for _ in range(cfg.test_iters):
+    for k in range(cfg.test_iters):
         target = inverse(z2 - b2)
         z = pursuit_gram(gram3, d3t @ target, np.einsum("ij,ij->j", target, target), s)
+        if k == cfg.test_iters - 1:
+            break
         f3 = forward(d3 @ z)
         z1 = x4 + inv4 @ (eta1 * (f2 + b1))
         z2 = p5_z1 @ inverse(z1 - b1) + p5_z @ (f3 + b2)
@@ -161,16 +163,15 @@ def _encode_joint(model: Model, x: np.ndarray, s: int) -> np.ndarray:
 def _classify(model: Model, f: EncodedFeature, rule: str) -> Prediction | list[Prediction]:
     features, starts = _index(model)
     z = f.z.reshape(f.z.shape[0], -1)
-    n_train = features.shape[1]
-    chunk = max(1, _DISTANCE_CHUNK // n_train)
+    n_atoms, n_train = features.shape
+    chunk = max(1, _DISTANCE_CHUNK // (n_atoms * n_train))
     scores = np.empty((z.shape[1], starts.size))
     for lo in range(0, z.shape[1], chunk):
-        zc = z[:, lo:lo + chunk]
-        # row by row, so a pass holds one (test, training) matrix
-        dist = np.zeros((zc.shape[1], n_train))
-        for row, ref in zip(zc, features):
-            diff = np.abs(ref[None, :] - row[:, None])
-            dist += (diff > SUPPORT_TOL) if rule == "l0" else diff
+        diff = np.abs(features - z.T[lo:lo + chunk, :, None])
+        if rule == "l0":
+            dist = np.count_nonzero(diff > SUPPORT_TOL, axis=1)
+        else:  # atom after atom: numpy would add a length-1 training axis pairwise
+            dist = diff.sum(axis=1) if n_train > 1 else np.cumsum(diff, axis=1)[:, -1]
         scores[lo:lo + chunk] = np.minimum.reduceat(dist, starts, axis=1)
     winner = np.argmin(scores, axis=1)  # first minimum: smallest class id wins ties
     distances = scores[np.arange(winner.size), winner].tolist()

@@ -34,6 +34,14 @@ def test_parse_result_reads_the_last_line():
         ab_pairs.parse_result("\n")
 
 
+def test_parse_src_lines_reads_the_env_line():
+    stdout = ('env {"commit": "abc", "seed": 1, "src_lines": 2694}\n  train_s    0.25 s\n'
+              + json.dumps(result(0.25, 300.0, 7.0)) + "\n")
+    assert ab_pairs.parse_src_lines(stdout) == 2694
+    with pytest.raises(ValueError, match="no env line"):
+        ab_pairs.parse_src_lines(json.dumps(result(0.25, 300.0, 7.0)) + "\n")
+
+
 def test_parse_seeds():
     assert ab_pairs.parse_seeds("0-3") == [0, 1, 2, 3]
     assert ab_pairs.parse_seeds("311,313-314") == [311, 313, 314]

@@ -393,38 +393,6 @@ def small_model():
     return Model([d1, d2, d3], arch, features, [1, 1, 1, 2, 2, 2], cfg)
 
 
-def version_1_text(model, conventional_bregman=0):
-    """The model in the version 1 layout: no mode line, the
-    conventional_bregman config token, and the per-class mean and support
-    matrices after Z."""
-    def matrix(name, m, fmt="%.17g"):
-        return [f"matrix {name} {m.shape[0]} {m.shape[1]}"] + [" ".join(fmt % v for v in row) for row in m]
-
-    cfg, arch = model.config, model.architecture
-    budget = cfg.lambda_budget
-    classes = range(1, model.num_classes + 1)
-    means = np.stack([model.features[:, model.labels == c].mean(axis=1) for c in classes], axis=1)
-    supports = np.stack([np.linalg.norm(model.features[:, model.labels == c], axis=1) > 1e-8 for c in classes])
-    lines = [
-        "RSDDL1 1",
-        "arch " + ",".join(str(a) for a in arch.atoms_per_layer),
-        "activation %s %.17g" % (arch.activation.kind.value, arch.activation.clamp_eps),
-        "config lambda_weight=%.17g mu=%.17g eta1=%.17g eta2=%.17g gamma=%.17g per_column_s=%d row_s=%d "
-        "outer_iters=%d inner_iters=%d test_iters=%d drop_mode=%s drop_rate=%.17g seed=%d conventional_bregman=%d"
-        % (cfg.lambda_weight, cfg.mu, cfg.eta1, cfg.eta2, cfg.gamma, budget.per_column_s, budget.row_s,
-           cfg.outer_iters, cfg.inner_iters, cfg.test_iters, cfg.drop_mode.value, cfg.drop_rate, cfg.seed,
-           conventional_bregman),
-        f"classes {model.num_classes}",
-        f"labels {model.labels.size}",
-        " ".join(str(v) for v in model.labels),
-    ]
-    for i, d in enumerate(model.dictionaries, 1):
-        lines += matrix(f"D{i}", d)
-    lines += matrix("Z", model.features) + matrix("class_means", means)
-    lines += matrix("class_supports", supports.astype(np.uint8), fmt="%d") + ["end"]
-    return "\n".join(lines) + "\n"
-
-
 class TestModelPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         model = small_model()
@@ -486,9 +454,11 @@ class TestModelPersistence:
         assert str(err.value) == f"{path}: {message}"
 
     def test_bad_magic(self, tmp_path):
-        (tmp_path / "m.rsddl").write_text("WRONG 1\n")
-        with pytest.raises(DataFormatError, match="magic"):
-            load_model(tmp_path / "m.rsddl")
+        path = tmp_path / "m.rsddl"
+        for text in ("WRONG 1\n", "RSDDL1 1\n"):
+            path.write_text(text)
+            with pytest.raises(DataFormatError, match=r"bad magic \(expected RSDDL2\)"):
+                load_model(path)
 
     def test_shape_chain_violation(self, tmp_path):
         model = small_model()
@@ -514,29 +484,6 @@ class TestModelPersistence:
         save_model(small_model(), path)
         path.write_text(path.read_text().replace("\nclasses 2\n", "\nclasses 3\n", 1))
         with pytest.raises(DataFormatError, match="class 3 of 1..3 has no stored code"):
-            load_model(path)
-
-    def test_version_1_loads_as_joint(self, tmp_path):
-        model = small_model()
-        v1 = tmp_path / "v1.rsddl"
-        v1.write_text(version_1_text(model))
-        loaded = load_model(v1)
-        assert loaded.mode == "joint"
-        for a, b in zip(model.dictionaries, loaded.dictionaries):
-            assert np.array_equal(a, b)
-        assert np.array_equal(model.features, loaded.features)
-        assert np.array_equal(model.labels, loaded.labels)
-        assert loaded.config == model.config
-        assert loaded.architecture == model.architecture
-        save_model(loaded, tmp_path / "v2.rsddl")
-        save_model(model, tmp_path / "direct.rsddl")
-        assert (tmp_path / "v2.rsddl").read_bytes() == (tmp_path / "direct.rsddl").read_bytes()
-        assert (tmp_path / "v2.rsddl").read_text().startswith("RSDDL2 2\n")
-
-    def test_version_1_additive_rule_rejected(self, tmp_path):
-        path = tmp_path / "v1.rsddl"
-        path.write_text(version_1_text(small_model(), conventional_bregman=1))
-        with pytest.raises(DataFormatError, match="relaxation rule B <- B - residual was removed"):
             load_model(path)
 
     def test_trailing_garbage(self, tmp_path):

@@ -20,6 +20,7 @@ from rsddl.joint import DropMode, Model, TrainConfig, joint_train, resolve_budge
 from rsddl.numerics import Activation, ActivationKind, Rng
 from util import (
     class_distances_reference,
+    class_scores_reference,
     class_support,
     encode_reference,
     many_class_mixture,
@@ -384,6 +385,51 @@ class TestBatchedEncoder:
         monkeypatch.setattr(inference, "_DISTANCE_CHUNK", 3 * model.features.shape[1])
         chunked = predict_batch(model, data.x, rule="l1")
         assert [p.per_class_score for p in chunked] == [p.per_class_score for p in whole]
+
+
+class TestDistancePass:
+    """One array operation per chunk against the atom-by-atom row loop: the
+    same distances and per-class scores, bit for bit."""
+
+    @staticmethod
+    def _check(model, z):
+        classes = range(1, model.num_classes + 1)
+        for rule, classify in (("l0", classify_l0), ("l1", classify_l1)):
+            want = class_scores_reference(model, z, rule)
+            preds = classify(model, EncodedFeature(z=z, reconstruction_residual=0.0))
+            preds = preds if isinstance(preds, list) else [preds]
+            assert [p.per_class_score for p in preds] == [list(zip(classes, row)) for row in want.tolist()]
+            assert np.array_equal([p.distance for p in preds], want.min(axis=1))
+            assert [p.label for p in preds] == (want.argmin(axis=1) + 1).tolist()
+
+    @staticmethod
+    def _model(rng, n_classes, per_class):
+        """A joint model of 21 deepest atoms whose stored codes have 5 nonzeros each."""
+        dicts = [rng.standard_normal((40, 30)), rng.standard_normal((30, 25)), rng.standard_normal((25, 21))]
+        features = rng.standard_normal((21, n_classes * per_class))
+        features[np.argsort(rng.random(features.shape), axis=0)[5:], np.arange(features.shape[1])] = 0.0
+        labels = np.repeat(np.arange(1, n_classes + 1), per_class)
+        return Model(dicts, Architecture((30, 25, 21)), features, labels, TrainConfig(seed=0))
+
+    def test_one_training_sample(self):
+        # a length-1 training axis, where numpy's sum over atoms would add pairwise
+        rng = Rng(5)
+        model = self._model(rng, 1, 1)
+        z = rng.standard_normal((21, 40))
+        z[rng.random((21, 40)) < 0.5] = 0.0
+        self._check(model, z)
+        for j in range(z.shape[1]):  # pairwise and atom-by-atom sums differ on about half of them
+            self._check(model, z[:, j])
+
+    def test_batch_over_several_chunks(self, monkeypatch):
+        rng = Rng(6)
+        model = self._model(rng, 16, 25)
+        z = rng.standard_normal((21, 50))
+        z[np.argsort(rng.random(z.shape), axis=0)[5:], np.arange(50)] = 0.0
+        z[:, :8] = model.features[:, ::50]  # distance 0 to a stored code
+        monkeypatch.setattr(rsddl.inference, "_DISTANCE_CHUNK", 3 * model.features.size)
+        self._check(model, z)  # 17 chunks of at most 3 columns
+        self._check(model, z[:, 9])
 
 
 class TestModelCache:

@@ -530,6 +530,19 @@ def class_distances_reference(model, z, rule):
     ]
 
 
+def class_scores_reference(model, z, rule):
+    """(test column, class) minimum distances of the codes ``z``, accumulated
+    one atom row at a time over every test column: the distance pass before
+    it took one array operation per chunk."""
+    z = np.asarray(z, dtype=np.float64).reshape(z.shape[0], -1)
+    dist = np.zeros((z.shape[1], model.features.shape[1]))
+    for row, ref in zip(z, model.features):
+        diff = np.abs(ref[None, :] - row[:, None])
+        dist += (diff > SUPPORT_TOL) if rule == "l0" else diff
+    classes = range(1, model.num_classes + 1)
+    return np.stack([dist[:, model.labels == c].min(axis=1) for c in classes], axis=1)
+
+
 def load_matrix_csv_reference(path):
     """``load_matrix_csv`` as one ``float()`` per cell, line by line."""
     rows = []
