@@ -26,7 +26,7 @@ import numpy as np
 
 from .greedy import Architecture
 from .joint import MODES, DropMode, Model, TrainConfig
-from .numerics import Activation, ActivationKind, Rng, as_matrix, pca_fit
+from .numerics import Activation, ActivationKind, Rng, as_labels, as_matrix, pca_fit
 from .sparse import SparsityBudget
 
 __all__ = [
@@ -87,7 +87,7 @@ def make_dataset(x, labels, num_classes: int | None = None) -> Dataset:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
     if x.size and not np.all(np.isfinite(x)):
         raise ValueError("features contain NaN or Inf entries")
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = as_labels(labels)
     if labels.size != x.shape[1]:
         raise ValueError(f"{labels.size} labels for {x.shape[1]} samples")
     if labels.size and labels.min() < 1:
@@ -288,6 +288,8 @@ def extract_spatial_spectral(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    if train_mask is not None and train_mask.shape != cube.ground_truth.shape:
+        raise ValueError(f"train_mask shape {train_mask.shape} != ground truth shape {cube.ground_truth.shape}")
     if window > min(cube.height, cube.width):
         raise ValueError(
             f"window {window} larger than image {cube.height}x{cube.width}"

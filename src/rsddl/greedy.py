@@ -83,21 +83,13 @@ def _fit_dictionary(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return d
 
 
-def dict_learn(
-    x: np.ndarray,
-    n_atoms: int,
-    s: int,
-    iters: int,
-    rng: Rng,
-    callback=None,
-) -> tuple[np.ndarray, np.ndarray]:
+def dict_learn(x: np.ndarray, n_atoms: int, s: int, iters: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Alternating minimization for ``X ~ D Z`` with s-sparse columns of Z.
 
     The coding step runs OMP per column (keeping the previous code whenever
     it reconstructs better, so the objective never increases); the dictionary
     step is a least-squares fit followed by column renormalization with the
-    scales absorbed into Z.  ``callback``, when given, receives the Frobenius
-    reconstruction error after every iteration.
+    scales absorbed into Z.
     """
     x = as_matrix(x, "X")
     if n_atoms < 1 or s < 1 or iters < 1:
@@ -124,8 +116,6 @@ def dict_learn(
         d, scales = normalize_columns(_fit_dictionary(z, x))
         z = z * scales[:, None]
         d = _reseed_dead_atoms(d, z, x)
-        if callback is not None:
-            callback(float(np.linalg.norm(x - d @ z)))
     return d, z
 
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
-from .numerics import DEAD_ATOM_TOL, Activation, Rng, as_matrix, normalize_columns, pinv
+from .numerics import DEAD_ATOM_TOL, Activation, Rng, as_labels, as_matrix, normalize_columns, pinv
 from .sparse import SparsityBudget, group_columns, prox_push, pursuit, pursuit_gram, unit_gram
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -140,8 +140,8 @@ class _ClassLayout(NamedTuple):
     cls: np.ndarray  # each sorted column's class index, 0-based
     competitors: np.ndarray  # (class, competitor): row c lists the other classes, ascending
     starts: np.ndarray  # each class's first sorted column
-    # per slice of at most _PAIR_CHUNK elements: (columns, first class, last class + 1, columns per class)
-    slices: tuple[tuple[slice, int, int, np.ndarray], ...]
+    groups: np.ndarray  # the group_columns table of cls, P6's SOMP groups
+    slices: tuple[slice, ...]  # column ranges of at most _PAIR_CHUNK elements of P and C
 
 
 def _class_layout(class_cols: dict[int, np.ndarray], atoms: int) -> _ClassLayout:
@@ -153,13 +153,10 @@ def _class_layout(class_cols: dict[int, np.ndarray], atoms: int) -> _ClassLayout
     slot = np.arange(len(classes) - 1)[None, :]
     competitors = slot + (slot >= np.arange(len(classes))[:, None])
     width = max(1, _PAIR_CHUNK // max(1, competitors.shape[1] * atoms))
-    slices = []
-    for lo in range(0, cls.size, width):
-        run = cls[lo : lo + width]  # ascending: each class's columns are adjacent
-        slices.append((slice(lo, lo + run.size), run[0], run[-1] + 1, np.bincount(run - run[0])))
+    slices = tuple(slice(lo, min(lo + width, cls.size)) for lo in range(0, cls.size, width))
     starts = np.cumsum([0] + sizes[:-1])
     order = np.concatenate([class_cols[c] for c in classes])
-    return _ClassLayout(order, cls, competitors, starts, tuple(slices))
+    return _ClassLayout(order, cls, competitors, starts, group_columns(cls, cls.size), slices)
 
 
 @dataclass
@@ -251,7 +248,7 @@ class Model:
         arch = self.architecture
         dicts = tuple(np.array(d, dtype=np.float64) for d in self.dictionaries)
         features = np.array(self.features, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64).reshape(-1)
+        labels = as_labels(self.labels)
         for a in (*dicts, features, labels):
             a.setflags(write=False)
         if self.mode not in MODES:
@@ -301,8 +298,8 @@ def _competitor_means(table: np.ndarray, layout: _ClassLayout):
     """Yield ``(columns, zbar)`` over the slices of ``layout``, ``zbar`` being
     a new (column, competitor, atom) array of the competitors' means for the
     slice's columns, gathered from the :func:`_competitor_table` ``table``."""
-    for cols, first, last, counts in layout.slices:
-        yield cols, np.repeat(table[first:last], counts, axis=0)
+    for cols in layout.slices:
+        yield cols, table.take(layout.cls[cols], axis=0)
 
 
 def objective_value(
@@ -337,29 +334,24 @@ def objective_value(
     return float(np.cumsum(np.append(value, terms))[-1]), rows
 
 
-def _restore_dead_columns(d: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-    """Replace all-zero columns (atoms with no active coefficients) with the
-    previous unit-norm atoms so the dictionary keeps unit columns."""
-    if prev is None:
-        return d
-    dead = np.linalg.norm(d, axis=0) <= DEAD_ATOM_TOL
-    if np.any(dead):
-        d = d.copy()
+def _fit_dictionary(target: np.ndarray, codes: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares fit ``target pinv(codes)`` with unit columns, and the
+    column norms it was scaled by.  Columns that come back all-zero (atoms
+    with no active coefficients) are restored from ``prev`` when given, so
+    the dictionary keeps unit columns."""
+    d, scales = normalize_columns(target @ pinv(codes))
+    if prev is not None:
+        dead = np.linalg.norm(d, axis=0) <= DEAD_ATOM_TOL
         d[:, dead] = prev[:, dead]
-    return d
+    return d, scales
 
 
 def solve_P1(x: np.ndarray, z1: np.ndarray, prev: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares dictionary fit ``D1 = X pinv(Z1)``.
-
-    Columns are renormalized to unit norm with the scales folded into Z1, so
-    the product D1 Z1 is unchanged.  Columns that come back all-zero (dead
-    atoms) are restored from ``prev`` when given.  Returns
-    ``(D1, Z1_rescaled)``.
-    """
-    d1 = x @ pinv(z1)
-    d1, scales = normalize_columns(d1)
-    return _restore_dead_columns(d1, prev), z1 * scales[:, None]
+    """Least-squares dictionary fit ``D1 = X pinv(Z1)``, columns renormalized
+    to unit norm with the scales folded into Z1 (so D1 Z1 is unchanged) and
+    dead atoms restored from ``prev`` when given.  Returns ``(D1, Z1_rescaled)``."""
+    d1, scales = _fit_dictionary(x, z1, prev)
+    return d1, z1 * scales[:, None]
 
 
 def solve_P2(
@@ -372,9 +364,7 @@ def solve_P2(
     folding acts as a geometric scale pump on the coefficient chain (the next
     coefficient sweep refits Z2 against the unit-norm dictionary anyway).
     """
-    d2 = act.inverse(z1 - b1) @ pinv(z2)
-    d2, _ = normalize_columns(d2)
-    return _restore_dead_columns(d2, prev)
+    return _fit_dictionary(act.inverse(z1 - b1), z2, prev)[0]
 
 
 def solve_P3(
@@ -382,9 +372,7 @@ def solve_P3(
 ) -> np.ndarray:
     """Dictionary fit for the deepest layer: ``D3 = phi^-1(Z2 - B2) pinv(Z)``,
     columns renormalized (scales not folded; see :func:`solve_P2`)."""
-    d3 = act.inverse(z2 - b2) @ pinv(z)
-    d3, _ = normalize_columns(d3)
-    return _restore_dead_columns(d3, prev)
+    return _fit_dictionary(act.inverse(z2 - b2), z, prev)[0]
 
 
 def solve_P4(
@@ -464,11 +452,10 @@ def solve_P6(
         return z
 
     gram = unit_gram(eta2 * (d3.T @ d3) + competitors.shape[1] * gamma * np.eye(d3.shape[1]))
-    groups = group_columns(cls, cls.size)
     corr_top = eta2 * (d3.T @ target)
     sq_top = eta2 * np.einsum("ij,ij->j", target, target)
     table = _competitor_table(class_means, competitors)
-    buffer = np.empty((layout.slices[0][0].stop,) + table.shape[1:])
+    buffer = np.empty((layout.slices[0].stop,) + table.shape[1:])
     corr, y_sq = corr_top.copy(), sq_top.copy()
     for cols, zbar in _competitor_means(table, layout):
         zbar += c_relax[cols]
@@ -476,7 +463,7 @@ def solve_P6(
     # one pass per inner step: step t's P and C updates, written straight into
     # P's and C's contiguous slices, then step t+1's correlation from them
     for step in range(inner_iters):
-        z_sorted = pursuit_gram(gram, corr, y_sq, row_s, groups)
+        z_sorted = pursuit_gram(gram, corr, y_sq, row_s, layout.groups)
         z_rows = z_sorted.T.copy()
         more = step < inner_iters - 1
         if more:
@@ -527,34 +514,32 @@ def _coupling_residuals(state: JointState) -> tuple[np.ndarray, np.ndarray]:
     return state.z1 - act.forward(state.d2 @ state.z2), state.z2 - act.forward(state.d3 @ state.z)
 
 
+def _drop(state: JointState, rate: float, rng: Rng, names: tuple[str, ...]) -> JointState:
+    """Zero a Bernoulli(rate) mask of each of the state's arrays ``names``,
+    drawn from the substream of its upper-cased name."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"rate must be in [0, 1), got {rate}")
+    if rate == 0.0:
+        return state
+    for name in names:
+        a = getattr(state, name)
+        mask = rng.substream(name.upper()).random(a.shape) < rate
+        setattr(state, name, np.where(mask, 0.0, a))
+    return state
+
+
 def apply_dropout(state: JointState, rate: float, rng: Rng) -> JointState:
     """Zero a Bernoulli(rate) mask of the intermediate coefficients Z1 and Z2.
 
     The deepest codes Z are never dropped: they are already sparse by
     construction and dropping them would destroy the class supports.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return state
-    mask1 = rng.substream("Z1").random(state.z1.shape) < rate
-    mask2 = rng.substream("Z2").random(state.z2.shape) < rate
-    state.z1 = np.where(mask1, 0.0, state.z1)
-    state.z2 = np.where(mask2, 0.0, state.z2)
-    return state
+    return _drop(state, rate, rng, ("z1", "z2"))
 
 
 def apply_dropconnect(state: JointState, rate: float, rng: Rng) -> JointState:
     """Zero a Bernoulli(rate) mask of the entries of every dictionary."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return state
-    for name in ("d1", "d2", "d3"):
-        d = getattr(state, name)
-        mask = rng.substream(name.upper()).random(d.shape) < rate
-        setattr(state, name, np.where(mask, 0.0, d))
-    return state
+    return _drop(state, rate, rng, ("d1", "d2", "d3"))
 
 
 def _format_record(rec: IterationRecord) -> str:

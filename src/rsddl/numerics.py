@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "NumericsWarning",
     "as_matrix",
+    "as_labels",
     "normalize_columns",
     "pinv",
     "ridge_solve",
@@ -46,6 +47,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
+
+
+def as_labels(labels) -> np.ndarray:
+    """``labels`` as a new flat int64 array of class ids; a ValueError where
+    one is not a whole number, since the cast would truncate it."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+        raise ValueError("class ids must be whole numbers")
+    return raw.astype(np.int64).reshape(-1)
 
 
 def normalize_columns(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -226,6 +226,16 @@ class TestMakeDataset:
         ds = make_dataset(np.zeros((4, 0)), [], num_classes=2)
         assert ds.n_samples == 0
 
+    @pytest.mark.parametrize("labels", [[1.7, 2.2], [1.0, np.nan], [1.0, np.inf]], ids=["fractions", "nan", "inf"])
+    def test_fractional_labels_rejected(self, labels):
+        # the int64 cast would truncate 1.7 and 2.2 to the classes 1 and 2
+        with pytest.raises(ValueError, match="class ids must be whole numbers"):
+            make_dataset(np.ones((3, 2)), labels)
+
+    def test_whole_float_labels_load(self):
+        ds = make_dataset(np.ones((3, 3)), np.array([1.0, 2.0, 2.0]))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 2, 2]
+
 
 class TestSplit:
     def _dataset(self):
@@ -371,6 +381,14 @@ class TestExtract:
         # features of non-mask pixels still use the mask statistics
         raw = values[5, 5, :].reshape(-1, 1)
         assert np.allclose(ds_masked.x[:, -1], proj_masked.project(raw).ravel())
+
+    @pytest.mark.parametrize("shape", [(2, 2), (6, 6)])
+    def test_train_mask_shape_must_match_ground_truth(self, shape):
+        # a smaller mask used to raise a bare IndexError, a larger one was indexed silently
+        cube = HsiCube(Rng(14).standard_normal((4, 4, 3)), np.ones((4, 4), dtype=np.int64))
+        message = re.escape(f"train_mask shape {shape} != ground truth shape (4, 4)")
+        with pytest.raises(ValueError, match=message):
+            extract_spatial_spectral(cube, window=1, d=2, train_mask=np.ones(shape, dtype=bool))
 
     def test_window_larger_than_image(self):
         cube = HsiCube(np.zeros((3, 3, 2)), np.ones((3, 3), dtype=np.int64))

@@ -114,6 +114,7 @@ class TestModel:
     def test_normalizes_inputs(self):
         args = valid_model_args()
         args["features"] = args["features"].astype(np.float32)
+        args["labels"] = np.array([1.0, 2.0, 2.0])  # whole-valued float class ids load
         model = Model(**args)
         assert isinstance(model.dictionaries, tuple)
         assert all(d.dtype == np.float64 and not d.flags.writeable for d in model.dictionaries)
@@ -136,11 +137,12 @@ class TestModel:
             (dict(labels=[1, 2]), "Z has shape \\(2, 3\\), not .* \\(2, 2\\)"),
             (dict(labels=[1, 3, 3]), "class 2 of 1..3 has no stored code"),
             (dict(labels=[0, 1, 2]), "class ids starting at 1"),
+            (dict(labels=[1, 2.5, 2]), "class ids must be whole numbers"),
             (dict(config=TrainConfig(lambda_budget=SparsityBudget(3, 1))), "per_column_s=3 exceeds atom count 2"),
             (dict(config=TrainConfig(lambda_budget=SparsityBudget(1, 3))), "row_s=3 exceeds atom count 2"),
         ],
         ids=["mode", "joint-depth", "dictionary-count", "atoms", "first-atoms", "chain", "z-rows",
-             "z-columns", "missing-class", "class-zero", "column-budget", "row-budget"],
+             "z-columns", "missing-class", "class-zero", "fractional-class", "column-budget", "row-budget"],
     )
     def test_rejects(self, change, message):
         with pytest.raises(ValueError, match=message):
@@ -585,6 +587,17 @@ class TestDropping:
             frac = np.mean(d == 0.0)
             assert 0.05 <= frac <= 0.15
 
+    @pytest.mark.parametrize("drop, names", [(apply_dropout, ("z1", "z2")), (apply_dropconnect, ("d1", "d2", "d3"))],
+                             ids=["dropout", "dropconnect"])
+    def test_masks_come_from_the_named_substreams(self, drop, names):
+        # the tags Z1, Z2, D1, D2 and D3 fix which entries a seeded training drops
+        state = self._state()
+        before = {name: getattr(state, name).copy() for name in names}
+        drop(state, 0.3, Rng(9))
+        for name, a in before.items():
+            mask = Rng(9).substream(name.upper()).random(a.shape) < 0.3
+            assert np.array_equal(getattr(state, name), np.where(mask, 0.0, a))
+
     def test_rate_validation(self):
         state = self._state()
         with pytest.raises(ValueError):
@@ -612,11 +625,12 @@ class TestObjective:
 
 
 class TestBookkeepingOnce:
-    """``joint_train`` builds the class layout once, takes the class means once
-    per outer iteration, the support sizes from the objective's row count and
-    feas1 and feas2 from the relaxation sweep's residuals.  Each must equal
-    its recomputation, bit for bit, and the sweep and the objective their
-    oracles over the (competitor, atom, column) layout."""
+    """``joint_train`` builds the class layout and its SOMP group table once,
+    takes the class means once per outer iteration, the support sizes from
+    the objective's row count and feas1 and feas2 from the relaxation sweep's
+    residuals.  Each must equal its recomputation, bit for bit, and the sweep
+    and the objective their oracles over the (competitor, atom, column)
+    layout."""
 
     @staticmethod
     def _data(case):
@@ -636,7 +650,12 @@ class TestBookkeepingOnce:
         n_classes = data.num_classes
         class_cols = {c: np.asarray(data.class_index[c]) for c in range(1, n_classes + 1)}
         solve, sweep, objective = joint.solve_P6, joint.bregman_update, joint.objective_value
-        seen = {"z": None, "layouts": set(), "sweeps": 0}
+        groups = joint.group_columns
+        seen = {"z": None, "layouts": set(), "sweeps": 0, "group tables": 0}
+
+        def counted_groups(*args):
+            seen["group tables"] += 1
+            return groups(*args)
 
         def checked_p6(z2, b2, d3, class_means, layout, *args):
             # the snapshot is the means of Z as the last objective saw it
@@ -672,9 +691,11 @@ class TestBookkeepingOnce:
         monkeypatch.setattr(joint, "solve_P6", checked_p6)
         monkeypatch.setattr(joint, "bregman_update", checked_sweep)
         monkeypatch.setattr(joint, "objective_value", checked_objective)
+        monkeypatch.setattr(joint, "group_columns", counted_groups)
         cfg = TrainConfig(seed=3, outer_iters=3)
         model = joint_train(data, Architecture((10, 8, 6), activation=act), cfg)
         assert seen["sweeps"] == cfg.outer_iters and len(seen["layouts"]) == 1
+        assert seen["group tables"] == 1
         assert len(_class_layout(class_cols, 6).slices) == (3 if case == "40 classes" else 1)
         assert model.fit_report.iterations[-1].support_sizes == support_sizes_reference(model.features, class_cols)
 
