@@ -8,7 +8,10 @@ when i is odd.  For each workload and end-to-end metric it then prints each
 side's median and quartiles, the change of the median, the parent's quartile
 distance, the change's wins out of the pairs (ties count for neither) and
 a verdict, then each side's failed ops and ``src_lines`` (the ``src/`` line
-count of the benchmark's ``env`` line).  Whether lower or higher is better,
+count of the benchmark's ``env`` line).  From each run's ``quality`` line it
+also prints each side's median ``oa_l0`` and ``oa_l1`` and on how many seeds
+each differs between the sides, so a change that moves models shows its
+accuracy effect from the same pairs.  Whether lower or higher is better,
 and each metric's bound, are read from the change's ``BENCHMARK.json``.  The
 verdict is the first that holds of:
 
@@ -25,8 +28,8 @@ Example, from the change's checkout::
     python scripts/ab_pairs.py --parent ../parent --change . \\
         --workload mixture-train --seeds 0-9 --seconds 20 --log pairs.jsonl
 
-``--log`` appends one JSON line per run: side, workload, seed and the
-benchmark's result line.
+``--log`` appends one JSON line per run: side, workload, seed, the
+benchmark's result line and its quality scores.
 """
 
 from __future__ import annotations
@@ -62,6 +65,14 @@ def parse_src_lines(stdout: str) -> int:
         if line.startswith("env "):
             return json.loads(line[len("env "):])["src_lines"]
     raise ValueError("the benchmark printed no env line")
+
+
+def parse_quality(stdout: str) -> dict:
+    """The scores of the ``quality`` line of one ``benchmarks/run.py`` run."""
+    for line in stdout.splitlines():
+        if line.startswith("quality "):
+            return json.JSONDecoder().raw_decode(line[len("quality "):])[0]
+    raise ValueError("the benchmark printed no quality line")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -123,14 +134,28 @@ def format_rows(workload: str, rows: list[dict]) -> str:
     return "\n".join(out)
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
-    """The result line and the ``src_lines`` of one benchmark run."""
+def format_quality(qualities: list[tuple[dict, dict]]) -> str:
+    """Each side's median accuracy over the (parent, change) ``quality``
+    scores of one workload's seeds, and the seeds where it differs."""
+    out = []
+    for name in ("oa_l0", "oa_l1"):
+        got = [(p[name], c[name]) for p, c in qualities if name in p and name in c]
+        if got:
+            parent, change = (statistics.median(side) for side in zip(*got))
+            differ = sum(p != c for p, c in got)
+            out.append(f"  {name}: median {parent:.6g} -> {change:.6g}; differs on {differ} of {len(got)} seeds")
+    return "\n".join(out)
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, int, dict]:
+    """The result line, the ``src_lines`` and the quality scores of one
+    benchmark run."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    return parse_result(proc.stdout), parse_src_lines(proc.stdout)
+    return parse_result(proc.stdout), parse_src_lines(proc.stdout), parse_quality(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -150,12 +175,12 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
     for workload in workloads:
-        pairs, counts = [], {side: [0, 0, set()] for side in sides}
+        pairs, qualities, counts = [], [], {side: [0, 0, set()] for side in sides}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            got = {}
+            got, quality = {}, {}
             for side in order:
-                got[side], src_lines = run_once(sides[side], workload, seed, args.seconds)
+                got[side], src_lines, quality[side] = run_once(sides[side], workload, seed, args.seconds)
                 counts[side][0] += got[side]["attempted"]
                 counts[side][1] += got[side]["failed"]
                 counts[side][2].add(src_lines)
@@ -165,9 +190,11 @@ def main(argv=None) -> int:
                 if args.log:
                     with open(args.log, "a", encoding="utf-8") as fh:
                         fh.write(json.dumps({"side": side, "workload": workload, "seed": seed,
-                                             "result": got[side]}) + "\n")
+                                             "result": got[side], "quality": quality[side]}) + "\n")
             pairs.append((got["parent"], got["change"]))
+            qualities.append((quality["parent"], quality["change"]))
         print(format_rows(workload, summarize(pairs, better, bounds)))
+        print(format_quality(qualities))
         for side, (attempted, failed, src_lines) in counts.items():
             print(f"  {side}: {failed} of {attempted} ops failed; src_lines "
                   + ", ".join(map(str, sorted(src_lines))))

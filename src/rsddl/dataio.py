@@ -175,7 +175,7 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_labels(labels, path) -> None:
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = as_labels(labels)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for v in labels:
             fh.write(f"{int(v)}\n")

@@ -144,3 +144,25 @@ def test_format_rows_prints_the_verdict():
     text = ab_pairs.format_rows("mixture-train", got)
     assert "verdict" in text.splitlines()[0]
     assert text.splitlines()[1].endswith("worse") and text.splitlines()[2].endswith("within bound")
+
+
+def test_parse_quality_reads_the_quality_line():
+    stdout = ('env {"seed": 1}\n  train_s    0.25 s\n'
+              'quality {"oa_l0": 0.9375, "oa_l1": 1.0, "kappa_l0": 0.933333, "kappa_l1": 1.0}'
+              ' (ratio, higher is better; informational, not gated)\n'
+              + json.dumps(result(0.25, 300.0, 7.0)) + "\n")
+    assert ab_pairs.parse_quality(stdout) == {"oa_l0": 0.9375, "oa_l1": 1.0, "kappa_l0": 0.933333, "kappa_l1": 1.0}
+    with pytest.raises(ValueError, match="no quality line"):
+        ab_pairs.parse_quality(json.dumps(result(0.25, 300.0, 7.0)) + "\n")
+
+
+def test_format_quality_prints_medians_and_the_seeds_that_differ():
+    parent = [{"oa_l0": 0.8, "oa_l1": 0.95}, {"oa_l0": 0.9, "oa_l1": 1.0}, {"oa_l0": 0.85, "oa_l1": 0.975}]
+    change = [{"oa_l0": 0.8, "oa_l1": 0.95}, {"oa_l0": 0.9, "oa_l1": 0.9875}, {"oa_l0": 0.8625, "oa_l1": 0.95}]
+    lines = ab_pairs.format_quality(list(zip(parent, change))).splitlines()
+    assert lines == [
+        "  oa_l0: median 0.85 -> 0.8625; differs on 1 of 3 seeds",
+        "  oa_l1: median 0.975 -> 0.95; differs on 2 of 3 seeds",
+    ]
+    # a workload without accuracy scores prints nothing
+    assert ab_pairs.format_quality([({}, {})]) == ""

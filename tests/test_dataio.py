@@ -202,6 +202,21 @@ class TestLabels:
         assert ds.class_index[1].tolist() == [0, 2]
         assert ds.class_index[2].tolist() == [1]
 
+    def test_save_writes_integers(self, tmp_path):
+        p = tmp_path / "l.txt"
+        save_labels(np.array([1, 12, 3], dtype=np.int64), p)
+        assert p.read_bytes() == b"1\n12\n3\n"
+        save_labels([1.0, 12.0, 3.0], p)  # whole-valued floats write as integers
+        assert p.read_bytes() == b"1\n12\n3\n"
+
+    @pytest.mark.parametrize("labels", [[1.7, 2.2], [1.0, np.nan]], ids=["fractions", "nan"])
+    def test_save_rejects_fractional_labels(self, tmp_path, labels):
+        # the int64 cast would truncate 1.7 and 2.2 and write 1 and 2
+        p = tmp_path / "l.txt"
+        with pytest.raises(ValueError, match="class ids must be whole numbers"):
+            save_labels(labels, p)
+        assert not p.exists()
+
     def test_bad_label(self, tmp_path):
         p = tmp_path / "l.txt"
         p.write_text("1\nfoo\n")

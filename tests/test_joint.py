@@ -29,7 +29,7 @@ from rsddl.joint import (
     solve_P5,
     solve_P6,
 )
-from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns, pinv
+from rsddl.numerics import DEAD_ATOM_TOL, Activation, ActivationKind, Rng, normalize_columns, pinv
 from rsddl.sparse import SparsityBudget, pursuit
 import util
 from util import (
@@ -195,6 +195,88 @@ class TestSolveP1:
         # the residual equals the projection residual of X onto the row space
         proj = x @ (pinv(z1) @ z1)
         assert np.allclose(np.linalg.norm(x - d1 @ z1s), np.linalg.norm(x - proj), atol=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+class TestFitDictionary:
+    """P1-P3 fit through the normal equations of the nonzero code rows when
+    their Gram has cond <= 1e8, and through ``target pinv(codes)`` otherwise."""
+
+    @staticmethod
+    def counted_pinv(monkeypatch) -> list:
+        """The codes of each ``pinv`` call made through ``rsddl.joint``."""
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return pinv(a)
+
+        monkeypatch.setattr(joint, "pinv", counted)
+        return calls
+
+    def test_training_fits_match_the_pinv_oracle(self, monkeypatch):
+        train, _ = many_class_mixture()
+        fit, seen = joint._fit_dictionary, []
+
+        def captured(target, codes, prev):
+            got = fit(target, codes, prev)
+            seen.append((target.copy(), codes.copy(), prev.copy(), got))
+            return got
+
+        pinv_calls = self.counted_pinv(monkeypatch)
+        monkeypatch.setattr(joint, "_fit_dictionary", captured)
+        joint_train(train, Architecture((42, 30, 21)), TrainConfig(drop_mode=DropMode.NONE, outer_iters=10, seed=7))
+        assert len(seen) == 30 and pinv_calls == []
+        for target, codes, prev, (d, scales) in seen:
+            d_ref, scales_ref = util.fit_dictionary_reference(target, codes, prev)
+            np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(scales, scales_ref, rtol=1e-10, atol=0)
+            # with nothing to restore them from, both fits leave the same columns dead
+            dead = np.linalg.norm(fit(target, codes, None)[0], axis=0) <= DEAD_ATOM_TOL
+            dead_ref = np.linalg.norm(util.fit_dictionary_reference(target, codes, None)[0], axis=0)
+            assert np.array_equal(dead, dead_ref <= DEAD_ATOM_TOL)
+
+    def test_dependent_rows_take_pinv_bit_for_bit(self, monkeypatch):
+        rng = Rng(3)
+        target = rng.standard_normal((6, 10))
+        codes = rng.standard_normal((4, 10))
+        codes[3] = codes[0] + codes[1]  # rank 3
+        pinv_calls = self.counted_pinv(monkeypatch)
+        d, scales = joint._fit_dictionary(target, codes, None)
+        d_ref, scales_ref = util.fit_dictionary_reference(target, codes, None)
+        assert len(pinv_calls) == 1
+        assert np.array_equal(d, d_ref) and np.array_equal(scales, scales_ref)
+
+    @pytest.mark.parametrize("cond, pinv_calls", [(1e3, 0), (1e6, 1)])
+    def test_gate_on_the_condition_number(self, monkeypatch, cond, pinv_calls):
+        rng = Rng(8)
+        left, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        right, _ = np.linalg.qr(rng.standard_normal((12, 4)))
+        codes = (left * np.geomspace(1.0, 1.0 / cond, 4)) @ right.T  # full rank, cond(codes) = cond
+        target = rng.standard_normal((6, 12))
+        assert np.linalg.matrix_rank(codes) == 4 and np.linalg.cond(codes) == pytest.approx(cond, rel=1e-6)
+        calls = self.counted_pinv(monkeypatch)
+        d, scales = joint._fit_dictionary(target, codes, None)
+        d_ref, scales_ref = util.fit_dictionary_reference(target, codes, None)
+        assert len(calls) == pinv_calls
+        if pinv_calls:
+            assert np.array_equal(d, d_ref) and np.array_equal(scales, scales_ref)
+        else:
+            np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-10)
+
+    def test_zero_rows_stay_on_the_normal_equations(self, monkeypatch):
+        rng = Rng(9)
+        target = rng.standard_normal((6, 12))
+        codes = rng.standard_normal((5, 12))
+        codes[[1, 3]] = 0.0
+        prev, _ = normalize_columns(rng.standard_normal((6, 5)))
+        pinv_calls = self.counted_pinv(monkeypatch)
+        d, scales = joint._fit_dictionary(target, codes, prev)
+        assert pinv_calls == []
+        assert np.array_equal(d[:, [1, 3]], prev[:, [1, 3]]) and scales[[1, 3]].tolist() == [1.0, 1.0]
+        d_ref, scales_ref = util.fit_dictionary_reference(target, codes, prev)
+        np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scales, scales_ref, rtol=1e-12, atol=0)
 
 
 class TestSolveP2P3:

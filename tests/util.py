@@ -6,7 +6,7 @@ Everything here is seeded through the package Rng so tests are bit-stable.
 import numpy as np
 
 from rsddl.dataio import DataFormatError, make_dataset
-from rsddl.numerics import Activation, ActivationKind, Rng, normalize_columns
+from rsddl.numerics import DEAD_ATOM_TOL, Activation, ActivationKind, Rng, normalize_columns, pinv
 from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.inference import SUPPORT_TOL
 from rsddl.joint import _PAIR_CHUNK, class_mean_matrix, resolve_budget, solve_P4, solve_P5
@@ -344,6 +344,20 @@ def labels_of(cols, n):
     for g, row in enumerate(cols):
         labels[row[row < n]] = g
     return labels
+
+
+# The P1-P3 dictionary fit before it solved the normal equations: one SVD
+# pseudo-inverse per fit.  It stays the fit of dependent or ill-conditioned
+# codes, bit for bit, and the oracle of the normal-equation path.
+
+def fit_dictionary_reference(target, codes, prev):
+    """``target pinv(codes)`` with unit columns, and the column norms it was
+    scaled by; all-zero columns restored from ``prev`` when given."""
+    d, scales = normalize_columns(target @ pinv(codes))
+    if prev is not None:
+        dead = np.linalg.norm(d, axis=0) <= DEAD_ATOM_TOL
+        d[:, dead] = prev[:, dead]
+    return d, scales
 
 
 # P6 as it was before its passes were fused: per inner step, one pass over
