@@ -11,9 +11,13 @@ a verdict, then each side's failed ops and ``src_lines`` (the ``src/`` line
 count of the benchmark's ``env`` line).  From each run's ``quality`` line it
 also prints each side's median ``oa_l0`` and ``oa_l1`` and on how many seeds
 each differs between the sides, so a change that moves models shows its
-accuracy effect from the same pairs.  Whether lower or higher is better,
-and each metric's bound, are read from the change's ``BENCHMARK.json``.  The
-verdict is the first that holds of:
+accuracy effect from the same pairs.  With ``--layers NAMES`` (comma-separated
+per-layer metrics of ``BENCHMARK.json``), each untraced pair is followed by
+one ``--trace 1`` run per side, in the pair's order, and each side's median
+of the named metrics over those runs is printed with the change's wins, so a
+change can show in which layer its saving sits.  Whether lower or higher is
+better, and each metric's bound, are read from the change's
+``BENCHMARK.json``.  The verdict is the first that holds of:
 
 * ``gain``: the change won at least 9 of 10 pairs, and its median is better
   than the parent's by more than the parent's IQR (interquartile range);
@@ -26,16 +30,18 @@ verdict is the first that holds of:
 Example, from the change's checkout::
 
     python scripts/ab_pairs.py --parent ../parent --change . \\
-        --workload mixture-train --seeds 0-9 --seconds 20 --log pairs.jsonl
+        --workload mixture-train --seeds 0-9 --seconds 20 --log pairs.jsonl \\
+        --layers dataio.extract_s,cli.features_s
 
-``--log`` appends one JSON line per run: side, workload, seed, the
-benchmark's result line and its quality scores.
+``--log`` appends one JSON line per run: side, workload, seed, trace flag,
+the benchmark's result line and its quality scores.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -134,6 +140,30 @@ def format_rows(workload: str, rows: list[dict]) -> str:
     return "\n".join(out)
 
 
+def layer_directions(spec: dict, names: list[str]) -> dict[str, str]:
+    """Name -> "lower" or "higher" of each named per-layer metric of ``spec``
+    (a parsed ``BENCHMARK.json``); a ValueError names those it lacks."""
+    known = {m["name"]: m["better"] for m in spec["per_layer"]}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown per-layer metric(s): {', '.join(unknown)}")
+    return {name: known[name] for name in names}
+
+
+def format_layers(workload: str, pairs: list[tuple[dict, dict]], better: dict[str, str]) -> str:
+    """Each side's median of the per-layer metrics of ``better`` over the
+    traced (parent result, change result) pairs of one workload, and the
+    change's wins."""
+    out = [f"{workload} per layer, one traced run per side and pair: median, parent -> change; "
+           "change of the median; wins"]
+    for r in summarize(pairs, better, dict.fromkeys(better, math.inf)):
+        out.append(
+            f"  {r['metric']:24s} {r['parent'][1]:.6g} -> {r['change'][1]:.6g}  {100 * r['delta']:+.1f}%"
+            f"  {r['wins']}/{r['pairs']} won ({r['better']} is better, {r['ties']} tied)"
+        )
+    return "\n".join(out)
+
+
 def format_quality(qualities: list[tuple[dict, dict]]) -> str:
     """Each side's median accuracy over the (parent, change) ``quality``
     scores of one workload's seeds, and the seeds where it differs."""
@@ -147,15 +177,23 @@ def format_quality(qualities: list[tuple[dict, dict]]) -> str:
     return "\n".join(out)
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, int, dict]:
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, int, dict]:
     """The result line, the ``src_lines`` and the quality scores of one
     benchmark run."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
     return parse_result(proc.stdout), parse_src_lines(proc.stdout), parse_quality(proc.stdout)
+
+
+def log(path: str | None, side: str, workload: str, seed: int, trace: int, result: dict, quality: dict) -> None:
+    """Append one run's JSON line to ``path``, when given."""
+    if path:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"side": side, "workload": workload, "seed": seed, "trace": trace,
+                                 "result": result, "quality": quality}) + "\n")
 
 
 def main(argv=None) -> int:
@@ -166,16 +204,22 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help='e.g. "0-9" or "3,5,8"')
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--log", help="append one JSON line per run to this file")
+    parser.add_argument("--layers", type=lambda text: text.split(","), default=[],
+                        help="comma-separated per-layer metrics to compare from one traced run per side and pair")
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
+    try:
+        layers = layer_directions(spec, args.layers)
+    except ValueError as exc:
+        parser.error(str(exc))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
     for workload in workloads:
-        pairs, qualities, counts = [], [], {side: [0, 0, set()] for side in sides}
+        pairs, traced, qualities, counts = [], [], [], {side: [0, 0, set()] for side in sides}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             got, quality = {}, {}
@@ -187,14 +231,18 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: train_s "
                       f"{got[side]['metrics'].get('train_s', {}).get('value', float('nan')):.4g}",
                       file=sys.stderr, flush=True)
-                if args.log:
-                    with open(args.log, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps({"side": side, "workload": workload, "seed": seed,
-                                             "result": got[side], "quality": quality[side]}) + "\n")
+                log(args.log, side, workload, seed, 0, got[side], quality[side])
             pairs.append((got["parent"], got["change"]))
             qualities.append((quality["parent"], quality["change"]))
+            if layers:
+                for side in order:
+                    got[side], _, quality[side] = run_once(sides[side], workload, seed, args.seconds, trace=1)
+                    log(args.log, side, workload, seed, 1, got[side], quality[side])
+                traced.append((got["parent"], got["change"]))
         print(format_rows(workload, summarize(pairs, better, bounds)))
         print(format_quality(qualities))
+        if layers:
+            print(format_layers(workload, traced, layers))
         for side, (attempted, failed, src_lines) in counts.items():
             print(f"  {side}: {failed} of {attempted} ops failed; src_lines "
                   + ", ".join(map(str, sorted(src_lines))))

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .greedy import Architecture
 from .joint import MODES, DropMode, Model, TrainConfig
@@ -283,8 +284,10 @@ def extract_spatial_spectral(
     Even windows have no center pixel, so the target sits at position
     ceil(window/2) along each axis (e.g. position (2, 2), 1-indexed, of a 4x4
     window); borders are mirror-padded.  Pixels are traversed in row-major
-    order.  PCA is fit on the pixels selected by ``train_mask`` (all labeled
-    pixels when None) and ``d`` is clipped to the available dimension.
+    order; a class id that is not a whole number raises ValueError.  PCA is
+    fit on the pixels selected by ``train_mask`` (all labeled pixels when
+    None; then on the raw window matrix itself, without a copy) and ``d`` is
+    clipped to the available dimension.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -300,23 +303,18 @@ def extract_spatial_spectral(
     trail = window - 1 - lead
     padded = np.pad(cube.values, ((lead, trail), (lead, trail), (0, 0)), mode="symmetric")
 
-    labeled = np.argwhere(cube.ground_truth > 0)  # row-major order
-    if labeled.size == 0:
+    rows, cols = np.nonzero(cube.ground_truth > 0)  # row-major order
+    if rows.size == 0:
         raise ValueError("no labeled pixels in ground truth")
-    raw_dim = window * window * cube.bands
-    raw = np.empty((raw_dim, labeled.shape[0]))
-    labels = np.empty(labeled.shape[0], dtype=np.int64)
-    fit_cols = []
-    for i, (r, c) in enumerate(labeled):
-        raw[:, i] = padded[r : r + window, c : c + window, :].reshape(-1)
-        labels[i] = cube.ground_truth[r, c]
-        if train_mask is None or train_mask[r, c]:
-            fit_cols.append(i)
-    if not fit_cols:
+    labels = as_labels(cube.ground_truth[rows, cols])
+    windows = sliding_window_view(padded, (window, window, cube.bands))[:, :, 0]
+    raw = windows[rows, cols].reshape(rows.size, -1).T  # one column per pixel, a view
+    selected = np.ones(rows.size, dtype=bool) if train_mask is None else train_mask[rows, cols].astype(bool)
+    if not selected.any():
         raise ValueError("train_mask selects no labeled pixels")
+    fit = raw if selected.all() else raw[:, selected]
 
-    fit = raw[:, fit_cols]
-    d_eff = min(d, raw_dim, fit.shape[1])
+    d_eff = min(d, raw.shape[0], fit.shape[1])
     mean, basis = pca_fit(fit, d_eff)
     projection = PcaProjection(mean=mean, basis=basis)
     features = projection.project(raw)

@@ -166,3 +166,46 @@ def test_format_quality_prints_medians_and_the_seeds_that_differ():
     ]
     # a workload without accuracy scores prints nothing
     assert ab_pairs.format_quality([({}, {})]) == ""
+
+
+SPEC = {"per_layer": [{"name": "dataio.extract_s", "unit": "s", "better": "lower"},
+                      {"name": "cli.features_s", "unit": "s", "better": "lower"},
+                      {"name": "sparse.omp_fill_ratio", "unit": "ratio", "better": "higher"}]}
+
+
+def test_layer_directions_reads_the_spec_and_rejects_unknown_names():
+    assert ab_pairs.layer_directions(SPEC, ["dataio.extract_s", "sparse.omp_fill_ratio"]) == {
+        "dataio.extract_s": "lower", "sparse.omp_fill_ratio": "higher"}
+    assert ab_pairs.layer_directions(SPEC, []) == {}
+    with pytest.raises(ValueError, match="unknown per-layer metric.*: dataio.extract, cli.feature_s"):
+        ab_pairs.layer_directions(SPEC, ["dataio.extract", "cli.features_s", "cli.feature_s"])
+
+
+def test_unknown_layer_name_stops_before_any_run(tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    with pytest.raises(SystemExit) as stop:
+        ab_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--seeds", "0",
+                       "--seconds", "1", "--layers", "dataio.extract_s,cli.features"])
+    assert stop.value.code == 2
+    assert "unknown per-layer metric(s): cli.features" in capsys.readouterr().err
+
+
+def traced_result(extract_s, features_s):
+    """The last line of one canned ``--trace 1`` run."""
+    metrics = {"dataio.extract_s": {"value": extract_s, "unit": "s"},
+               "cli.features_s": {"value": features_s, "unit": "s"},
+               "joint.P6_s": {"value": 0.1, "unit": "s"}}
+    return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": metrics})
+
+
+def test_format_layers_prints_medians_and_wins_of_the_named_metrics():
+    parent = [traced_result(0.024, 0.060), traced_result(0.026, 0.064), traced_result(0.025, 0.058)]
+    change = [traced_result(0.013, 0.050), traced_result(0.014, 0.066), traced_result(0.012, 0.048)]
+    pairs = [(ab_pairs.parse_result(p), ab_pairs.parse_result(c)) for p, c in zip(parent, change)]
+    better = ab_pairs.layer_directions(SPEC, ["dataio.extract_s", "cli.features_s"])
+    lines = ab_pairs.format_layers("scene-map", pairs, better).splitlines()
+    assert lines[0].startswith("scene-map per layer, one traced run per side and pair")
+    assert lines[1].split() == ["dataio.extract_s", "0.025", "->", "0.013", "-48.0%",
+                                "3/3", "won", "(lower", "is", "better,", "0", "tied)"]
+    assert lines[2].split()[:6] == ["cli.features_s", "0.06", "->", "0.05", "-16.7%", "2/3"]
+    assert len(lines) == 3  # joint.P6_s was not named

@@ -24,7 +24,7 @@ from rsddl.joint import DropMode, Model, TrainConfig, joint_train
 from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng
 from rsddl.sparse import SparsityBudget
 
-from util import load_matrix_csv_reference
+from util import load_matrix_csv_reference, window_matrix_reference
 
 
 class TestCsv:
@@ -409,6 +409,45 @@ class TestExtract:
         cube = HsiCube(np.zeros((3, 3, 2)), np.ones((3, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             extract_spatial_spectral(cube, window=4, d=2)
+
+    @staticmethod
+    def border_cube():
+        """A non-square 7x9x3 cube whose labelled pixels (classes 1-3) take in
+        every border and corner; about a quarter of the pixels is unlabelled."""
+        rng = Rng(15)
+        gt = rng.permutation(63).reshape(7, 9) % 4
+        gt[[0, -1], :] = gt[:, [0, -1]] = 2
+        return HsiCube(rng.standard_normal((7, 9, 3)), gt)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_window_gather_matches_the_per_pixel_loop(self, window):
+        cube = self.border_cube()
+        raw, labels = window_matrix_reference(cube, window)
+        ds, proj = extract_spatial_spectral(cube, window=window, d=5)
+        assert np.array_equal(ds.x, proj.project(raw))
+        assert np.array_equal(ds.labels, labels)
+        rows, cols = np.divmod(np.flatnonzero(cube.ground_truth), cube.width)
+        assert np.array_equal(ds.labels, cube.ground_truth[rows, cols])  # row-major order
+        # an all-True mask fits the same pixels, on the same path
+        ds_all, proj_all = extract_spatial_spectral(
+            cube, window=window, d=5, train_mask=np.ones((7, 9), dtype=bool))
+        assert np.array_equal(ds_all.x, ds.x) and np.array_equal(proj_all.basis, proj.basis)
+
+    def test_fractional_ground_truth_rejected(self):
+        # a class id of 2.7 used to become class 2
+        gt = np.ones((4, 4))
+        gt[1, 2] = 2.7
+        cube = HsiCube(Rng(16).standard_normal((4, 4, 3)), gt)
+        with pytest.raises(ValueError, match="class ids must be whole numbers"):
+            extract_spatial_spectral(cube, window=1, d=2)
+
+    def test_whole_float_ground_truth(self):
+        cube = self.border_cube()
+        ds, _ = extract_spatial_spectral(cube, window=3, d=4)
+        ds_float, _ = extract_spatial_spectral(
+            HsiCube(cube.values, cube.ground_truth.astype(np.float64)), window=3, d=4)
+        assert ds_float.labels.dtype == np.int64
+        assert np.array_equal(ds_float.labels, ds.labels) and np.array_equal(ds_float.x, ds.x)
 
 
 def small_model():

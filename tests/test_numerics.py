@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from rsddl.numerics import (
     pinv,
     ridge_solve,
 )
+
+from util import pca_fit_reference
 
 
 class TestPinv:
@@ -113,9 +117,97 @@ class TestPcaFit:
             _, basis = pca_fit(x, 5)
         assert np.allclose(basis.T @ basis, np.eye(5), atol=1e-9)
 
+    @pytest.mark.parametrize("shape, rank, d", [((3, 5), 0, 1), ((6, 20), 2, 5), ((20, 9), 2, 4)],
+                             ids=["identical-columns", "rank2-wide", "rank2-tall"])
+    def test_rank_deficient_takes_the_svd_bit_for_bit(self, shape, rank, d):
+        # the data of the two tests above, and a tall rank-2 matrix
+        rng = Rng(4)
+        if rank:
+            x = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        else:
+            x = np.tile(np.array([[1.0], [2.0], [3.0]]), (1, shape[1]))
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = pca_fit_reference(x, d)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            got = pca_fit(x, d)
+        assert [(w.category, str(w.message)) for w in warned] == [
+            (w.category, str(w.message)) for w in want_warned
+        ]
+        assert len(warned) == 1 and issubclass(warned[0].category, NumericsWarning)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
             pca_fit(np.eye(3), 4)
+
+
+def decaying_spectrum(shape, d, last, seed):
+    """A ``shape`` matrix around a random mean whose centered singular values
+    fall geometrically from 1 to ``last`` at index d-1 and on below it."""
+    rows, cols = shape
+    rng = Rng(seed)
+    k = min(rows, cols - 1)  # centering leaves at most cols - 1 directions
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v = rng.standard_normal((cols, k))
+    v, _ = np.linalg.qr(v - v.mean(axis=0))  # columns orthogonal to the ones vector
+    return (u * last ** (np.arange(k) / (d - 1))) @ v.T + 3.0 * rng.standard_normal((rows, 1))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The matrices ``np.linalg.svd`` is called on from now on."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a) or svd(a, *args, **kw))
+    return calls
+
+
+class TestPcaGramRoute:
+    """``pca_fit`` from the smaller Gram matrix against the SVD fit it
+    replaces (``util.pca_fit_reference``), on tall and wide data."""
+
+    D = 8
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60), (200, 120), (120, 200)],
+                             ids=["tall", "wide", "tall-large", "wide-large"])
+    @pytest.mark.parametrize("last, tol", [(0.5, 1e-12), (1e-2, 1e-12), (1e-3, 1e-7), (1.2e-4, 1e-7)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_projections_match_the_svd_oracle(self, shape, last, tol, seed, svd_calls):
+        x = decaying_spectrum(shape, self.D, last, seed)
+        want_mean, want_basis = pca_fit_reference(x, self.D)
+        svd_calls.clear()
+        mean, basis = pca_fit(x, self.D)
+        assert svd_calls == []  # the Gram route: no SVD
+        assert np.array_equal(mean, want_mean)
+        centered = x - mean
+        got, want = basis.T @ centered, want_basis.T @ centered
+        rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert rel.max() <= tol
+        # the sign convention: each column's first entry above 1e-12 is positive
+        first = np.argmax(np.abs(basis) > 1e-12, axis=0)
+        assert np.all(basis[first, np.arange(self.D)] > 0)
+        assert np.allclose(basis.T @ basis, np.eye(self.D), atol=1e-7)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("last", [8e-5, 1e-6])
+    def test_below_the_gate_takes_the_svd_bit_for_bit(self, shape, last, svd_calls):
+        x = decaying_spectrum(shape, self.D, last, 3)
+        mean, basis = pca_fit(x, self.D)
+        assert len(svd_calls) == 1
+        want_mean, want_basis = pca_fit_reference(x, self.D)
+        assert np.array_equal(mean, want_mean) and np.array_equal(basis, want_basis)
+
+    def test_the_gate_is_on_the_d_th_eigenvalue(self, svd_calls):
+        # the same data fits its first components from the Gram matrix and
+        # all of them, down past 1e-4 of the first singular value, by SVD
+        x = decaying_spectrum((40, 60), self.D, 1e-5, 4)
+        pca_fit(x, 3)
+        assert svd_calls == []
+        pca_fit(x, self.D)
+        assert len(svd_calls) == 1
 
 
 class TestActivation:

@@ -3,10 +3,14 @@
 Everything here is seeded through the package Rng so tests are bit-stable.
 """
 
+import warnings
+
 import numpy as np
 
 from rsddl.dataio import DataFormatError, make_dataset
-from rsddl.numerics import DEAD_ATOM_TOL, Activation, ActivationKind, Rng, normalize_columns, pinv
+from rsddl.numerics import (
+    DEAD_ATOM_TOL, Activation, ActivationKind, NumericsWarning, Rng, as_matrix, normalize_columns, pinv,
+)
 from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.inference import SUPPORT_TOL
 from rsddl.joint import _PAIR_CHUNK, class_mean_matrix, resolve_budget, solve_P4, solve_P5
@@ -580,3 +584,50 @@ def load_matrix_csv_reference(path):
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     return np.array(rows, dtype=np.float64).T
+
+
+# PCA and the window matrix as they were before the Gram route and the
+# sliding-window gather: an economy SVD of the centered data, and one window
+# copied per labelled pixel.  The SVD fit stays the fit below the Gram
+# route's gate, bit for bit; both are the oracles of the fast paths.
+
+def pca_fit_reference(x, d):
+    """``(mean, basis)`` of a d-component PCA of the columns of ``x`` from the
+    left singular vectors of the centered data, sign-normalized, padded with
+    orthonormal complement vectors (and warned) beyond the data's rank."""
+    x = as_matrix(x, "X")
+    if not 1 <= d <= min(x.shape):
+        raise ValueError(f"d must be in [1, min(rows, cols)] = [1, {min(x.shape)}], got {d}")
+    mean = x.mean(axis=1, keepdims=True)
+    centered = x - mean
+    u, s, _ = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
+    if rank < d:
+        warnings.warn(
+            f"requested {d} components but data rank is {rank}; "
+            "padding with orthonormal complement vectors",
+            NumericsWarning,
+            stacklevel=2,
+        )
+    basis = u[:, :d].copy()
+    for j in range(d):
+        nz = np.nonzero(np.abs(basis[:, j]) > 1e-12)[0]
+        if nz.size and basis[nz[0], j] < 0:
+            basis[:, j] = -basis[:, j]
+    return mean, basis
+
+
+def window_matrix_reference(cube, window):
+    """``(raw, labels)``: the flattened mirror-padded window x window x bands
+    neighborhood of each labelled pixel as a column, and its class id, in
+    row-major pixel order."""
+    lead = (window - 1) // 2
+    trail = window - 1 - lead
+    padded = np.pad(cube.values, ((lead, trail), (lead, trail), (0, 0)), mode="symmetric")
+    labeled = np.argwhere(cube.ground_truth > 0)
+    raw = np.empty((window * window * cube.bands, labeled.shape[0]))
+    labels = np.empty(labeled.shape[0], dtype=np.int64)
+    for i, (r, c) in enumerate(labeled):
+        raw[:, i] = padded[r : r + window, c : c + window, :].reshape(-1)
+        labels[i] = cube.ground_truth[r, c]
+    return raw, labels
