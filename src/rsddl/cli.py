@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="feature CSV, one sample per row")
     p_train.add_argument("--labels", required=True, help="label list, one class id per line")
     p_train.add_argument("--arch", default=None, help="atoms per layer, e.g. 100,50,25")
-    p_train.add_argument("--mode", choices=["joint", "greedy"], default=None)
+    p_train.add_argument("--mode", choices=MODES, default=None)
     p_train.add_argument("--activation", choices=["tanh", "identity"], default=None)
     p_train.add_argument("--lambda-s", dest="lambda_s", type=int, default=None,
                          help="nonzeros per coefficient column (default: 20%% of deepest layer)")

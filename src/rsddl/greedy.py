@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    DEAD_ATOM_TOL, Activation, NumericsWarning, Rng, as_matrix, normalize_columns, pinv, ridge_solve
-)
+from .numerics import DEAD_ATOM_TOL, Activation, NumericsWarning, Rng, as_matrix, lstsq, normalize_columns
 from .sparse import pursuit
 
 __all__ = ["Architecture", "dict_learn", "layerwise_factorize", "compose_reconstruction"]
@@ -72,24 +70,14 @@ def _reseed_dead_atoms(d: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarra
     return d
 
 
-def _fit_dictionary(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Least-squares dictionary for ``X ~ D Z`` on the live code rows.  An
-    all-zero row leaves its atom undetermined (and the normal equations
-    singular); its column stays zero for :func:`_reseed_dead_atoms`."""
-    live = np.any(z != 0.0, axis=1)
-    d = np.zeros((x.shape[0], z.shape[0]))
-    if np.any(live):
-        d[:, live] = ridge_solve(z[live].T, x.T).T
-    return d
-
-
 def dict_learn(x: np.ndarray, n_atoms: int, s: int, iters: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Alternating minimization for ``X ~ D Z`` with s-sparse columns of Z.
 
     The coding step runs OMP per column (keeping the previous code whenever
     it reconstructs better, so the objective never increases); the dictionary
-    step is a least-squares fit followed by column renormalization with the
-    scales absorbed into Z.
+    step is :func:`~rsddl.numerics.lstsq` followed by column renormalization
+    with the scales absorbed into Z; an atom no code uses comes back zero and
+    is reseeded from the worst-reconstructed data column.
     """
     x = as_matrix(x, "X")
     if n_atoms < 1 or s < 1 or iters < 1:
@@ -113,7 +101,7 @@ def dict_learn(x: np.ndarray, n_atoms: int, s: int, iters: int, rng: Rng) -> tup
         better = new_err <= old_err
         z[:, better] = z_new[:, better]
 
-        d, scales = normalize_columns(_fit_dictionary(z, x))
+        d, scales = normalize_columns(lstsq(x, z))
         z = z * scales[:, None]
         d = _reseed_dead_atoms(d, z, x)
     return d, z
@@ -122,22 +110,15 @@ def dict_learn(x: np.ndarray, n_atoms: int, s: int, iters: int, rng: Rng) -> tup
 def _als_factorize(x: np.ndarray, n_atoms: int, iters: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Unpenalized alternating least squares ``X ~ D Z``, unit-norm columns.
 
-    With more atoms than rows or samples, the fitted D and Z have rank at
-    most ``min(x.shape) < n_atoms``, so their normal equations are singular by
-    shape; both fits then take the minimum-norm least-squares solution.
+    Both steps are :func:`~rsddl.numerics.lstsq` fits.  With more atoms than
+    rows or samples, D and Z have rank at most ``min(x.shape) < n_atoms``, so
+    the fits fail its conditioning gate and take the minimum-norm solution.
     """
-    if n_atoms > min(x.shape):
-        def solve(a, b):
-            return pinv(a) @ b
-    else:
-        def solve(a, b):
-            return ridge_solve(a, b)
     d = _init_dictionary(x.shape[0], n_atoms, rng)
     z = np.zeros((n_atoms, x.shape[1]))
     for _ in range(iters):
-        z = solve(d, x)
-        d = solve(z.T, x.T).T
-        d, scales = normalize_columns(d)
+        z = lstsq(x.T, d.T).T
+        d, scales = normalize_columns(lstsq(x, z))
         z = z * scales[:, None]
     return d, z
 

@@ -4,14 +4,17 @@ The trainer alternates over six sub-problems of an augmented Lagrangian:
 closed-form least squares for the dictionaries (P1-P3) and the two proxy
 coefficient layers (P4-P5), and an inner ADMM (P6) that couples a row-sparse
 SOMP step per class with a reverse-shrinkage push driving the supports of
-different classes apart.  P1-P3 solve the normal equations of the codes, or
-take their SVD pseudo-inverse when cond exceeds 1e4.  P6 solves every class
-at once: the classes share D3, the Gram matrix and the class-mean snapshot,
-and no class reads another class's result, so each inner step is one
-grouped SOMP with one group per class.  P and C are (column, competitor,
-atom) arrays over the class-sorted columns, so P6, the relaxation sweep and
-the objective work in place on contiguous column slices; the class layout
-is built once per training and the class means once per outer iteration.
+different classes apart.  P1-P3 are the least-squares fit that the greedy
+warm start uses too (``rsddl.numerics.lstsq``): the normal equations of the
+codes, or their SVD pseudo-inverse, without a warning, once an eigenvalue of
+their Gram falls to 1e-8 of its trace.
+P6 solves every class at once: the classes share D3, the Gram matrix and
+the class-mean snapshot, and no class reads another class's result, so each
+inner step is one grouped SOMP with one group per class.  P and C are
+(column, competitor, atom) arrays over the class-sorted columns, so P6, the
+relaxation sweep and the objective work in place on contiguous column
+slices; the class layout is built once per training and the class means
+once per outer iteration.
 Relaxation variables follow the printed update rule ``B <- residual - B``
 (an involution around the residual).
 
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
-from .numerics import DEAD_ATOM_TOL, Activation, Rng, as_labels, as_matrix, normalize_columns, pinv
+from .numerics import DEAD_ATOM_TOL, Activation, Rng, as_labels, as_matrix, lstsq, normalize_columns
 from .sparse import SparsityBudget, group_columns, prox_push, pursuit, pursuit_gram, unit_gram
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -337,23 +340,11 @@ def objective_value(
 
 
 def _fit_dictionary(target: np.ndarray, codes: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The least-squares fit of ``target ~ D codes`` with unit columns, and the
-    column norms it was scaled by: the normal equations ``C C' D' = C target'``
-    of the nonzero code rows C when cond(C C') <= 1e8, else ``target
-    pinv(codes)``.  Columns that come back all-zero (atoms with no active
-    coefficients) are restored from ``prev`` when given, so the dictionary
-    keeps unit columns."""
-    codes = as_matrix(codes, "A")
-    live = codes.any(axis=1)
-    c = codes[live]
-    gram = c @ c.T
-    eig = np.linalg.eigvalsh(gram)  # ascending
-    if eig.size and eig[0] >= 1e-8 * eig[-1]:
-        fit = np.zeros((target.shape[0], codes.shape[0]))
-        fit[:, live] = np.linalg.solve(gram, c @ target.T).T
-    else:
-        fit = target @ pinv(codes)
-    d, scales = normalize_columns(fit)
+    """The :func:`~rsddl.numerics.lstsq` fit of ``target ~ D codes`` with unit
+    columns, and the column norms it was scaled by.  Columns that come back
+    all-zero (atoms with no active coefficients) are restored from ``prev``
+    when given, so the dictionary keeps unit columns."""
+    d, scales = normalize_columns(lstsq(target, codes))
     if prev is not None:
         dead = np.linalg.norm(d, axis=0) <= DEAD_ATOM_TOL
         d[:, dead] = prev[:, dead]
@@ -361,10 +352,12 @@ def _fit_dictionary(target: np.ndarray, codes: np.ndarray, prev: np.ndarray | No
 
 
 def solve_P1(x: np.ndarray, z1: np.ndarray, prev: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares dictionary fit of ``X ~ D1 Z1`` by the normal equations, or
-    ``X pinv(Z1)`` for ill-conditioned Z1 (:func:`_fit_dictionary`); unit
-    columns with the scales folded into Z1 (so D1 Z1 is unchanged) and dead
-    atoms restored from ``prev`` when given.  Returns ``(D1, Z1_rescaled)``."""
+    """Least-squares dictionary fit of ``X ~ D1 Z1``, the fit the warm start
+    uses too (:func:`~rsddl.numerics.lstsq`: the normal equations, or
+    ``X pinv(Z1)`` for ill-conditioned Z1, through :func:`_fit_dictionary`);
+    unit columns with the scales folded into Z1 (so D1 Z1 is unchanged) and
+    dead atoms restored from ``prev`` when given.  Returns
+    ``(D1, Z1_rescaled)``."""
     d1, scales = _fit_dictionary(x, z1, prev)
     return d1, z1 * scales[:, None]
 

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .numerics import NumericsWarning
+from .numerics import NumericsWarning, as_labels
 
 __all__ = [
     "confusion_matrix",
@@ -26,11 +26,11 @@ MCNEMAR_THRESHOLD = 1.96  # two-sided 5%
 
 
 def confusion_matrix(truth, pred, num_classes: int | None = None) -> np.ndarray:
-    """Count matrix: entry (i, j) = samples of true class i+1 predicted as j+1."""
-    truth = np.asarray(truth, dtype=np.int64)
-    pred = np.asarray(pred, dtype=np.int64)
-    if truth.shape != pred.shape or truth.ndim != 1:
+    """Count matrix: entry (i, j) = samples of true class i+1 predicted as j+1.
+    A fractional class id is a ValueError."""
+    if np.ndim(truth) != 1 or np.shape(truth) != np.shape(pred):
         raise ValueError("truth and pred must be 1-D with equal lengths")
+    truth, pred = as_labels(truth), as_labels(pred)
     if truth.size == 0:
         raise ValueError("no samples to evaluate")
     if truth.min() < 1 or pred.min() < 1:
@@ -100,13 +100,13 @@ def mcnemar_z(pred_a, pred_b, truth) -> tuple[float, bool]:
 
     ``z = (f12 - f21) / sqrt(f12 + f21)`` where f12 counts samples classifier
     a got right and b wrong, f21 the reverse; z = 0 when both counts are 0.
-    Significance is the two-sided 5% test, |z| > 1.96.
+    Significance is the two-sided 5% test, |z| > 1.96.  A fractional class
+    id is a ValueError.
     """
-    pred_a = np.asarray(pred_a, dtype=np.int64)
-    pred_b = np.asarray(pred_b, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if not (pred_a.shape == pred_b.shape == truth.shape) or truth.ndim != 1 or truth.size == 0:
+    shape = np.shape(truth)
+    if not (np.shape(pred_a) == np.shape(pred_b) == shape) or len(shape) != 1 or shape[0] == 0:
         raise ValueError("pred_a, pred_b and truth must be 1-D with equal nonzero lengths")
+    pred_a, pred_b, truth = as_labels(pred_a), as_labels(pred_b), as_labels(truth)
     a_ok = pred_a == truth
     b_ok = pred_b == truth
     f12 = int(np.sum(a_ok & ~b_ok))

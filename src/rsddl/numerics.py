@@ -19,7 +19,7 @@ __all__ = [
     "as_labels",
     "normalize_columns",
     "pinv",
-    "ridge_solve",
+    "lstsq",
     "pca_fit",
     "ActivationKind",
     "Activation",
@@ -88,28 +88,32 @@ def pinv(a: np.ndarray) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def ridge_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimize ``||B - A X||_F^2`` over X.
+def lstsq(target: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The least-squares D of ``target ~ D codes``, the one fit shared by the
+    greedy warm start and the joint trainer's P1-P3.
 
-    Solved through the normal equations ``A'A X = A'B``.  When they are
-    singular, falls back to the pseudo-inverse path (minimum-norm solution)
-    and reports it through a :class:`NumericsWarning`.
+    Solves the normal equations ``C C' D' = C target'`` of the nonzero code
+    rows C when ``C C' - 1e-8 trace(C C') I`` has a Cholesky factor, that is
+    when every eigenvalue of ``C C'`` exceeds 1e-8 of its trace (so cond(C)
+    stays below 1e4, since the normal equations square it).  An all-zero code
+    row leaves its atom undetermined and gets a zero column; all-zero codes
+    give a zero D.  Dependent or worse-conditioned codes take
+    ``target pinv(codes)``, the minimum-norm fit, without a warning.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"row mismatch: A has {a.shape[0]}, B has {b.shape[0]}")
-    gram = a.T @ a
+    target = as_matrix(target, "target")
+    codes = as_matrix(codes, "codes")
+    if target.shape[1] != codes.shape[1]:
+        raise ValueError(f"column mismatch: target has {target.shape[1]}, codes have {codes.shape[1]}")
+    live = codes.any(axis=1)
+    c = codes[live]
+    gram = c @ c.T
     try:
-        np.linalg.cholesky(gram)  # cheap positive-definiteness probe
-        return np.linalg.solve(gram, a.T @ b)
+        np.linalg.cholesky(gram - 1e-8 * np.trace(gram) * np.eye(gram.shape[0]))
     except np.linalg.LinAlgError:
-        warnings.warn(
-            "singular normal equations; using pseudo-inverse fallback",
-            NumericsWarning,
-            stacklevel=2,
-        )
-        return pinv(a) @ b
+        return target @ pinv(codes)
+    fit = np.zeros((target.shape[0], codes.shape[0]))
+    fit[:, live] = np.linalg.solve(gram, c @ target.T).T
+    return fit
 
 
 def pca_fit(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:

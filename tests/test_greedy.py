@@ -6,15 +6,23 @@ import pytest
 
 from rsddl.greedy import (
     Architecture,
+    _als_factorize,
     compose_reconstruction,
     dict_learn,
     layerwise_factorize,
 )
 from rsddl.inference import encode_test, predict_batch
 from rsddl.joint import Model, TrainConfig
-from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng, normalize_columns, pinv
+from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng, lstsq, normalize_columns, pinv
 from rsddl.sparse import SparsityBudget
-from util import MIXTURE_ARCH, class_distances_reference, greedy_encode, planted_dictionary_data
+from util import (
+    MIXTURE_ARCH,
+    als_factorize_reference,
+    class_distances_reference,
+    greedy_encode,
+    many_class_mixture,
+    planted_dictionary_data,
+)
 
 
 def greedy_model(x, arch, s, iters, rng, labels=None):
@@ -76,8 +84,6 @@ class TestDictLearn:
     def test_unused_atoms_fit_without_fallback(self):
         # codes with all-zero rows used to send every dictionary step through
         # the pseudo-inverse fallback; the live-row solve gives the same atoms
-        from rsddl.greedy import _fit_dictionary
-
         rng = Rng(15)
         x = rng.standard_normal((6, 12))
         z = rng.standard_normal((5, 12))
@@ -85,7 +91,7 @@ class TestDictLearn:
         _, _, planted = planted_dictionary_data(seed=11, ncols=20, n_supports=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error", NumericsWarning)
-            d = _fit_dictionary(z, x)
+            d = lstsq(x, z)
             dict_learn(planted, 15, 3, 30, Rng(1))
         assert np.max(np.abs(d - (pinv(z.T) @ x.T).T)) <= 1e-10
         assert np.all(d[:, [1, 3]] == 0.0)
@@ -123,8 +129,10 @@ class TestGreedyTrain:
     def test_identity_two_layer_trifactorization(self):
         act = Activation(ActivationKind.IDENTITY)
         x = np.hstack([np.eye(8), np.eye(8), 0.5 * np.eye(8)])
-        # the live code rows of the last layer are linearly dependent
-        with pytest.warns(NumericsWarning, match="singular normal equations"):
+        # the live code rows of the last layer are linearly dependent: their
+        # fit takes pinv, as it always did, but no longer warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericsWarning)
             dicts, codes = layerwise_factorize(x, Architecture((8, 8), activation=act), 2, 20, Rng(4))
         recon = compose_reconstruction(dicts, codes[-1], act)
         assert np.linalg.norm(x - recon) / np.linalg.norm(x) < 0.1
@@ -132,8 +140,6 @@ class TestGreedyTrain:
     def test_wide_layer_takes_minimum_norm_fit(self):
         # more atoms than rows and than samples: singular by shape, solved
         # without the warning fallback
-        from rsddl.greedy import _als_factorize
-
         x = Rng(0).standard_normal((6, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error", NumericsWarning)
@@ -143,6 +149,31 @@ class TestGreedyTrain:
         assert np.linalg.norm(x - d @ z) <= 1e-10 * np.linalg.norm(x)
         # Z is the minimum-norm fit of X on the final D
         assert np.allclose(z, pinv(d) @ x, atol=1e-10)
+
+    def test_als_matches_reference(self):
+        x = many_class_mixture()[0].x  # 60 x 400: 80 atoms take the reference's shape switch
+        for atoms in (30, 42, 60, 80):
+            d, z = _als_factorize(x, atoms, 10, Rng(atoms))
+            d_ref, z_ref = als_factorize_reference(x, atoms, 10, Rng(atoms))
+            assert np.linalg.norm(d - d_ref) <= 1e-10 * np.linalg.norm(d_ref)
+            assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
+
+    def test_layerwise_matches_reference(self):
+        # the warm start of the benchmark's mixture: the reference ALS for the
+        # upper layers, then dict_learn on the reference chain's target
+        x = many_class_mixture()[0].x
+        arch, rng = Architecture((42, 30, 21)), Rng(7).substream("init")
+        dicts, codes = layerwise_factorize(x, arch, 4, 10, rng)
+        target, refs = x, []
+        for idx, atoms in enumerate(arch.atoms_per_layer[:-1]):
+            d_ref, z_ref = als_factorize_reference(target, atoms, 10, rng.substream("layer", idx))
+            refs.append((d_ref, z_ref))
+            target = arch.activation.inverse(z_ref)
+        refs.append(dict_learn(target, 21, 4, 10, rng.substream("layer", 2)))
+        for d, z, (d_ref, z_ref) in zip(dicts, codes, refs):
+            assert np.linalg.norm(d - d_ref) <= 1e-10 * np.linalg.norm(d_ref)
+            assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
+        assert np.array_equal(codes[-1] != 0.0, refs[-1][1] != 0.0)
 
     def test_layerwise_codes_chain(self):
         rng = Rng(9)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rsddl import joint
+from rsddl import joint, numerics
 from rsddl.dataio import make_dataset
 from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.joint import (
@@ -199,19 +199,21 @@ class TestSolveP1:
 
 @pytest.mark.filterwarnings("error")
 class TestFitDictionary:
-    """P1-P3 fit through the normal equations of the nonzero code rows when
-    their Gram has cond <= 1e8, and through ``target pinv(codes)`` otherwise."""
+    """P1-P3 fit through ``rsddl.numerics.lstsq``: the normal equations of the
+    nonzero code rows when every eigenvalue of their Gram exceeds 1e-8 of its
+    trace, and ``target pinv(codes)`` otherwise."""
 
     @staticmethod
     def counted_pinv(monkeypatch) -> list:
-        """The codes of each ``pinv`` call made through ``rsddl.joint``."""
+        """The codes of each ``pinv`` call made through ``rsddl.numerics``,
+        where every least-squares fit of the warm start and P1-P3 takes it."""
         calls = []
 
         def counted(a):
             calls.append(a)
             return pinv(a)
 
-        monkeypatch.setattr(joint, "pinv", counted)
+        monkeypatch.setattr(numerics, "pinv", counted)
         return calls
 
     def test_training_fits_match_the_pinv_oracle(self, monkeypatch):
@@ -226,7 +228,7 @@ class TestFitDictionary:
         pinv_calls = self.counted_pinv(monkeypatch)
         monkeypatch.setattr(joint, "_fit_dictionary", captured)
         joint_train(train, Architecture((42, 30, 21)), TrainConfig(drop_mode=DropMode.NONE, outer_iters=10, seed=7))
-        assert len(seen) == 30 and pinv_calls == []
+        assert len(seen) == 30 and pinv_calls == []  # nor did any of the warm start's fits
         for target, codes, prev, (d, scales) in seen:
             d_ref, scales_ref = util.fit_dictionary_reference(target, codes, prev)
             np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-10)

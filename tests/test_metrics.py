@@ -31,6 +31,12 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             confusion_matrix([0, 1], [1, 1])
 
+    def test_fractional_ids_rejected(self):
+        # a cast would truncate them into a perfect score
+        with pytest.raises(ValueError, match="whole numbers"):
+            confusion_matrix([1.7, 2.0], [1.0, 2.9])
+        assert confusion_matrix([1.0, 2.0], [1.0, 1.0]).tolist() == [[1, 0], [1, 0]]
+
 
 class TestOverallAccuracy:
     def test_perfect(self):
@@ -136,6 +142,11 @@ class TestMcnemar:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mcnemar_z([1, 2], [1], [1, 2])
+
+    def test_fractional_ids_rejected(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            mcnemar_z([1.5, 2], [1, 2], [1.2, 2])
+        assert mcnemar_z([1.0, 2.0], [2, 2], np.array([1.0, 2.0])) == (1.0, False)
 
 
 class TestReport:

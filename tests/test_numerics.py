@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rsddl import numerics
 from rsddl.numerics import (
     Activation,
     ActivationKind,
@@ -11,8 +12,8 @@ from rsddl.numerics import (
     as_matrix,
     normalize_columns,
     pca_fit,
+    lstsq,
     pinv,
-    ridge_solve,
 )
 
 from util import pca_fit_reference
@@ -53,31 +54,92 @@ class TestPinv:
             pinv(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
 
-class TestRidgeSolve:
-    def test_alpha_zero_identity(self):
-        x = ridge_solve(np.eye(2), np.array([[3.0], [4.0]]))
-        assert np.allclose(x, [[3.0], [4.0]])
+def _normal_draws(seed, a_shape, b_shape):
+    rng = Rng(seed)
+    return rng.standard_normal(a_shape), rng.standard_normal(b_shape)
 
-    def test_matches_normal_equation_oracle(self):
-        rng = Rng(5)
-        a = rng.standard_normal((6, 4))
-        b = rng.standard_normal((6, 2))
-        # independent oracle: explicit inverse of the 4x4 normal matrix
-        oracle = np.linalg.inv(a.T @ a) @ (a.T @ b)
-        assert np.allclose(ridge_solve(a, b), oracle, atol=1e-9)
 
-    def test_alpha_zero_full_rank_matches_pinv(self):
-        rng = Rng(6)
-        a = rng.standard_normal((7, 3))
-        b = rng.standard_normal((7, 2))
-        assert np.allclose(ridge_solve(a, b), pinv(a) @ b, atol=1e-8)
+# (a, b) of min ||b - a x||, which is the fit ``b' ~ x' a'``: x = lstsq(b.T, a.T).T
+_WELL_CONDITIONED = {
+    "identity": (np.eye(2), np.array([[3.0], [4.0]])),
+    "normal-equation-oracle": _normal_draws(5, (6, 4), (6, 2)),
+    "full-rank": _normal_draws(6, (7, 3), (7, 2)),
+}
 
-    def test_singular_falls_back_with_warning(self):
-        a = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank 1
+
+@pytest.mark.filterwarnings("error")
+class TestLstsq:
+    @staticmethod
+    def counted_pinv(monkeypatch) -> list:
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return pinv(a)
+
+        monkeypatch.setattr(numerics, "pinv", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(_WELL_CONDITIONED))
+    def test_well_conditioned_matches_pinv(self, monkeypatch, case):
+        a, b = _WELL_CONDITIONED[case]
+        target, codes = b.T, a.T
+        calls = self.counted_pinv(monkeypatch)
+        d = lstsq(target, codes)
+        assert calls == []
+        assert np.max(np.abs(d - target @ pinv(codes))) <= 1e-10
+        # independent oracle: explicit inverse of the normal matrix
+        assert np.max(np.abs(d.T - np.linalg.inv(a.T @ a) @ (a.T @ b))) <= 1e-10
+        if case == "identity":
+            assert np.allclose(d.T, [[3.0], [4.0]], rtol=0, atol=1e-15)
+
+    def test_dependent_rows_take_pinv(self, monkeypatch):
+        a = np.array([[1.0, 1.0], [2.0, 2.0]])  # rank 1, once a singular-normal-equations warning
         b = np.array([[1.0], [2.0]])
-        with pytest.warns(NumericsWarning, match="fallback"):
-            x = ridge_solve(a, b)
-        assert np.allclose(x, pinv(a) @ b)
+        calls = self.counted_pinv(monkeypatch)
+        d = lstsq(b.T, a.T)
+        assert len(calls) == 1
+        assert np.array_equal(d, b.T @ pinv(a.T))
+
+    def test_zero_rows_give_zero_columns_on_the_normal_equations(self, monkeypatch):
+        rng = Rng(15)
+        target = rng.standard_normal((6, 12))
+        codes = rng.standard_normal((5, 12))
+        codes[[1, 3]] = 0.0
+        calls = self.counted_pinv(monkeypatch)
+        d = lstsq(target, codes)
+        assert calls == []
+        assert np.all(d[:, [1, 3]] == 0.0)
+        assert np.max(np.abs(d - target @ pinv(codes))) <= 1e-10
+
+    def test_all_zero_codes_give_a_zero_fit(self, monkeypatch):
+        calls = self.counted_pinv(monkeypatch)
+        d = lstsq(Rng(2).standard_normal((3, 7)), np.zeros((4, 7)))
+        assert calls == [] and d.shape == (3, 4) and np.all(d == 0.0)
+
+    @pytest.mark.parametrize("smallest, pinv_calls", [(2e-8, 1), (4e-8, 0)])
+    def test_gate_on_the_trace(self, monkeypatch, smallest, pinv_calls):
+        # Gram eigenvalues 1, 1, 1 and ``smallest``: both above 1e-8 of the
+        # largest, one below and one above 1e-8 of the trace (3 + smallest)
+        rng = Rng(8)
+        left, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        right, _ = np.linalg.qr(rng.standard_normal((12, 4)))
+        codes = (left * np.sqrt([1.0, 1.0, 1.0, smallest])) @ right.T
+        target = rng.standard_normal((6, 12))
+        eig = np.linalg.eigvalsh(codes @ codes.T)
+        assert eig[0] >= 1e-8 * eig[-1] and eig[0] == pytest.approx(smallest, rel=1e-6)
+        calls = self.counted_pinv(monkeypatch)
+        d = lstsq(target, codes)
+        assert len(calls) == pinv_calls
+        if pinv_calls:
+            assert np.array_equal(d, target @ pinv(codes))
+        else:
+            # the normal equations lose about cond(codes)^2 eps = 6e-9 relative
+            assert np.max(np.abs(d - target @ pinv(codes))) <= 1e-7 * np.max(np.abs(d))
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="column mismatch"):
+            lstsq(np.ones((3, 4)), np.ones((2, 5)))
 
 
 class TestPcaFit:

@@ -364,6 +364,46 @@ def fit_dictionary_reference(target, codes, prev):
     return d, scales
 
 
+# The warm start's alternating least squares as it was before every fit went
+# through ``rsddl.numerics.lstsq``: a shape switch to ``pinv``, else the normal
+# equations behind a bare Cholesky probe that warned and took ``pinv`` on
+# failure (``ridge_solve``, inlined).  The oracle for ``greedy._als_factorize``.
+
+def als_factorize_reference(x, n_atoms, iters, rng):
+    """Unpenalized alternating least squares ``X ~ D Z``, unit-norm columns."""
+    def ridge_solve(a, b):
+        a = as_matrix(a, "A")
+        b = as_matrix(b, "B")
+        if a.shape[0] != b.shape[0]:
+            raise ValueError(f"row mismatch: A has {a.shape[0]}, B has {b.shape[0]}")
+        gram = a.T @ a
+        try:
+            np.linalg.cholesky(gram)  # cheap positive-definiteness probe
+            return np.linalg.solve(gram, a.T @ b)
+        except np.linalg.LinAlgError:
+            warnings.warn(
+                "singular normal equations; using pseudo-inverse fallback",
+                NumericsWarning,
+                stacklevel=2,
+            )
+            return pinv(a) @ b
+
+    if n_atoms > min(x.shape):
+        def solve(a, b):
+            return pinv(a) @ b
+    else:
+        def solve(a, b):
+            return ridge_solve(a, b)
+    d, _ = normalize_columns(rng.standard_normal((x.shape[0], n_atoms)))
+    z = np.zeros((n_atoms, x.shape[1]))
+    for _ in range(iters):
+        z = solve(d, x)
+        d = solve(z.T, x.T).T
+        d, scales = normalize_columns(d)
+        z = z * scales[:, None]
+    return d, z
+
+
 # P6 as it was before its passes were fused: per inner step, one pass over
 # P and C for the correlation and one for the updates, each gathering the
 # competitor means again.  P and C are (competitor, atom, column) arrays here;
