@@ -6,8 +6,9 @@ machine-readable outputs go to files or stdout, never mixed with log text.
 
 Commands accept an optional ``--config`` file of flat ``key=value`` lines
 (``#`` comments allowed); explicit flags override the file, the file
-overrides built-in defaults, and the effective configuration is echoed to
-stderr and the run log for reproducibility.
+overrides built-in defaults, a key the command does not take is a usage
+error, and the effective configuration is echoed to stderr and the run log
+for reproducibility.
 """
 
 from __future__ import annotations
@@ -78,16 +79,24 @@ def _read_config_file(path) -> dict[str, str]:
 
 
 def _resolve(args, file_cfg: dict[str, str], key: str, default, cast):
-    """Precedence: explicit flag > config file > built-in default."""
+    """Precedence: explicit flag > config file > built-in default.  Takes
+    ``key`` out of ``file_cfg``, so the keys left there are unknown."""
+    text = file_cfg.pop(key, None)
     flag_value = getattr(args, key, None)
     if flag_value is not None:
         return flag_value
-    if key in file_cfg:
+    if text is not None:
         try:
-            return cast(file_cfg[key])
+            return cast(text)
         except (TypeError, ValueError):
-            raise UsageError(f"config key {key}={file_cfg[key]!r} is not valid") from None
+            raise UsageError(f"config key {key}={text!r} is not valid") from None
     return default
+
+
+def _reject_unknown_keys(file_cfg: dict[str, str]) -> None:
+    """Fail on the config keys that no :func:`_resolve` call took."""
+    if file_cfg:
+        raise UsageError(f"unknown config key(s): {', '.join(sorted(file_cfg))}")
 
 
 def _parse_arch(text: str) -> tuple[int, ...]:
@@ -166,6 +175,7 @@ def cmd_features(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     window = _resolve(args, file_cfg, "window", _FEATURE_DEFAULTS["window"].default, int)
     dims = _resolve(args, file_cfg, "dims", _FEATURE_DEFAULTS["d"].default, int)
+    _reject_unknown_keys(file_cfg)
     if window < 1:
         raise UsageError(f"window must be >= 1, got {window}")
     if dims < 1:
@@ -227,17 +237,20 @@ def _effective_train_config(args):
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _reject_unknown_keys(file_cfg)
     return mode, arch, cfg
 
 
 def _echo_config(mode: str, arch: Architecture, cfg: TrainConfig, sinks) -> None:
+    """Write the effective configuration; every float is echoed in its
+    shortest form that reads back as the same value."""
     budget = cfg.lambda_budget
     line = (
         f"config: mode={mode} arch={','.join(str(a) for a in arch.atoms_per_layer)} "
         f"activation={arch.activation.kind.value} lambda_s={budget.per_column_s} "
-        f"row_s={budget.row_s} lambda_weight={cfg.lambda_weight:g} mu={cfg.mu:g} "
-        f"eta1={cfg.eta1:g} eta2={cfg.eta2:g} gamma={cfg.gamma:g} "
-        f"drop={cfg.drop_mode.value} drop_rate={cfg.drop_rate:g} iters={cfg.outer_iters} "
+        f"row_s={budget.row_s} lambda_weight={cfg.lambda_weight!r} mu={cfg.mu!r} "
+        f"eta1={cfg.eta1!r} eta2={cfg.eta2!r} gamma={cfg.gamma!r} "
+        f"drop={cfg.drop_mode.value} drop_rate={cfg.drop_rate!r} iters={cfg.outer_iters} "
         f"inner_iters={cfg.inner_iters} test_iters={cfg.test_iters} seed={cfg.seed}"
     )
     for sink in sinks:

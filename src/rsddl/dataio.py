@@ -452,26 +452,32 @@ def _parse_config(line: str, path: str) -> TrainConfig:
         if "=" not in token:
             raise DataFormatError(f"{path}: malformed config token {token!r}")
         k, v = token.split("=", 1)
+        if k in pairs:
+            raise DataFormatError(f"{path}: repeated config key {k!r}")
         pairs[k] = v
+    # each key read is taken out of ``pairs``, so the keys left are unknown
     try:
-        return TrainConfig(
+        cfg = TrainConfig(
             lambda_budget=SparsityBudget(
-                per_column_s=int(pairs["per_column_s"]), row_s=int(pairs["row_s"])
+                per_column_s=int(pairs.pop("per_column_s")), row_s=int(pairs.pop("row_s"))
             ),
-            lambda_weight=float(pairs["lambda_weight"]),
-            mu=float(pairs["mu"]),
-            eta1=float(pairs["eta1"]),
-            eta2=float(pairs["eta2"]),
-            gamma=float(pairs["gamma"]),
-            outer_iters=int(pairs["outer_iters"]),
-            inner_iters=int(pairs["inner_iters"]),
-            test_iters=int(pairs["test_iters"]),
-            drop_mode=DropMode(pairs["drop_mode"]),
-            drop_rate=float(pairs["drop_rate"]),
-            seed=int(pairs["seed"]),
+            lambda_weight=float(pairs.pop("lambda_weight")),
+            mu=float(pairs.pop("mu")),
+            eta1=float(pairs.pop("eta1")),
+            eta2=float(pairs.pop("eta2")),
+            gamma=float(pairs.pop("gamma")),
+            outer_iters=int(pairs.pop("outer_iters")),
+            inner_iters=int(pairs.pop("inner_iters")),
+            test_iters=int(pairs.pop("test_iters")),
+            drop_mode=DropMode(pairs.pop("drop_mode")),
+            drop_rate=float(pairs.pop("drop_rate")),
+            seed=int(pairs.pop("seed")),
         )
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad config line ({exc})") from None
+    if pairs:
+        raise DataFormatError(f"{path}: unknown config key(s) {', '.join(sorted(pairs))}")
+    return cfg
 
 
 def load_model(path) -> Model:

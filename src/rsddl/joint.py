@@ -11,12 +11,13 @@ their Gram falls to 1e-8 of its trace.
 P6 solves every class at once: the classes share D3, the Gram matrix and
 the class-mean snapshot, and no class reads another class's result, so each
 inner step is one grouped SOMP with one group per class.  P and C are
-(column, competitor, atom) arrays over the class-sorted columns, so P6, the
-relaxation sweep and the objective work in place on contiguous column
-slices; the class layout is built once per training and the class means
-once per outer iteration.
+(column, competitor, atom) arrays over the class-sorted columns, so P6 and
+the objective work on contiguous column slices, P6 in place; the class
+layout is built once per training and the class means once per outer
+iteration.
 Relaxation variables follow the printed update rule ``B <- residual - B``
-(an involution around the residual).
+(an involution around the residual).  The outer sweep updates B1 and B2;
+C, the relaxation variable of the discriminative split, is P6's alone.
 
 Optional stochastic regularization: DropOut zeroes entries of the
 intermediate coefficient layers after the coefficient solves and before the
@@ -43,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DropMode",
     "TrainConfig",
-    "JointState",
     "Model",
     "FitReport",
     "IterationRecord",
@@ -162,33 +162,6 @@ def _class_layout(class_cols: dict[int, np.ndarray], atoms: int) -> _ClassLayout
     starts = np.cumsum([0] + sizes[:-1])
     order = np.concatenate([class_cols[c] for c in classes])
     return _ClassLayout(order, cls, competitors, starts, group_columns(cls, cls.size), slices)
-
-
-@dataclass
-class JointState:
-    """Mutable optimization state threaded through the sub-problem solvers.
-
-    ``p`` and ``c_relax`` are (column, competitor, atom) arrays over the
-    class-sorted columns of ``layout``: the row ``[j, i]`` belongs to sorted
-    column j's class c and its i-th competitor, the i-th class other than c
-    in ascending order.  ``class_means`` holds the class means of Z as it was
-    when the current outer iteration began.
-    """
-
-    x: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    z: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    p: np.ndarray
-    c_relax: np.ndarray
-    layout: _ClassLayout
-    class_means: np.ndarray
-    activation: Activation
 
 
 @dataclass
@@ -447,10 +420,18 @@ def solve_P6(
     C.  The stacked system is never built: SOMP runs on its Gram matrix
     ``eta2 D3'D3 + (C-1) gamma I``, the same for every class, and its
     correlation ``eta2 D3' T + gamma sum_k (mean_k + C_k - P_k)``, and each
-    inner step is one grouped pursuit with one group per class.  ``p`` and
-    ``c_relax`` (laid out by ``layout``, see :class:`JointState`) are updated
-    in place.  With ``mu == 0`` or a single class this is plain SOMP per
-    class on the data term.  Returns Z with its columns in data order.
+    inner step is one grouped pursuit with one group per class.
+
+    ``p`` and ``c_relax`` are (column, competitor, atom) arrays over the
+    class-sorted columns of ``layout``: the row ``[j, i]`` belongs to sorted
+    column j's class c and its i-th competitor, the i-th class other than c
+    in ascending order.  ``class_means`` are the class means of Z as it was
+    when the outer iteration began.  Both arrays are updated in place: P
+    after every inner step, C after every step but the last, since no step
+    reads that update (and the rule, an involution, would give C back if
+    applied again around the same residual).  With ``mu == 0`` or a single
+    class this is plain SOMP per class on the data term.  Returns Z with its
+    columns in data order.
     """
     order, cls, competitors = layout.order, layout.cls, layout.competitors
     target = act.inverse(z2[:, order] - b2[:, order])
@@ -480,8 +461,8 @@ def solve_P6(
             p_cols, c_cols = p[cols], c_relax[cols]
             shifted = np.subtract(zbar, z_rows[cols, None, :], out=buffer[: zbar.shape[0]])
             prox_push(np.add(shifted, c_cols, out=p_cols), mu, gamma, out=p_cols)
-            np.subtract(np.subtract(p_cols, shifted, out=shifted), c_cols, out=c_cols)
             if more:
+                np.subtract(np.subtract(p_cols, shifted, out=shifted), c_cols, out=c_cols)
                 zbar += c_cols
                 _add_competitor_terms(corr, y_sq, cols, np.subtract(zbar, p_cols, out=zbar), gamma, buffer)
     z[:, order] = z_sorted
@@ -501,53 +482,53 @@ def _add_competitor_terms(corr, y_sq, cols: slice, blocks: np.ndarray, gamma: fl
     y_sq[cols] += gamma * np.einsum("kij,kij->j", by_competitor, by_competitor)
 
 
-def bregman_update(state: JointState) -> tuple[float, float]:
+def bregman_update(
+    b1: np.ndarray,
+    b2: np.ndarray,
+    z1: np.ndarray,
+    z2: np.ndarray,
+    z: np.ndarray,
+    d2: np.ndarray,
+    d3: np.ndarray,
+    act: Activation,
+) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Relaxation-variable sweep by the printed rule ``B <- residual - B`` for
-    B1, B2 and every C.  Uses the class-mean snapshot held in the state.
-    Returns the norms of the two coupling residuals it swept with, feas1
+    B1 and B2 (C is updated inside :func:`solve_P6`).  Returns the new B1 and
+    B2 and the norms of the two coupling residuals it swept with, feas1
     ``||Z1 - phi(D2 Z2)||`` and feas2 ``||Z2 - phi(D3 Z)||``."""
-    r1, r2 = _coupling_residuals(state)
-    state.b1 = r1 - state.b1
-    state.b2 = r2 - state.b2
-    z_rows = state.z.T[state.layout.order]
-    table = _competitor_table(state.class_means, state.layout.competitors)
-    for cols, zbar in _competitor_means(table, state.layout):
-        resid = np.subtract(state.p[cols], np.subtract(zbar, z_rows[cols, None, :], out=zbar), out=zbar)
-        np.subtract(resid, state.c_relax[cols], out=state.c_relax[cols])
-    return float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
+    r1, r2 = _coupling_residuals(z1, z2, z, d2, d3, act)
+    return r1 - b1, r2 - b2, float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
 
 
-def _coupling_residuals(state: JointState) -> tuple[np.ndarray, np.ndarray]:
-    act = state.activation
-    return state.z1 - act.forward(state.d2 @ state.z2), state.z2 - act.forward(state.d3 @ state.z)
+def _coupling_residuals(z1, z2, z, d2, d3, act: Activation) -> tuple[np.ndarray, np.ndarray]:
+    return z1 - act.forward(d2 @ z2), z2 - act.forward(d3 @ z)
 
 
-def _drop(state: JointState, rate: float, rng: Rng, names: tuple[str, ...]) -> JointState:
-    """Zero a Bernoulli(rate) mask of each of the state's arrays ``names``,
-    drawn from the substream of its upper-cased name."""
+def _drop(rate: float, rng: Rng, **arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``arrays`` with a Bernoulli(rate) mask of each zeroed, drawn from
+    the substream of its upper-cased name."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return state
-    for name in names:
-        a = getattr(state, name)
-        mask = rng.substream(name.upper()).random(a.shape) < rate
-        setattr(state, name, np.where(mask, 0.0, a))
-    return state
+        return tuple(arrays.values())
+    return tuple(np.where(rng.substream(name.upper()).random(a.shape) < rate, 0.0, a) for name, a in arrays.items())
 
 
-def apply_dropout(state: JointState, rate: float, rng: Rng) -> JointState:
-    """Zero a Bernoulli(rate) mask of the intermediate coefficients Z1 and Z2.
+def apply_dropout(z1: np.ndarray, z2: np.ndarray, rate: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """Z1 and Z2, the intermediate coefficients, with a Bernoulli(rate) mask
+    of each zeroed.
 
     The deepest codes Z are never dropped: they are already sparse by
     construction and dropping them would destroy the class supports.
     """
-    return _drop(state, rate, rng, ("z1", "z2"))
+    return _drop(rate, rng, z1=z1, z2=z2)
 
 
-def apply_dropconnect(state: JointState, rate: float, rng: Rng) -> JointState:
-    """Zero a Bernoulli(rate) mask of the entries of every dictionary."""
-    return _drop(state, rate, rng, ("d1", "d2", "d3"))
+def apply_dropconnect(
+    d1: np.ndarray, d2: np.ndarray, d3: np.ndarray, rate: float, rng: Rng
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dictionaries with a Bernoulli(rate) mask of each one's entries zeroed."""
+    return _drop(rate, rng, d1=d1, d2=d2, d3=d3)
 
 
 def _format_record(rec: IterationRecord) -> str:
@@ -600,27 +581,17 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
     # SOMP) so the initial iterate lives in the constraint class the trainer
     # optimizes over
     dicts, codes = layerwise_factorize(x, arch, budget.per_column_s, cfg.outer_iters, rng.substream("init"))
-    z_init = pursuit(dicts[2], act.inverse(codes[1]), budget.row_s, groups=data.labels)
-    state = JointState(
-        x=x,
-        d1=dicts[0],
-        d2=dicts[1],
-        d3=dicts[2],
-        z1=codes[0].copy(),
-        z2=codes[1].copy(),
-        z=z_init,
-        b1=np.ones_like(codes[0]),
-        b2=np.ones_like(codes[1]),
-        p=np.ones((x.shape[1], n_classes - 1, arch.feature_dim)),
-        c_relax=np.ones((x.shape[1], n_classes - 1, arch.feature_dim)),
-        layout=layout,
-        class_means=class_mean_matrix(z_init, class_cols, n_classes),
-        activation=act,
-    )
+    d1, d2, d3 = dicts
+    z1, z2, _ = codes
+    z = pursuit(d3, act.inverse(z2), budget.row_s, groups=data.labels)
+    b1, b2 = np.ones_like(z1), np.ones_like(z2)
+    p = np.ones((x.shape[1], n_classes - 1, arch.feature_dim))
+    c_relax = np.ones_like(p)
+    means = class_mean_matrix(z, class_cols, n_classes)
 
-    greedy_recon = float(np.linalg.norm(x - compose_reconstruction(dicts, state.z, act)))
-    init_feas1, init_feas2 = (float(np.linalg.norm(r)) for r in _coupling_residuals(state))
-    init_obj, _ = objective_value(x, dicts, state.z, layout, state.class_means, cfg.lambda_weight, cfg.mu, act)
+    greedy_recon = float(np.linalg.norm(x - compose_reconstruction(dicts, z, act)))
+    init_feas1, init_feas2 = (float(np.linalg.norm(r)) for r in _coupling_residuals(z1, z2, z, d2, d3, act))
+    init_obj, _ = objective_value(x, dicts, z, layout, means, cfg.lambda_weight, cfg.mu, act)
     report = FitReport(
         initial_objective=init_obj,
         initial_feas1=init_feas1,
@@ -631,50 +602,36 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
     _emit(report, log, "init objective=%.17g feas1=%.17g feas2=%.17g" % (init_obj, init_feas1, init_feas2))
 
     # last clean (pre-drop) dictionaries, used to restore dead atoms
-    prev_d1, prev_d2, prev_d3 = state.d1, state.d2, state.d3
+    prev_d1, prev_d2, prev_d3 = d1, d2, d3
 
     for it in range(cfg.outer_iters):
         final_iter = it == cfg.outer_iters - 1
 
         # coefficient sweeps
-        state.z1 = solve_P4(x, state.d1, state.d2, state.z2, state.b1, cfg.eta1, act)
-        state.z2 = solve_P5(state.z1, state.b1, state.d2, state.d3, state.z, state.b2, cfg.eta1, cfg.eta2, act)
-        state.z = solve_P6(
-            state.z2,
-            state.b2,
-            state.d3,
-            state.class_means,
-            layout,
-            budget.row_s,
-            cfg.mu,
-            cfg.gamma,
-            cfg.eta2,
-            cfg.inner_iters,
-            state.p,
-            state.c_relax,
-            act,
+        z1 = solve_P4(x, d1, d2, z2, b1, cfg.eta1, act)
+        z2 = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
+        z = solve_P6(
+            z2, b2, d3, means, layout, budget.row_s, cfg.mu, cfg.gamma, cfg.eta2, cfg.inner_iters, p, c_relax, act
         )
 
         # coefficients perturbed before the dictionaries see them
         if cfg.drop_mode is DropMode.DROPOUT and not final_iter:
-            apply_dropout(state, cfg.drop_rate, rng.substream("drop", it))
+            z1, z2 = apply_dropout(z1, z2, cfg.drop_rate, rng.substream("drop", it))
 
         # dictionary sweeps
-        state.d1, state.z1 = solve_P1(x, state.z1, prev=prev_d1)
-        state.d2 = solve_P2(state.z1, state.b1, state.z2, act, prev=prev_d2)
-        state.d3 = solve_P3(state.z2, state.b2, state.z, act, prev=prev_d3)
-        prev_d1, prev_d2, prev_d3 = state.d1, state.d2, state.d3
+        d1, z1 = solve_P1(x, z1, prev=prev_d1)
+        d2 = solve_P2(z1, b1, z2, act, prev=prev_d2)
+        d3 = solve_P3(z2, b2, z, act, prev=prev_d3)
+        prev_d1, prev_d2, prev_d3 = d1, d2, d3
         if cfg.drop_mode is DropMode.DROPCONNECT and not final_iter:
-            apply_dropconnect(state, cfg.drop_rate, rng.substream("drop", it))
+            d1, d2, d3 = apply_dropconnect(d1, d2, d3, cfg.drop_rate, rng.substream("drop", it))
 
-        feas1, feas2 = bregman_update(state)
+        b1, b2, feas1, feas2 = bregman_update(b1, b2, z1, z2, z, d2, d3, act)
 
         # Z stays as it is until the next P6, so these means are also the next
         # iteration's snapshot
-        state.class_means = class_mean_matrix(state.z, class_cols, n_classes)
-        obj, rows = objective_value(
-            x, [state.d1, state.d2, state.d3], state.z, layout, state.class_means, cfg.lambda_weight, cfg.mu, act
-        )
+        means = class_mean_matrix(z, class_cols, n_classes)
+        obj, rows = objective_value(x, [d1, d2, d3], z, layout, means, cfg.lambda_weight, cfg.mu, act)
         if obj > DIVERGENCE_LIMIT:
             raise TrainingDivergedError(
                 f"objective {obj:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at iteration {it + 1}"
@@ -684,8 +641,8 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         report.iterations.append(rec)
         _emit(report, log, _format_record(rec))
 
-    final_dicts = [state.d1, state.d2, state.d3]
-    joint_recon = float(np.linalg.norm(x - compose_reconstruction(final_dicts, state.z, act)))
+    final_dicts = [d1, d2, d3]
+    joint_recon = float(np.linalg.norm(x - compose_reconstruction(final_dicts, z, act)))
     report.joint_reconstruction = joint_recon
     if cfg.drop_mode is not DropMode.NONE:
         _emit(
@@ -696,4 +653,4 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         )
     _emit(report, log, f"joint_recon={joint_recon:.17g}")
 
-    return Model(final_dicts, arch, state.z, data.labels, cfg, fit_report=report)
+    return Model(final_dicts, arch, z, data.labels, cfg, fit_report=report)

@@ -71,6 +71,29 @@ class TestTrain:
         assert model.config.outer_iters == 3  # file beats default
         assert model.config.seed == 5
 
+    @pytest.mark.parametrize("key", ["outer_iters", "drop-rate"])
+    def test_unknown_config_key_is_usage_error(self, data_files, capsys, key):
+        tmp, _ = data_files
+        cfgfile = tmp / "run.cfg"
+        cfgfile.write_text(f"arch=8,6,4\n{key}=2\n")
+        rc = run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt",
+                  "--config", cfgfile, "--out", tmp / "u.rsddl"])
+        assert rc == 2
+        assert f"unknown config key(s): {key}" in capsys.readouterr().err
+        assert not (tmp / "u.rsddl").exists()
+
+    def test_echo_reads_back_every_float(self, data_files):
+        tmp, _ = data_files
+        given = {"lambda_weight": "0.30000000000000004", "mu": "1e-300", "eta1": "2.5", "eta2": "0.7",
+                 "gamma": "0.123456789", "drop_rate": "0.012345678901234567"}
+        flags = [a for key, v in given.items() for a in (f"--{key.replace('_', '-')}", v)]
+        assert run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
+                    "--iters", "1", "--drop", "out", *flags, "--out", tmp / "e.rsddl"]) == 0
+        echo = dict(kv.split("=", 1) for kv in (tmp / "e.rsddl.log").read_text().split("\n")[0].split()[1:])
+        assert echo["gamma"] == "0.123456789"
+        for key, value in given.items():
+            assert float(echo[key]) == float(value)
+
     def test_bad_drop_rate_is_usage_error(self, data_files):
         tmp, _ = data_files
         rc = run(
@@ -86,7 +109,7 @@ class TestTrain:
                     "--arch", "8,6,4", "--out", tmp / "m.rsddl"]) == 0
         assert (tmp / "m.rsddl.log").read_text().split("\n")[0] == (
             "config: mode=joint arch=8,6,4 activation=tanh lambda_s=1 row_s=1 lambda_weight=0.1 "
-            "mu=0.5 eta1=1 eta2=1 gamma=0.1 drop=connect drop_rate=0.1 iters=15 inner_iters=5 "
+            "mu=0.5 eta1=1.0 eta2=1.0 gamma=0.1 drop=connect drop_rate=0.1 iters=15 inner_iters=5 "
             "test_iters=10 seed=0"
         )
         defaults = TrainConfig()
@@ -279,6 +302,15 @@ class TestFeatures:
 
     def test_missing_cube_flag_is_usage_error(self):
         assert run(["features", "--labels", "x", "--out", "y"]) == 2
+
+    def test_unknown_config_key_is_usage_error(self, cube_files, capsys):
+        tmp = cube_files
+        (tmp / "f.cfg").write_text("dims=5\nwindow_size=3\n")
+        rc = run(["features", "--cube", tmp / "c.hsi", "--labels", tmp / "c.gt",
+                  "--config", tmp / "f.cfg", "--out", tmp / "feat"])
+        assert rc == 2
+        assert "unknown config key(s): window_size" in capsys.readouterr().err
+        assert not list(tmp.glob("feat*"))
 
 
 class TestTopLevel:

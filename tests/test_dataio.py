@@ -525,6 +525,23 @@ class TestModelPersistence:
             load_model(path)
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(" bogus=7", "unknown config key(s) bogus"), (" bogus=7 mu=0.9", "repeated config key 'mu'"),
+         (" seed=42", "repeated config key 'seed'")],
+        ids=["unknown", "unknown-then-repeated", "repeated"],
+    )
+    def test_config_line_takes_each_key_once(self, tmp_path, extra, message):
+        path = tmp_path / "m.rsddl"
+        save_model(small_model(), path)
+        lines = path.read_text().split("\n")
+        assert lines[4].startswith("config ")
+        lines[4] += extra
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.rsddl"
         for text in ("WRONG 1\n", "RSDDL1 1\n"):

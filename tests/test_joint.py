@@ -10,7 +10,6 @@ from rsddl.dataio import make_dataset
 from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.joint import (
     DropMode,
-    JointState,
     Model,
     TrainConfig,
     TrainingDivergedError,
@@ -463,9 +462,25 @@ class TestSolveP6:
         assert overlap_huge <= overlap_zero
 
 
+def solve_P6_contract(z2, b2, d3, means, class_cols, row_s, mu, gamma, eta2, inner_iters, p, c, act):
+    """What ``solve_P6`` must return and leave in P and C, given them as
+    (column, competitor, atom) arrays: Z and P of ``solve_P6_reference`` run
+    for ``inner_iters`` steps, and C of the reference run one step fewer (C
+    as given, for one step).  Returns new ``(z, p, c)``; the inputs are kept."""
+    p_ref, c_ref = np.transpose(p, (1, 2, 0)).copy(), np.transpose(c, (1, 2, 0)).copy()
+    c_want = c_ref.copy()
+    args = (row_s, mu, gamma, eta2)
+    if inner_iters > 1:
+        solve_P6_reference(z2, b2, d3, means, class_cols, *args, inner_iters - 1, p_ref.copy(), c_want, act)
+    z = solve_P6_reference(z2, b2, d3, means, class_cols, *args, inner_iters, p_ref, c_ref, act)
+    return z, column_layout(p_ref), column_layout(c_want)
+
+
 class TestSolveP6MatchesTwoPass:
     """The one-pass ``solve_P6`` against ``solve_P6_reference``, the two-pass
-    form over the (competitor, atom, column) layout: identical Z, P and C."""
+    form over the (competitor, atom, column) layout: identical Z and P, and
+    C as the reference leaves it one inner step earlier, since no step reads
+    the last step's C update."""
 
     @staticmethod
     def _check(sizes, row_s=3, mu=0.5, gamma=0.1, eta2=1.0, inner_iters=5, atoms=7, seed=30):
@@ -479,16 +494,14 @@ class TestSolveP6MatchesTwoPass:
         z2 = 0.4 * rng.standard_normal((9, n))
         b2 = 0.1 * rng.standard_normal((9, n))
         means = rng.standard_normal((atoms, n_classes))
-        p = rng.standard_normal((n_classes - 1, atoms, n))
-        c = rng.standard_normal((n_classes - 1, atoms, n))
-        p_ref, c_ref = p.copy(), c.copy()
-        p, c = column_layout(p), column_layout(c)
+        p = column_layout(rng.standard_normal((n_classes - 1, atoms, n)))
+        c = column_layout(rng.standard_normal((n_classes - 1, atoms, n)))
         args = (row_s, mu, gamma, eta2, inner_iters)
+        z_ref, p_ref, c_ref = solve_P6_contract(z2, b2, d3, means, class_cols, *args, p, c, TANH)
         z = solve_P6(z2, b2, d3, means, _class_layout(class_cols, atoms), *args, p, c, TANH)
-        z_ref = solve_P6_reference(z2, b2, d3, means, class_cols, *args, p_ref, c_ref, TANH)
         assert np.array_equal(z, z_ref)
-        assert np.array_equal(p, column_layout(p_ref))
-        assert np.array_equal(c, column_layout(c_ref))
+        assert np.array_equal(p, p_ref)
+        assert np.array_equal(c, c_ref)
         return z
 
     def test_uneven_class_sizes(self):
@@ -515,6 +528,12 @@ class TestSolveP6MatchesTwoPass:
     def test_single_class(self):
         self._check([6])
 
+    @pytest.mark.parametrize("inner_iters", [1, 2, 3, 4, 5])
+    def test_inner_step_counts(self, inner_iters):
+        # one step: C comes back as given; 40 classes span several slices
+        self._check([1, 6, 3, 9, 2], inner_iters=inner_iters)
+        self._check([3 + c % 3 for c in range(40)], row_s=2, inner_iters=inner_iters)
+
     def test_kernel_calls_of_a_mixture_training(self, monkeypatch):
         # the benchmark's mixture workload: 16 classes, 60 dims, arch 42,30,21;
         # corr and y_sq sum the same terms in the same order in both layouts
@@ -533,12 +552,13 @@ class TestSolveP6MatchesTwoPass:
         solve = joint.solve_P6
 
         def both(z2, b2, d3, means, layout, row_s, mu, gamma, eta2, inner_iters, p, c, act):
-            p_ref, c_ref = np.transpose(p, (1, 2, 0)).copy(), np.transpose(c, (1, 2, 0)).copy()
             args = (row_s, mu, gamma, eta2, inner_iters)
+            mark = len(calls["old"])
+            z_ref, p_ref, c_ref = solve_P6_contract(z2, b2, d3, means, class_cols, *args, p, c, act)
+            del calls["old"][mark : mark + inner_iters - 1]  # the shorter run, for C
             z = solve(z2, b2, d3, means, layout, *args, p, c, act)
-            z_ref = solve_P6_reference(z2, b2, d3, means, class_cols, *args, p_ref, c_ref, act)
             assert np.array_equal(z, z_ref)
-            assert np.array_equal(p, column_layout(p_ref)) and np.array_equal(c, column_layout(c_ref))
+            assert np.array_equal(p, p_ref) and np.array_equal(c, c_ref)
             return z
 
         monkeypatch.setattr(joint, "pursuit_gram", recorder(joint.pursuit_gram, "new"))
@@ -554,120 +574,82 @@ class TestSolveP6MatchesTwoPass:
 
 
 class TestBregmanUpdate:
-    def _state(self, seed=14, act=TANH):
+    @staticmethod
+    def _inputs(seed=14, act=TANH):
         rng = Rng(seed)
         d2 = rng.standard_normal((5, 3))
         z2 = rng.standard_normal((3, 6)) * 0.3
         d3 = rng.standard_normal((3, 2))
         z = rng.standard_normal((2, 6)) * 0.3
-        z1 = act.forward(d2 @ z2)
-        labels = np.array([1, 1, 1, 2, 2, 2])
-        class_cols = {1: np.array([0, 1, 2]), 2: np.array([3, 4, 5])}
-        state = JointState(
-            x=rng.standard_normal((6, 6)),
-            d1=rng.standard_normal((6, 5)),
-            d2=d2,
-            d3=d3,
-            z1=z1,
-            z2=z2,
-            z=z,
-            b1=np.zeros_like(z1),
-            b2=np.zeros_like(z2),
-            p=np.ones((6, 1, 2)),
-            c_relax=np.ones((6, 1, 2)),
-            layout=_class_layout(class_cols, 2),
-            class_means=class_mean_matrix(z, class_cols, 2),
-            activation=act,
-        )
-        return state
+        return {"z1": act.forward(d2 @ z2), "z2": z2, "z": z, "d2": d2, "d3": d3, "act": act}
 
     def test_feasible_point_keeps_b1_zero(self):
-        state = self._state()
-        bregman_update(state)
-        assert np.allclose(state.b1, 0.0, atol=1e-12)
+        inputs = self._inputs()
+        b1, _, feas1, _ = bregman_update(np.zeros((5, 6)), np.zeros((3, 6)), **inputs)
+        assert np.allclose(b1, 0.0, atol=1e-12)
+        assert feas1 < 1e-12
 
     def test_double_update_is_involution(self):
-        state = self._state()
-        state.b1 = Rng(1).standard_normal(state.b1.shape)
-        state.b2 = Rng(2).standard_normal(state.b2.shape)
-        b1_0, b2_0 = state.b1.copy(), state.b2.copy()
-        state.c_relax = column_layout(Rng(3).standard_normal((1, 2, 6)))
-        c_0 = state.c_relax.copy()
-        bregman_update(state)
-        bregman_update(state)  # primals frozen: R - (R - B) == B
-        assert np.allclose(state.b1, b1_0, atol=1e-12)
-        assert np.allclose(state.b2, b2_0, atol=1e-12)
-        assert np.allclose(state.c_relax, c_0, atol=1e-12)
-
-    def test_relaxation_residual_per_class_pair(self):
-        # C[0] of class 1 pairs with mean 2 and of class 2 with mean 1 (the
-        # class-sorted layout); the rule against the residual P - (mean - Z)
-        state = self._state()
-        p = Rng(4).standard_normal((1, 2, 6))
-        state.p = column_layout(p)
-        c_0 = np.ones_like(p)
-        resid = np.empty_like(p)
-        for c, k in ((1, 2), (2, 1)):
-            cols = np.arange(3 * c - 3, 3 * c)
-            resid[0][:, cols] = p[0][:, cols] - (state.class_means[:, [k - 1]] - state.z[:, cols])
-        bregman_update(state)
-        assert np.allclose(state.c_relax, column_layout(resid - c_0), atol=1e-12)
+        inputs = self._inputs()
+        b1_0, b2_0 = Rng(1).standard_normal((5, 6)), Rng(2).standard_normal((3, 6))
+        b1, b2, *_ = bregman_update(b1_0, b2_0, **inputs)
+        b1, b2, *_ = bregman_update(b1, b2, **inputs)  # primals frozen: R - (R - B) == B
+        assert np.allclose(b1, b1_0, atol=1e-12)
+        assert np.allclose(b2, b2_0, atol=1e-12)
 
     def test_shapes_preserved(self):
-        state = self._state()
-        shapes = (state.b1.shape, state.b2.shape)
-        bregman_update(state)
-        assert (state.b1.shape, state.b2.shape) == shapes
+        b1, b2, *_ = bregman_update(np.zeros((5, 6)), np.zeros((3, 6)), **self._inputs())
+        assert (b1.shape, b2.shape) == ((5, 6), (3, 6))
 
 
 class TestDropping:
-    def _state(self):
+    @staticmethod
+    def _arrays():
         rng = Rng(15)
-        z1 = rng.standard_normal((100, 100))
-        z2 = rng.standard_normal((50, 100))
-        z = rng.standard_normal((10, 100))
-        return JointState(
-            x=rng.standard_normal((20, 100)),
-            d1=rng.standard_normal((20, 100)),
-            d2=rng.standard_normal((100, 50)),
-            d3=rng.standard_normal((50, 10)),
-            z1=z1,
-            z2=z2,
-            z=z,
-            b1=np.zeros_like(z1),
-            b2=np.zeros_like(z2),
-            p=np.zeros((100, 0, 10)),
-            c_relax=np.zeros((100, 0, 10)),
-            layout=_class_layout({1: np.arange(100)}, 10),
-            class_means=np.zeros((10, 1)),
-            activation=TANH,
-        )
+        return {
+            "d1": rng.standard_normal((20, 100)),
+            "d2": rng.standard_normal((100, 50)),
+            "d3": rng.standard_normal((50, 10)),
+            "z1": rng.standard_normal((100, 100)),
+            "z2": rng.standard_normal((50, 100)),
+        }
 
     def test_rate_zero_unchanged(self):
-        state = self._state()
-        z1 = state.z1.copy()
-        apply_dropout(state, 0.0, Rng(0))
-        assert np.array_equal(state.z1, z1)
-        d1 = state.d1.copy()
-        apply_dropconnect(state, 0.0, Rng(0))
-        assert np.array_equal(state.d1, d1)
+        a = self._arrays()
+        z1, z2 = apply_dropout(a["z1"], a["z2"], 0.0, Rng(0))
+        assert np.array_equal(z1, a["z1"]) and np.array_equal(z2, a["z2"])
+        d1, _, _ = apply_dropconnect(a["d1"], a["d2"], a["d3"], 0.0, Rng(0))
+        assert np.array_equal(d1, a["d1"])
 
     def test_dropout_fraction_concentrates(self):
-        state = self._state()
-        apply_dropout(state, 0.5, Rng(123))
-        frac = np.mean(state.z1 == 0.0)
+        a = self._arrays()
+        z1, _ = apply_dropout(a["z1"], a["z2"], 0.5, Rng(123))
+        frac = np.mean(z1 == 0.0)
         assert 0.48 <= frac <= 0.52
 
-    def test_dropout_never_touches_deepest_codes(self):
-        state = self._state()
-        z = state.z.copy()
-        apply_dropout(state, 0.9, Rng(7))
-        assert np.array_equal(state.z, z)
+    def test_dropout_never_touches_deepest_codes(self, monkeypatch):
+        # a DropOut training hands P3 the very Z that P6 returned
+        solve, fit = joint.solve_P6, joint.solve_P3
+        returned, fitted = [], []
+
+        def recorded_p6(*args):
+            returned.append(solve(*args))
+            return returned[-1]
+
+        def recorded_p3(z2, b2, z, act, prev=None):
+            fitted.append(z)
+            return fit(z2, b2, z, act, prev=prev)
+
+        monkeypatch.setattr(joint, "solve_P6", recorded_p6)
+        monkeypatch.setattr(joint, "solve_P3", recorded_p3)
+        cfg = TrainConfig(drop_mode=DropMode.DROPOUT, drop_rate=0.9, seed=7, outer_iters=3)
+        joint_train(two_class_deep_factor_data(ncols=16), DEEP_ARCH, cfg)
+        assert len(fitted) == cfg.outer_iters
+        assert all(a is b for a, b in zip(fitted, returned))
 
     def test_dropconnect_fraction(self):
-        state = self._state()
-        apply_dropconnect(state, 0.1, Rng(11))
-        for d in (state.d1, state.d2, state.d3):
+        a = self._arrays()
+        for d in apply_dropconnect(a["d1"], a["d2"], a["d3"], 0.1, Rng(11)):
             frac = np.mean(d == 0.0)
             assert 0.05 <= frac <= 0.15
 
@@ -675,19 +657,18 @@ class TestDropping:
                              ids=["dropout", "dropconnect"])
     def test_masks_come_from_the_named_substreams(self, drop, names):
         # the tags Z1, Z2, D1, D2 and D3 fix which entries a seeded training drops
-        state = self._state()
-        before = {name: getattr(state, name).copy() for name in names}
-        drop(state, 0.3, Rng(9))
-        for name, a in before.items():
-            mask = Rng(9).substream(name.upper()).random(a.shape) < 0.3
-            assert np.array_equal(getattr(state, name), np.where(mask, 0.0, a))
+        a = self._arrays()
+        dropped = drop(*(a[name] for name in names), 0.3, Rng(9))
+        for name, out in zip(names, dropped, strict=True):
+            mask = Rng(9).substream(name.upper()).random(a[name].shape) < 0.3
+            assert np.array_equal(out, np.where(mask, 0.0, a[name]))
 
     def test_rate_validation(self):
-        state = self._state()
+        a = self._arrays()
         with pytest.raises(ValueError):
-            apply_dropout(state, 1.0, Rng(0))
+            apply_dropout(a["z1"], a["z2"], 1.0, Rng(0))
         with pytest.raises(ValueError):
-            apply_dropconnect(state, -0.1, Rng(0))
+            apply_dropconnect(a["d1"], a["d2"], a["d3"], -0.1, Rng(0))
 
 
 class TestObjective:
@@ -714,7 +695,7 @@ class TestBookkeepingOnce:
     the objective's row count and feas1 and feas2 from the relaxation sweep's
     residuals.  Each must equal its recomputation, bit for bit, and the sweep
     and the objective their oracles over the (competitor, atom, column)
-    layout."""
+    layout.  C changes only inside P6: each P6 gets it as the last left it."""
 
     @staticmethod
     def _data(case):
@@ -735,7 +716,7 @@ class TestBookkeepingOnce:
         class_cols = {c: np.asarray(data.class_index[c]) for c in range(1, n_classes + 1)}
         solve, sweep, objective = joint.solve_P6, joint.bregman_update, joint.objective_value
         groups = joint.group_columns
-        seen = {"z": None, "layouts": set(), "sweeps": 0, "group tables": 0}
+        seen = {"z": None, "c": None, "layouts": set(), "sweeps": 0, "group tables": 0}
 
         def counted_groups(*args):
             seen["group tables"] += 1
@@ -744,24 +725,23 @@ class TestBookkeepingOnce:
         def checked_p6(z2, b2, d3, class_means, layout, *args):
             # the snapshot is the means of Z as the last objective saw it
             assert np.array_equal(class_means, class_mean_matrix(seen["z"], class_cols, n_classes))
+            c_relax = args[-2]
+            assert seen["c"] is None or np.array_equal(c_relax, seen["c"])
             seen["layouts"].add(id(layout))
-            return solve(z2, b2, d3, class_means, layout, *args)
+            z = solve(z2, b2, d3, class_means, layout, *args)
+            seen["c"] = c_relax.copy()
+            return z
 
-        def checked_sweep(state):
-            p_ref = np.transpose(state.p, (1, 2, 0))
-            c_ref = np.transpose(state.c_relax, (1, 2, 0)).copy()
-            b1, b2 = bregman_update_reference(state, p_ref, c_ref, class_cols)
-            feas = sweep(state)
-            a = state.activation
-            assert feas == (
-                float(np.linalg.norm(state.z1 - a.forward(state.d2 @ state.z2))),
-                float(np.linalg.norm(state.z2 - a.forward(state.d3 @ state.z))),
-            )
-            assert np.array_equal(state.b1, b1) and np.array_equal(state.b2, b2)
-            assert np.array_equal(state.c_relax, column_layout(c_ref))
-            seen["layouts"].add(id(state.layout))
+        def checked_sweep(b1, b2, z1, z2, z, d2, d3, a):
+            b1_ref, b2_ref = bregman_update_reference(b1, b2, z1, z2, z, d2, d3, a)
+            b1, b2, *feas = sweep(b1, b2, z1, z2, z, d2, d3, a)
+            assert feas == [
+                float(np.linalg.norm(z1 - a.forward(d2 @ z2))),
+                float(np.linalg.norm(z2 - a.forward(d3 @ z))),
+            ]
+            assert np.array_equal(b1, b1_ref) and np.array_equal(b2, b2_ref)
             seen["sweeps"] += 1
-            return feas
+            return b1, b2, *feas
 
         def checked_objective(x, dicts, z, layout, means, lambda_weight, mu, a):
             assert np.array_equal(means, class_mean_matrix(z, class_cols, n_classes))
@@ -876,22 +856,22 @@ class TestJointTrain:
 
     def test_pair_chunk_width_leaves_model_unchanged(self, monkeypatch):
         # four classes of unequal size in shuffled order, DropConnect on; the
-        # width sets the slices of P6, of the relaxation sweep and of the
-        # objective, so every sweep's C and every objective must agree too
+        # width sets the slices of P6 and of the objective, so the C of every
+        # P6 and every objective must agree too
         rng = Rng(8)
         labels = rng.permutation(np.repeat([1, 2, 3, 4], [3, 9, 5, 7]))
         data = make_dataset(rng.standard_normal((12, labels.size)), labels)
         cfg = TrainConfig(seed=2, outer_iters=4)
-        sweep, objective = joint.bregman_update, joint.objective_value
+        solve, objective = joint.solve_P6, joint.objective_value
         runs = []
         for chunk in (1, 2**40):
             seen = {"slices": set(), "c": [], "objective": []}
 
-            def recorded_sweep(state, seen=seen):
-                feas = sweep(state)
-                seen["slices"].add(len(state.layout.slices))
-                seen["c"].append(state.c_relax.copy())
-                return feas
+            def recorded_p6(*args, seen=seen):
+                z = solve(*args)
+                seen["slices"].add(len(args[4].slices))
+                seen["c"].append(args[-2].copy())
+                return z
 
             def recorded_objective(*args, seen=seen):
                 value, rows = objective(*args)
@@ -900,7 +880,7 @@ class TestJointTrain:
                 return value, rows
 
             monkeypatch.setattr(joint, "_PAIR_CHUNK", chunk)
-            monkeypatch.setattr(joint, "bregman_update", recorded_sweep)
+            monkeypatch.setattr(joint, "solve_P6", recorded_p6)
             monkeypatch.setattr(joint, "objective_value", recorded_objective)
             runs.append((joint_train(data, Architecture((10, 8, 6)), cfg), seen))
         (a, seen_a), (b, seen_b) = runs

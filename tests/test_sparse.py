@@ -540,7 +540,9 @@ def solve_P6_stacked(z2c, b2c, d3, competitor_means, row_s, mu, gamma, eta2, inn
 class TestP6GramForm:
     def test_matches_stacked_system(self):
         # every class at once against the per-class stacked reference, with
-        # unequal class sizes (one of a single column) in shuffled column order
+        # unequal class sizes (one of a single column) in shuffled column order;
+        # C as the reference leaves it one inner step earlier, since no step
+        # reads the last step's C update
         act = Activation()
         for seed, (n_classes, row_s, eta2, gamma) in enumerate(
             [(2, 2, 1.0, 0.1), (4, 3, 0.7, 0.25), (8, 2, 2.0, 0.05), (5, 5, 1.0, 1.0)]
@@ -565,12 +567,10 @@ class TestP6GramForm:
                 block = slice(lo, lo + cols.size)  # class k's columns of P and C
                 lo += cols.size
                 others = [j for j in class_cols if j != k]
-                p_k = {j: p_ref[i, :, block].copy() for i, j in enumerate(others)}
-                c_k = {j: c_ref[i, :, block].copy() for i, j in enumerate(others)}
-                ref = solve_P6_stacked(
-                    z2[:, cols], b2[:, cols], d3, {j: means[:, j - 1] for j in others},
-                    row_s, 0.5, gamma, eta2, 5, p_k, c_k, act,
-                )
+                p_k, c_k, c_5 = ({j: a[i, :, block].copy() for i, j in enumerate(others)} for a in (p_ref, c_ref, c_ref))
+                inputs = (z2[:, cols], b2[:, cols], d3, {j: means[:, j - 1] for j in others}, row_s, 0.5, gamma, eta2)
+                solve_P6_stacked(*inputs, 4, {j: a.copy() for j, a in p_k.items()}, c_k, act)  # C of four steps
+                ref = solve_P6_stacked(*inputs, 5, p_k, c_5, act)  # Z and P of five
                 TestAgainstReference._assert_same(out[:, cols], ref)
                 for i, j in enumerate(others):
                     assert np.max(np.abs(p[block, i].T - p_k[j])) <= 1e-9

@@ -463,7 +463,8 @@ def solve_P6_reference(
     ``eta2 D3'D3 + (C-1) gamma I``, the same for every class, and its
     correlation ``eta2 D3' T + gamma sum_k (mean_k + C_k - P_k)``, and each
     inner step is one grouped pursuit with one group per class.  ``p`` and
-    ``c_relax`` (class-sorted, see :class:`JointState`) are updated in place.
+    ``c_relax``, (competitor, atom, column) arrays over the class-sorted
+    columns, are updated in place after every inner step.
     With ``mu == 0`` or a single class this is plain SOMP per class on the
     data term.  Returns Z with its columns in data order.
     """
@@ -498,17 +499,10 @@ def solve_P6_reference(
 # were before P and C changed layout and the bookkeeping was shared: the
 # oracles for ``bregman_update``, ``objective_value`` and the support sizes.
 
-def bregman_update_reference(state, p, c_relax, class_cols):
-    """The relaxation sweep of ``state`` with P and C given as (competitor,
-    atom, column) arrays; returns ``(B1, B2)`` and updates ``c_relax`` in place."""
-    act = state.activation
-    b1 = state.z1 - act.forward(state.d2 @ state.z2) - state.b1
-    b2 = state.z2 - act.forward(state.d3 @ state.z) - state.b2
-    order, cls, competitors = _class_layout(class_cols)
-    z_sorted = state.z[:, order]
-    for cols, zbar in _competitor_means_reference(state.class_means, cls, competitors):
-        resid = p[:, :, cols] - (zbar - z_sorted[:, cols])
-        c_relax[:, :, cols] = resid - c_relax[:, :, cols]
+def bregman_update_reference(b1, b2, z1, z2, z, d2, d3, act):
+    """The relaxation sweep of B1 and B2; returns the new ``(B1, B2)``."""
+    b1 = z1 - act.forward(d2 @ z2) - b1
+    b2 = z2 - act.forward(d3 @ z) - b2
     return b1, b2
 
 
