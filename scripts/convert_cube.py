@@ -8,7 +8,9 @@ Supported inputs:
            --cube-key / --gt-key, otherwise the single non-private variable
            in each file is used
 
-Class ids in the ground truth must be 0 (unlabeled) or contiguous 1..C.
+Class ids in the ground truth must be whole numbers, 0 (unlabeled) or
+contiguous 1..C.  Cube values must be finite and within float32's range,
+the type the cube file stores.
 
 Example:
     python scripts/convert_cube.py --cube scene.npy --gt scene_gt.npy --out scene
@@ -21,6 +23,7 @@ import sys
 import numpy as np
 
 from rsddl.dataio import HsiCube, save_cube
+from rsddl.numerics import as_labels
 
 
 def _load_array(path, key):
@@ -58,7 +61,14 @@ def main(argv=None):
         sys.exit(f"error: cube must be (height, width, bands), got shape {values.shape}")
     if gt.shape != values.shape[:2]:
         sys.exit(f"error: ground truth shape {gt.shape} != cube spatial dims {values.shape[:2]}")
-    gt = gt.astype(np.int64)
+    if not np.all(np.isfinite(values)):
+        sys.exit("error: cube holds NaN or infinite values")
+    if np.any(np.abs(values) > np.finfo(np.float32).max):
+        sys.exit("error: cube holds values beyond float32's range")
+    try:
+        gt = as_labels(gt).reshape(gt.shape)
+    except ValueError as exc:
+        sys.exit(f"error: ground truth: {exc}")
     present = sorted(set(np.unique(gt)) - {0})
     if present and present != list(range(1, len(present) + 1)):
         sys.exit(f"error: class ids must be contiguous 1..C (found {present}); relabel first")

@@ -6,9 +6,11 @@ machine-readable outputs go to files or stdout, never mixed with log text.
 
 Commands accept an optional ``--config`` file of flat ``key=value`` lines
 (``#`` comments allowed); explicit flags override the file, the file
-overrides built-in defaults, a key the command does not take is a usage
-error, and the effective configuration is echoed to stderr and the run log
-for reproducibility.
+overrides built-in defaults, a key the command does not take or a key
+given twice is a usage error, and the effective configuration is echoed to
+stderr and the run log for reproducibility.  ``rsddl train`` reads and
+echoes its training keys through :data:`rsddl.dataio.CONFIG_KEYS`, the
+model file's config text.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 import numpy as np
 
 from .dataio import (
+    CONFIG_KEYS,
     DataFormatError,
     load_cube,
     load_labels,
@@ -27,6 +30,8 @@ from .dataio import (
     load_model,
     extract_spatial_spectral,
     make_dataset,
+    format_config,
+    parse_config,
     save_labels,
     save_matrix_csv,
     save_model,
@@ -35,7 +40,6 @@ from .greedy import Architecture, compose_reconstruction, layerwise_factorize
 from .inference import format_prediction_lines, predict_batch
 from .joint import (
     MODES,
-    DropMode,
     Model,
     TrainConfig,
     TrainingDivergedError,
@@ -44,7 +48,6 @@ from .joint import (
 )
 from .metrics import confusion_matrix, format_report, mcnemar_z
 from .numerics import Activation, ActivationKind, Rng, pinv
-from .sparse import SparsityBudget
 
 __all__ = ["main", "entry"]
 
@@ -71,8 +74,10 @@ def _read_config_file(path) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in values:
+                    raise UsageError(f"{path}:{lineno}: repeated config key {key!r}")
+                values[key] = value
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return values
@@ -133,22 +138,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--arch", default=None, help="atoms per layer, e.g. 100,50,25")
     p_train.add_argument("--mode", choices=MODES, default=None)
     p_train.add_argument("--activation", choices=["tanh", "identity"], default=None)
-    p_train.add_argument("--lambda-s", dest="lambda_s", type=int, default=None,
+    # the training flags are text, read with the --config keys (CONFIG_KEYS)
+    p_train.add_argument("--lambda-s", dest="lambda_s", default=None,
                          help="nonzeros per coefficient column (default: 20%% of deepest layer)")
-    p_train.add_argument("--row-s", dest="row_s", type=int, default=None,
+    p_train.add_argument("--row-s", dest="row_s", default=None,
                          help="nonzero rows per class block (default: 20%% of deepest layer)")
-    p_train.add_argument("--lambda-weight", dest="lambda_weight", type=float, default=None)
-    p_train.add_argument("--mu", type=float, default=None, help="support-diversity weight")
-    p_train.add_argument("--gamma", type=float, default=None, help="inner ADMM weight")
-    p_train.add_argument("--eta1", type=float, default=None)
-    p_train.add_argument("--eta2", type=float, default=None)
+    p_train.add_argument("--mu", default=None, help="support-diversity weight")
+    p_train.add_argument("--gamma", default=None, help="inner ADMM weight")
+    p_train.add_argument("--eta1", default=None)
+    p_train.add_argument("--eta2", default=None)
     p_train.add_argument("--drop", choices=["none", "out", "connect"], default=None)
-    p_train.add_argument("--drop-rate", dest="drop_rate", type=float, default=None)
-    p_train.add_argument("--iters", type=int, default=None,
+    p_train.add_argument("--drop-rate", dest="drop_rate", default=None)
+    p_train.add_argument("--iters", default=None,
                          help=f"outer iterations (default {TrainConfig.outer_iters})")
-    p_train.add_argument("--inner-iters", dest="inner_iters", type=int, default=None)
-    p_train.add_argument("--test-iters", dest="test_iters", type=int, default=None)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--inner-iters", dest="inner_iters", default=None)
+    p_train.add_argument("--test-iters", dest="test_iters", default=None)
+    p_train.add_argument("--seed", default=None)
     p_train.add_argument("--out", required=True, help="model output path")
     p_train.add_argument("--log", default=None, help="run log path (default <out>.log)")
     p_train.add_argument("--config", default=None, help="key=value config file")
@@ -206,35 +211,14 @@ def _effective_train_config(args):
     except ValueError:
         raise UsageError(f"activation must be tanh or identity, got {act_name!r}") from None
 
-    defaults = TrainConfig()
-    drop_name = _resolve(args, file_cfg, "drop", defaults.drop_mode.value, str)
-    try:
-        drop_mode = DropMode(drop_name)
-    except ValueError:
-        raise UsageError(f"drop must be none, out or connect, got {drop_name!r}") from None
-
     try:
         arch = Architecture(atoms_per_layer=atoms, activation=activation)
-        derived = resolve_budget(defaults, arch)
-        budget = SparsityBudget(
-            per_column_s=_resolve(args, file_cfg, "lambda_s", derived.per_column_s, int),
-            row_s=_resolve(args, file_cfg, "row_s", derived.row_s, int),
-        )
-        budget.validate_for(arch.feature_dim)
-        cfg = TrainConfig(
-            lambda_budget=budget,
-            lambda_weight=_resolve(args, file_cfg, "lambda_weight", defaults.lambda_weight, float),
-            mu=_resolve(args, file_cfg, "mu", defaults.mu, float),
-            eta1=_resolve(args, file_cfg, "eta1", defaults.eta1, float),
-            eta2=_resolve(args, file_cfg, "eta2", defaults.eta2, float),
-            gamma=_resolve(args, file_cfg, "gamma", defaults.gamma, float),
-            outer_iters=_resolve(args, file_cfg, "iters", defaults.outer_iters, int),
-            inner_iters=_resolve(args, file_cfg, "inner_iters", defaults.inner_iters, int),
-            test_iters=_resolve(args, file_cfg, "test_iters", defaults.test_iters, int),
-            drop_mode=drop_mode,
-            drop_rate=_resolve(args, file_cfg, "drop_rate", defaults.drop_rate, float),
-            seed=_resolve(args, file_cfg, "seed", defaults.seed, int),
-        )
+        defaults = TrainConfig(lambda_budget=resolve_budget(TrainConfig(), arch))
+        for key, _, _ in CONFIG_KEYS:  # a flag beats the file
+            if getattr(args, key) is not None:
+                file_cfg[key] = getattr(args, key)
+        cfg = parse_config(file_cfg, defaults)
+        cfg.lambda_budget.validate_for(arch.feature_dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _reject_unknown_keys(file_cfg)
@@ -242,16 +226,11 @@ def _effective_train_config(args):
 
 
 def _echo_config(mode: str, arch: Architecture, cfg: TrainConfig, sinks) -> None:
-    """Write the effective configuration; every float is echoed in its
-    shortest form that reads back as the same value."""
-    budget = cfg.lambda_budget
+    """Write the effective configuration, its training keys as the model
+    file's config text."""
     line = (
         f"config: mode={mode} arch={','.join(str(a) for a in arch.atoms_per_layer)} "
-        f"activation={arch.activation.kind.value} lambda_s={budget.per_column_s} "
-        f"row_s={budget.row_s} lambda_weight={cfg.lambda_weight!r} mu={cfg.mu!r} "
-        f"eta1={cfg.eta1!r} eta2={cfg.eta2!r} gamma={cfg.gamma!r} "
-        f"drop={cfg.drop_mode.value} drop_rate={cfg.drop_rate!r} iters={cfg.outer_iters} "
-        f"inner_iters={cfg.inner_iters} test_iters={cfg.test_iters} seed={cfg.seed}"
+        f"activation={arch.activation.kind.value} {format_config(cfg)}"
     )
     for sink in sinks:
         sink.write(line + "\n")

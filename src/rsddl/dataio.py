@@ -8,19 +8,26 @@ File formats (all little-endian, documented so external data can be converted):
   height*width*bands float32 values in scanline (row, column, band) order.
 * ground-truth raster: text header ``RSGT1 <height> <width>`` followed by
   height*width int32 class ids (0 = unlabeled), row-major.
-* model file: versioned text, first line ``RSDDL2 2``, then header lines
-  ``mode joint|greedy`` (how test samples are encoded), ``arch``,
-  ``activation``, ``config``, ``classes C``, ``labels N`` and the N class
-  ids (every id 1..C present), then D1..DL and Z, each as a ``matrix <name>
-  <rows> <cols>`` line followed by rows of 17-significant-digit decimals,
-  and ``end``.  Saving, loading and saving again reproduces the file byte
-  for byte.  This is the only model format read: any other first line,
-  ``RSDDL1 1`` included, is rejected as a bad magic.
+* model file: versioned text, first line ``RSDDL3 3``, then header lines
+  ``mode joint|greedy`` (how test samples are encoded), ``arch a1,...,aL``,
+  ``activation tanh|identity``, ``config`` and the config's text (below),
+  ``labels N`` and the N class ids (C is the largest, and every id 1..C
+  has a stored code), then D1..DL and Z, each as a ``matrix <name> <rows>
+  <cols>`` line followed by rows of 17-significant-digit decimals, and
+  ``end``.  Saving, loading and saving again reproduces the file byte for
+  byte.  This is the only model format read: any other first line,
+  ``RSDDL2 2`` and ``RSDDL1 1`` included, is rejected as a bad magic.
+* config text: space-separated ``key=value`` tokens, one per row of
+  :data:`CONFIG_KEYS` and in its order, floats in their shortest form that
+  reads back as the same value.  The same keys are ``rsddl train``'s flags
+  and ``--config`` keys, and the run log's ``config:`` echo ends with the
+  same tokens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,6 +38,7 @@ from .numerics import Activation, ActivationKind, Rng, as_labels, as_matrix, pca
 from .sparse import SparsityBudget
 
 __all__ = [
+    "CONFIG_KEYS",
     "DataFormatError",
     "Dataset",
     "HsiCube",
@@ -44,12 +52,14 @@ __all__ = [
     "save_cube",
     "extract_spatial_spectral",
     "split_per_class",
+    "format_config",
+    "parse_config",
     "save_model",
     "load_model",
 ]
 
-MODEL_MAGIC = "RSDDL2"
-MODEL_VERSION = 2
+MODEL_MAGIC = "RSDDL3"
+MODEL_VERSION = 3
 CUBE_MAGIC = "RSHSI1"
 GT_MAGIC = "RSGT1"
 
@@ -351,31 +361,65 @@ def split_per_class(ds: Dataset, counts: dict[int, int], rng: Rng) -> tuple[Data
 
 
 # ---------------------------------------------------------------------------
+# Config text
+
+# The text form of a TrainConfig: one (key, cast, attribute) row per field,
+# in the order written.  The keys are ``rsddl train``'s flag and ``--config``
+# names; a value is written as its cast's ``str``, for a float the shortest
+# text that reads back as the same value.
+CONFIG_KEYS = (
+    ("lambda_s", int, "lambda_budget.per_column_s"),
+    ("row_s", int, "lambda_budget.row_s"),
+    ("mu", float, "mu"),
+    ("eta1", float, "eta1"),
+    ("eta2", float, "eta2"),
+    ("gamma", float, "gamma"),
+    ("drop", DropMode, "drop_mode"),
+    ("drop_rate", float, "drop_rate"),
+    ("iters", int, "outer_iters"),
+    ("inner_iters", int, "inner_iters"),
+    ("test_iters", int, "test_iters"),
+    ("seed", int, "seed"),
+)
+
+
+def format_config(cfg: TrainConfig) -> str:
+    """``cfg``, its budget resolved, as its ``key=value`` tokens."""
+    tokens = []
+    for key, cast, attr in CONFIG_KEYS:
+        value = cast(attrgetter(attr)(cfg))
+        tokens.append(f"{key}={value.value if isinstance(value, DropMode) else value}")
+    return " ".join(tokens)
+
+
+def parse_config(text: dict[str, str], defaults: TrainConfig | None = None) -> TrainConfig:
+    """The config of the ``key -> value text`` pairs ``text``, taking each
+    key it reads out of ``text`` (so the keys left there are unknown).  A key
+    not given takes its value in ``defaults``, budget resolved, if given; a
+    missing key, a bad value and a config TrainConfig rejects are a
+    ValueError."""
+    fields = {}
+    for key, cast, attr in CONFIG_KEYS:
+        if key in text:
+            value = text.pop(key)
+            try:
+                fields[attr] = cast(value)
+            except ValueError:
+                raise ValueError(f"config key {key}={value!r} is not valid") from None
+        elif defaults is not None:
+            fields[attr] = attrgetter(attr)(defaults)
+        else:
+            raise ValueError(f"missing config key {key}")
+    budget = SparsityBudget(fields.pop("lambda_budget.per_column_s"), fields.pop("lambda_budget.row_s"))
+    return TrainConfig(lambda_budget=budget, **fields)
+
+
+# ---------------------------------------------------------------------------
 # Model persistence
 
 def _render_matrix(name: str, m: np.ndarray) -> list[str]:
     row = " ".join(["%.17g"] * m.shape[1])
     return [f"matrix {name} {m.shape[0]} {m.shape[1]}"] + [row % tuple(r) for r in m.tolist()]
-
-
-def _render_config(cfg: TrainConfig) -> str:
-    budget = cfg.lambda_budget
-    fields = [
-        ("lambda_weight", "%.17g" % cfg.lambda_weight),
-        ("mu", "%.17g" % cfg.mu),
-        ("eta1", "%.17g" % cfg.eta1),
-        ("eta2", "%.17g" % cfg.eta2),
-        ("gamma", "%.17g" % cfg.gamma),
-        ("per_column_s", "%d" % budget.per_column_s),
-        ("row_s", "%d" % budget.row_s),
-        ("outer_iters", "%d" % cfg.outer_iters),
-        ("inner_iters", "%d" % cfg.inner_iters),
-        ("test_iters", "%d" % cfg.test_iters),
-        ("drop_mode", cfg.drop_mode.value),
-        ("drop_rate", "%.17g" % cfg.drop_rate),
-        ("seed", "%d" % cfg.seed),
-    ]
-    return "config " + " ".join(f"{k}={v}" for k, v in fields)
 
 
 def save_model(model: Model, path) -> None:
@@ -385,9 +429,8 @@ def save_model(model: Model, path) -> None:
         f"{MODEL_MAGIC} {MODEL_VERSION}",
         f"mode {model.mode}",
         "arch " + ",".join(str(a) for a in arch.atoms_per_layer),
-        f"activation {arch.activation.kind.value} %.17g" % arch.activation.clamp_eps,
-        _render_config(model.config),
-        f"classes {model.num_classes}",
+        f"activation {arch.activation.kind.value}",
+        "config " + format_config(model.config),
         f"labels {model.labels.size}",
         " ".join(str(int(v)) for v in model.labels),
     ]
@@ -444,47 +487,10 @@ class _ModelReader:
         return out
 
 
-def _parse_config(line: str, path: str) -> TrainConfig:
-    if not line.startswith("config "):
-        raise DataFormatError(f"{path}: missing config line")
-    pairs = {}
-    for token in line[len("config "):].split():
-        if "=" not in token:
-            raise DataFormatError(f"{path}: malformed config token {token!r}")
-        k, v = token.split("=", 1)
-        if k in pairs:
-            raise DataFormatError(f"{path}: repeated config key {k!r}")
-        pairs[k] = v
-    # each key read is taken out of ``pairs``, so the keys left are unknown
-    try:
-        cfg = TrainConfig(
-            lambda_budget=SparsityBudget(
-                per_column_s=int(pairs.pop("per_column_s")), row_s=int(pairs.pop("row_s"))
-            ),
-            lambda_weight=float(pairs.pop("lambda_weight")),
-            mu=float(pairs.pop("mu")),
-            eta1=float(pairs.pop("eta1")),
-            eta2=float(pairs.pop("eta2")),
-            gamma=float(pairs.pop("gamma")),
-            outer_iters=int(pairs.pop("outer_iters")),
-            inner_iters=int(pairs.pop("inner_iters")),
-            test_iters=int(pairs.pop("test_iters")),
-            drop_mode=DropMode(pairs.pop("drop_mode")),
-            drop_rate=float(pairs.pop("drop_rate")),
-            seed=int(pairs.pop("seed")),
-        )
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad config line ({exc})") from None
-    if pairs:
-        raise DataFormatError(f"{path}: unknown config key(s) {', '.join(sorted(pairs))}")
-    return cfg
-
-
 def load_model(path) -> Model:
     """Load a model file, validating its layout (magic, version, header
-    lines, the class count against the labels, the end marker); a model the
-    file describes but :class:`Model` rejects is a :class:`DataFormatError`
-    too."""
+    lines, the label count, the end marker); a model the file describes but
+    :class:`Model` rejects is a :class:`DataFormatError` too."""
     reader = _ModelReader(path)
     magic = reader.next_line().split()
     if len(magic) != 2 or magic[0] != MODEL_MAGIC:
@@ -506,26 +512,39 @@ def load_model(path) -> Model:
         raise DataFormatError(f"{path}: bad arch line") from None
 
     act_parts = reader.next_line().split()
-    if len(act_parts) != 3 or act_parts[0] != "activation":
+    if len(act_parts) != 2 or act_parts[0] != "activation":
         raise DataFormatError(f"{path}: missing activation line")
     try:
-        activation = Activation(kind=ActivationKind(act_parts[1]), clamp_eps=float(act_parts[2]))
+        activation = Activation(kind=ActivationKind(act_parts[1]))
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad activation line ({exc})") from None
     arch = Architecture(atoms_per_layer=atoms, activation=activation)
 
-    cfg = _parse_config(reader.next_line(), str(path))
+    config_line = reader.next_line()
+    if not config_line.startswith("config "):
+        raise DataFormatError(f"{path}: missing config line")
+    pairs = {}
+    for token in config_line[len("config "):].split():
+        if "=" not in token:
+            raise DataFormatError(f"{path}: malformed config token {token!r}")
+        k, v = token.split("=", 1)
+        if k in pairs:
+            raise DataFormatError(f"{path}: repeated config key {k!r}")
+        pairs[k] = v
+    try:
+        cfg = parse_config(pairs)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: bad config line ({exc})") from None
+    if pairs:
+        raise DataFormatError(f"{path}: unknown config key(s) {', '.join(sorted(pairs))}")
 
-    counts = []
-    for key in ("classes", "labels"):
-        parts = reader.next_line().split()
-        if len(parts) != 2 or parts[0] != key:
-            raise DataFormatError(f"{path}: missing {key} line")
-        try:
-            counts.append(int(parts[1]))
-        except ValueError:
-            raise DataFormatError(f"{path}: non-integer {key} count {parts[1]!r}") from None
-    n_classes, n_labels = counts
+    parts = reader.next_line().split()
+    if len(parts) != 2 or parts[0] != "labels":
+        raise DataFormatError(f"{path}: missing labels line")
+    try:
+        n_labels = int(parts[1])
+    except ValueError:
+        raise DataFormatError(f"{path}: non-integer labels count {parts[1]!r}") from None
     label_cells = reader.next_line().split()
     if len(label_cells) != n_labels:
         raise DataFormatError(f"{path}: expected {n_labels} labels, got {len(label_cells)}")
@@ -533,11 +552,6 @@ def load_model(path) -> Model:
         labels = np.array([int(cell) for cell in label_cells], dtype=np.int64)
     except ValueError:
         raise DataFormatError(f"{path}: non-integer label") from None
-    if n_labels and (labels.min() < 1 or labels.max() > n_classes):
-        raise DataFormatError(f"{path}: label outside 1..{n_classes}")
-    missing = np.flatnonzero(np.bincount(labels, minlength=n_classes + 1)[1:] == 0) + 1
-    if missing.size:
-        raise DataFormatError(f"{path}: class {missing[0]} of 1..{n_classes} has no stored code")
 
     dicts = [reader.expect_matrix(f"D{i}") for i in range(1, arch.depth + 1)]
     features = reader.expect_matrix("Z")

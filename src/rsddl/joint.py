@@ -90,15 +90,16 @@ class TrainConfig:
     """Training knobs.
 
     Defaults: layer-coupling weights eta1 = eta2 = 1, inner ADMM weight
-    gamma = 0.1, diversity weight mu = 0.5, sparsity weight lambda = 0.1
-    (used when reporting the objective; the sparsity itself is enforced as a
-    hard budget), and DropConnect at a 10% rate.  ``lambda_budget=None``
-    derives the budget from the architecture: ceil(0.2 x deepest atom count)
-    for both the per-column and row budgets.
+    gamma = 0.1, diversity weight mu = 0.5, and DropConnect at a 10% rate.
+    The class-row sparsity is a hard budget, not a weighted penalty.
+    ``lambda_budget=None`` derives the budget from the architecture:
+    ceil(0.2 x deepest atom count) for both the per-column and row budgets.
+    The weights must be finite and the seed below 2**64, the width of
+    :class:`~rsddl.numerics.Rng`'s key.  The text form of a config is
+    :data:`rsddl.dataio.CONFIG_KEYS`.
     """
 
     lambda_budget: SparsityBudget | None = None
-    lambda_weight: float = 0.1
     mu: float = 0.5
     eta1: float = 1.0
     eta2: float = 1.0
@@ -111,8 +112,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_weight < 0:
-            raise ValueError(f"lambda_weight must be >= 0, got {self.lambda_weight}")
+        for name in ("mu", "eta1", "eta2", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu < 0:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
         if self.eta1 <= 0 or self.eta2 <= 0:
@@ -123,8 +125,8 @@ class TrainConfig:
             raise ValueError("iteration counts must all be >= 1")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
 
 
 def resolve_budget(cfg: TrainConfig, arch: Architecture) -> SparsityBudget:
@@ -286,17 +288,16 @@ def objective_value(
     z: np.ndarray,
     layout: _ClassLayout,
     means: np.ndarray,
-    lambda_weight: float,
     mu: float,
     act: Activation,
 ) -> tuple[float, np.ndarray]:
-    """Training objective with the sparsity terms evaluated as exact counts:
+    """Training objective with the diversity term evaluated as exact counts:
 
-    ``||X - D1 phi(D2 phi(D3 Z))||_F^2 + lambda * sum_c rowcount(Z_c)
-    - mu * sum_c sum_{k != c} nnz(mean_k - Z_c)``
+    ``||X - D1 phi(D2 phi(D3 Z))||_F^2 - mu * sum_c sum_{k != c} nnz(mean_k - Z_c)``
 
-    ``means`` are the class means of Z (:func:`class_mean_matrix`).  Returns
-    the value and each class's row count, its support size, in class order.
+    The class-row sparsity is a hard budget, so it adds no term.  ``means``
+    are the class means of Z (:func:`class_mean_matrix`).  Returns the value
+    and each class's row count, its support size, in class order.
     """
     recon = x - compose_reconstruction(dicts, z, act)
     value = float(np.sum(recon * recon))
@@ -308,8 +309,7 @@ def objective_value(
     pairs = np.add.reduceat(differ, layout.starts, axis=0)
     # a running sum, class by class and competitor by competitor, so the value
     # rounds exactly as the loop over class pairs it replaces did
-    terms = np.hstack([lambda_weight * rows[:, None], -mu * pairs]).ravel()
-    return float(np.cumsum(np.append(value, terms))[-1]), rows
+    return float(np.cumsum(np.append(value, -mu * pairs.ravel()))[-1]), rows
 
 
 def _fit_dictionary(target: np.ndarray, codes: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -591,7 +591,7 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
 
     greedy_recon = float(np.linalg.norm(x - compose_reconstruction(dicts, z, act)))
     init_feas1, init_feas2 = (float(np.linalg.norm(r)) for r in _coupling_residuals(z1, z2, z, d2, d3, act))
-    init_obj, _ = objective_value(x, dicts, z, layout, means, cfg.lambda_weight, cfg.mu, act)
+    init_obj, _ = objective_value(x, dicts, z, layout, means, cfg.mu, act)
     report = FitReport(
         initial_objective=init_obj,
         initial_feas1=init_feas1,
@@ -631,10 +631,10 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         # Z stays as it is until the next P6, so these means are also the next
         # iteration's snapshot
         means = class_mean_matrix(z, class_cols, n_classes)
-        obj, rows = objective_value(x, [d1, d2, d3], z, layout, means, cfg.lambda_weight, cfg.mu, act)
-        if obj > DIVERGENCE_LIMIT:
+        obj, rows = objective_value(x, [d1, d2, d3], z, layout, means, cfg.mu, act)
+        if not obj <= DIVERGENCE_LIMIT:  # NaN too
             raise TrainingDivergedError(
-                f"objective {obj:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at iteration {it + 1}"
+                f"objective {obj:.3e} is not within {DIVERGENCE_LIMIT:.0e} at iteration {it + 1}"
             )
         supports = dict(zip(class_cols, rows.tolist()))
         rec = IterationRecord(iteration=it + 1, objective=obj, feas1=feas1, feas2=feas2, support_sizes=supports)

@@ -32,6 +32,10 @@ DEAD_ATOM_TOL = 1e-12
 # pinv drops singular values below this fraction of the largest.
 PINV_REL_TOL = 1e-10
 
+# The tanh inverse clips its input into (-1 + eps, 1 - eps) before arctanh,
+# so it is defined even at saturation.
+TANH_CLAMP_EPS = 1e-6
+
 
 class NumericsWarning(UserWarning):
     """Diagnostics channel for degenerate solve paths (fallbacks, rank loss)."""
@@ -168,19 +172,10 @@ class ActivationKind(Enum):
 
 @dataclass(frozen=True)
 class Activation:
-    """Elementwise activation with a total (clamped) inverse.
-
-    ``clamp_eps`` guards the tanh inverse: inputs are clipped into
-    ``(-1 + clamp_eps, 1 - clamp_eps)`` before ``arctanh`` so the inverse is
-    defined even at saturation.  The identity activation never clamps.
-    """
+    """Elementwise activation with a total (clamped) inverse: the tanh
+    inverse clips by :data:`TANH_CLAMP_EPS`; the identity never clamps."""
 
     kind: ActivationKind = ActivationKind.TANH
-    clamp_eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.clamp_eps <= 0:
-            raise ValueError(f"clamp_eps must be > 0, got {self.clamp_eps}")
 
     def forward(self, m) -> np.ndarray:
         m = np.asarray(m, dtype=np.float64)
@@ -192,8 +187,8 @@ class Activation:
         m = np.asarray(m, dtype=np.float64)
         if self.kind is ActivationKind.TANH:
             # the clip of np.clip, bit for bit, without its Python-level wrapper
-            out = np.maximum(m, -1.0 + self.clamp_eps)
-            np.minimum(out, 1.0 - self.clamp_eps, out=out)
+            out = np.maximum(m, -1.0 + TANH_CLAMP_EPS)
+            np.minimum(out, 1.0 - TANH_CLAMP_EPS, out=out)
             return np.arctanh(out, out=out)
         return m.copy()
 

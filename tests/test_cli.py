@@ -84,7 +84,7 @@ class TestTrain:
 
     def test_echo_reads_back_every_float(self, data_files):
         tmp, _ = data_files
-        given = {"lambda_weight": "0.30000000000000004", "mu": "1e-300", "eta1": "2.5", "eta2": "0.7",
+        given = {"mu": "1e-300", "eta1": "0.30000000000000004", "eta2": "0.7",
                  "gamma": "0.123456789", "drop_rate": "0.012345678901234567"}
         flags = [a for key, v in given.items() for a in (f"--{key.replace('_', '-')}", v)]
         assert run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
@@ -93,6 +93,68 @@ class TestTrain:
         assert echo["gamma"] == "0.123456789"
         for key, value in given.items():
             assert float(echo[key]) == float(value)
+
+    def test_model_config_tokens_equal_echo_tokens(self, data_files):
+        tmp, _ = data_files
+        assert run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
+                    "--iters", "1", "--gamma", "0.123456789", "--mu", "1e-300", "--drop-rate", "0.3",
+                    "--out", tmp / "e.rsddl"]) == 0
+        echo = (tmp / "e.rsddl.log").read_text().split("\n")[0].split()
+        stored = (tmp / "e.rsddl").read_text().split("\n")[4].split()
+        assert echo[:4] == ["config:", "mode=joint", "arch=8,6,4", "activation=tanh"]
+        assert stored[0] == "config" and echo[4:] == stored[1:]
+        assert "gamma=0.123456789" in stored
+
+    def test_config_file_from_model_reproduces_echo(self, data_files):
+        tmp, _ = data_files
+        base = ["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4"]
+        assert run(base + ["--iters", "1", "--gamma", "0.123456789", "--eta2", "0.7", "--seed", "9",
+                           "--drop", "out", "--drop-rate", "0.012345678901234567", "--out", tmp / "a.rsddl"]) == 0
+        tokens = (tmp / "a.rsddl").read_text().split("\n")[4].split()[1:]
+        (tmp / "run.cfg").write_text("".join(token + "\n" for token in tokens))
+        assert run(base + ["--config", tmp / "run.cfg", "--out", tmp / "b.rsddl"]) == 0
+        assert (tmp / "b.rsddl.log").read_text().split("\n")[0] == (tmp / "a.rsddl.log").read_text().split("\n")[0]
+        assert (tmp / "b.rsddl").read_bytes() == (tmp / "a.rsddl").read_bytes()
+
+    def test_repeated_config_key_is_usage_error(self, data_files, capsys):
+        tmp, _ = data_files
+        (tmp / "run.cfg").write_text("arch=8,6,4\niters=2\n# the same key again\niters=3\n")
+        rc = run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt",
+                  "--config", tmp / "run.cfg", "--out", tmp / "r.rsddl"])
+        assert rc == 2
+        assert f"{tmp / 'run.cfg'}:4: repeated config key 'iters'" in capsys.readouterr().err
+        assert not (tmp / "r.rsddl").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mu", "nan", "mu must be finite, got nan"),
+            ("--gamma", "inf", "gamma must be finite, got inf"),
+            ("--eta1", "-inf", "eta1 must be finite, got -inf"),
+            ("--eta2", "nan", "eta2 must be finite, got nan"),
+            ("--seed", str(2**64), f"seed must be an integer in [0, 2**64), got {2**64}"),
+            ("--iters", "2.5", "config key iters='2.5' is not valid"),
+        ],
+    )
+    def test_value_it_cannot_honour_is_usage_error(self, data_files, capsys, flag, value, message):
+        tmp, _ = data_files
+        rc = run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
+                  f"{flag}={value}", "--out", tmp / "v.rsddl"])
+        assert rc == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not (tmp / "v.rsddl").exists()
+
+    def test_no_lambda_weight(self, data_files, capsys):
+        tmp, _ = data_files
+        rc = run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
+                  "--lambda-weight", "0.1", "--out", tmp / "w.rsddl"])
+        assert rc == 2
+        assert "--lambda-weight" in capsys.readouterr().err
+        (tmp / "run.cfg").write_text("lambda_weight=0.1\n")
+        rc = run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
+                  "--config", tmp / "run.cfg", "--out", tmp / "w.rsddl"])
+        assert rc == 2
+        assert "unknown config key(s): lambda_weight" in capsys.readouterr().err
 
     def test_bad_drop_rate_is_usage_error(self, data_files):
         tmp, _ = data_files
@@ -108,7 +170,7 @@ class TestTrain:
         assert run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt",
                     "--arch", "8,6,4", "--out", tmp / "m.rsddl"]) == 0
         assert (tmp / "m.rsddl.log").read_text().split("\n")[0] == (
-            "config: mode=joint arch=8,6,4 activation=tanh lambda_s=1 row_s=1 lambda_weight=0.1 "
+            "config: mode=joint arch=8,6,4 activation=tanh lambda_s=1 row_s=1 "
             "mu=0.5 eta1=1.0 eta2=1.0 gamma=0.1 drop=connect drop_rate=0.1 iters=15 inner_iters=5 "
             "test_iters=10 seed=0"
         )

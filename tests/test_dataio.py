@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from rsddl.dataio import (
+    CONFIG_KEYS,
     DataFormatError,
     HsiCube,
     extract_spatial_spectral,
+    format_config,
     load_cube,
     load_labels,
     load_matrix_csv,
     load_model,
     make_dataset,
+    parse_config,
     save_cube,
     save_labels,
     save_matrix_csv,
@@ -161,14 +164,12 @@ class TestSavedBytes:
         model = Model([d1, d2, d3], arch, np.array([[0.25, -7.0]]), [1, 2], cfg)
         save_model(model, tmp_path / "m.rsddl")
         assert (tmp_path / "m.rsddl").read_text(encoding="ascii") == (
-            "RSDDL2 2\n"
+            "RSDDL3 3\n"
             "mode joint\n"
             "arch 2,2,1\n"
-            "activation tanh 9.9999999999999995e-07\n"
-            "config lambda_weight=0.10000000000000001 mu=0.5 eta1=1 eta2=1 "
-            "gamma=0.10000000000000001 per_column_s=1 row_s=1 outer_iters=15 inner_iters=5 "
-            "test_iters=10 drop_mode=none drop_rate=0.10000000000000001 seed=3\n"
-            "classes 2\n"
+            "activation tanh\n"
+            "config lambda_s=1 row_s=1 mu=0.5 eta1=1.0 eta2=1.0 gamma=0.1 drop=none drop_rate=0.1 "
+            "iters=15 inner_iters=5 test_iters=10 seed=3\n"
             "labels 2\n"
             "1 2\n"
             "matrix D1 3 2\n"
@@ -452,7 +453,7 @@ class TestExtract:
 
 def small_model():
     rng = Rng(12)
-    arch = Architecture((16, 8, 4), activation=Activation(ActivationKind.TANH, 1e-6))
+    arch = Architecture((16, 8, 4), activation=Activation(ActivationKind.TANH))
     d1 = rng.standard_normal((20, 16))
     d2 = rng.standard_normal((16, 8))
     d3 = rng.standard_normal((8, 4))
@@ -463,6 +464,61 @@ def small_model():
         seed=42,
     )
     return Model([d1, d2, d3], arch, features, [1, 1, 1, 2, 2, 2], cfg)
+
+
+def config_pairs(text: str) -> dict[str, str]:
+    return dict(token.split("=", 1) for token in text.split())
+
+
+class TestConfigText:
+    CFG = TrainConfig(lambda_budget=SparsityBudget(3, 2), mu=1e-300, eta1=0.30000000000000004, eta2=2.5,
+                      gamma=0.123456789, outer_iters=7, inner_iters=2, test_iters=4,
+                      drop_mode=DropMode.DROPOUT, drop_rate=0.012345678901234567, seed=2**64 - 1)
+
+    def test_one_row_per_field(self):
+        attrs = [attr for _, _, attr in CONFIG_KEYS]
+        fields = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert len(fields) == 11 and len(set(attrs)) == len(attrs) == 12
+        assert set(attrs) == set(fields) - {"lambda_budget"} | {"lambda_budget.per_column_s", "lambda_budget.row_s"}
+        assert [f.name for f in dataclasses.fields(Activation)] == ["kind"]
+
+    def test_shortest_exact_floats(self):
+        assert format_config(self.CFG) == (
+            "lambda_s=3 row_s=2 mu=1e-300 eta1=0.30000000000000004 eta2=2.5 gamma=0.123456789 drop=out "
+            "drop_rate=0.012345678901234567 iters=7 inner_iters=2 test_iters=4 seed=18446744073709551615"
+        )
+
+    def test_round_trip(self):
+        pairs = config_pairs(format_config(self.CFG))
+        assert parse_config(pairs) == self.CFG
+        assert pairs == {}  # every key read is taken out
+
+    def test_defaults_fill_missing_keys(self):
+        pairs = {"gamma": "0.25", "bogus": "1"}
+        cfg = parse_config(pairs, self.CFG)
+        assert cfg == dataclasses.replace(self.CFG, gamma=0.25)
+        assert pairs == {"bogus": "1"}  # an unknown key is left for the caller
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(iters="2.0"), "config key iters='2.0' is not valid"),
+            (dict(drop="connected"), "config key drop='connected' is not valid"),
+            (dict(mu="nan"), "mu must be finite, got nan"),
+            (dict(seed=str(2**64)), re.escape(f"seed must be an integer in [0, 2**64), got {2**64}")),
+            (dict(row_s=None), "missing config key row_s"),
+        ],
+        ids=["bad int", "bad drop mode", "nan weight", "seed too large", "missing key"],
+    )
+    def test_rejects(self, change, message):
+        pairs = config_pairs(format_config(self.CFG))
+        for key, value in change.items():
+            if value is None:
+                del pairs[key]
+            else:
+                pairs[key] = value
+        with pytest.raises(ValueError, match=message):
+            parse_config(pairs)
 
 
 class TestModelPersistence:
@@ -495,7 +551,7 @@ class TestModelPersistence:
         assert "matrix D1 20 16" in text
         assert "matrix D2 16 8" in text
         assert "matrix D3 8 4" in text
-        assert text.startswith("RSDDL2 2\nmode joint\narch 16,8,4\n")
+        assert text.startswith("RSDDL3 3\nmode joint\narch 16,8,4\nactivation tanh\nconfig lambda_s=2 ")
         assert "class_means" not in text and "class_supports" not in text
         assert "conventional_bregman" not in text
 
@@ -511,8 +567,8 @@ class TestModelPersistence:
     @pytest.mark.parametrize(
         "line, text, message",
         [
-            (6, "classes two", "non-integer classes count 'two'"),
-            (7, "labels 6.0", "non-integer labels count '6.0'"),
+            (6, "labels 6.0", "non-integer labels count '6.0'"),
+            (6, "classes 2", "missing labels line"),
         ],
     )
     def test_non_integer_count(self, tmp_path, line, text, message):
@@ -542,11 +598,32 @@ class TestModelPersistence:
             load_model(path)
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("mu=nan", "mu must be finite, got nan"),
+            ("eta1=inf", "eta1 must be finite, got inf"),
+            ("eta2=-inf", "eta2 must be finite, got -inf"),
+            ("gamma=nan", "gamma must be finite, got nan"),
+            (f"seed={2**64}", f"seed must be an integer in [0, 2**64), got {2**64}"),
+        ],
+    )
+    def test_config_it_cannot_honour_rejected(self, tmp_path, token, message):
+        path = tmp_path / "m.rsddl"
+        save_model(small_model(), path)
+        key = token.split("=")[0]
+        path.write_text(re.sub(rf" {key}=\S*", f" {token}", path.read_text(), count=1))
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: bad config line ({message})"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.rsddl"
-        for text in ("WRONG 1\n", "RSDDL1 1\n"):
+        save_model(small_model(), path)
+        rsddl2 = path.read_text().replace("RSDDL3 3\n", "RSDDL2 2\n", 1)
+        for text in ("WRONG 1\n", "RSDDL1 1\n", rsddl2):
             path.write_text(text)
-            with pytest.raises(DataFormatError, match=r"bad magic \(expected RSDDL2\)"):
+            with pytest.raises(DataFormatError, match=r"bad magic \(expected RSDDL3\)"):
                 load_model(path)
 
     def test_shape_chain_violation(self, tmp_path):
@@ -571,8 +648,8 @@ class TestModelPersistence:
     def test_class_without_code_rejected(self, tmp_path):
         path = tmp_path / "m.rsddl"
         save_model(small_model(), path)
-        path.write_text(path.read_text().replace("\nclasses 2\n", "\nclasses 3\n", 1))
-        with pytest.raises(DataFormatError, match="class 3 of 1..3 has no stored code"):
+        path.write_text(path.read_text().replace("\n1 1 1 2 2 2\n", "\n1 1 1 3 3 3\n", 1))
+        with pytest.raises(DataFormatError, match="class 2 of 1..3 has no stored code"):
             load_model(path)
 
     def test_trailing_garbage(self, tmp_path):
@@ -597,17 +674,17 @@ class TestModelPersistence:
 
     def test_broken_layer_chain_rejected(self, tmp_path):
         path, lines = TestModelMatrixReader.saved(tmp_path)
-        assert lines[29] == "matrix D2 16 8"
-        lines[29] = "matrix D2 15 8"
-        del lines[45]  # the last row of D2
+        assert lines[28] == "matrix D2 16 8"
+        lines[28] = "matrix D2 15 8"
+        del lines[44]  # the last row of D2
         path.write_text("\n".join(lines))
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: D2 has 15 rows"):
             load_model(path)
 
     def test_codes_labels_mismatch_rejected(self, tmp_path):
         path, lines = TestModelMatrixReader.saved(tmp_path)
-        assert lines[6:8] == ["labels 6", "1 1 1 2 2 2"]
-        lines[6:8] = ["labels 5", "1 1 1 2 2"]
+        assert lines[5:7] == ["labels 6", "1 1 1 2 2 2"]
+        lines[5:7] = ["labels 5", "1 1 1 2 2"]
         path.write_text("\n".join(lines))
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: Z has shape \\(4, 6\\)"):
             load_model(path)
@@ -631,8 +708,8 @@ def _cell(row, value, at=0):
 
 
 class TestModelMatrixReader:
-    """Matrix blocks of ``small_model``'s file: D1 (20 x 16) on lines 10-29,
-    D2 (16 x 8) on 31-46, D3 on 48-55 and Z (4 x 6) on 57-60.  Every error
+    """Matrix blocks of ``small_model``'s file: D1 (20 x 16) on lines 9-28,
+    D2 (16 x 8) on 30-45, D3 on 47-54 and Z (4 x 6) on 56-59.  Every error
     names the line the per-row reader stops at."""
 
     @staticmethod
@@ -644,15 +721,15 @@ class TestModelMatrixReader:
     @pytest.mark.parametrize(
         "first, last, edit, message",
         [
-            (10, 10, lambda r: _cell(r, "abc"), ":10: matrix D1 row 0: non-numeric value"),
-            (34, 34, lambda r: _cell(r, "0x1", 5), ":34: matrix D2 row 3: non-numeric value"),
-            (34, 34, lambda r: _cell(r, "inf", 2), ":46: matrix D2: non-finite entries"),
-            (59, 59, lambda r: _cell(r, "nan"), ":60: matrix Z: non-finite entries"),
-            (15, 15, lambda r: r.rsplit(" ", 1)[0], ":15: matrix D1 row 5: expected 16 values, got 15"),
-            (10, 29, lambda r: r + " 0", ":10: matrix D1 row 0: expected 16 values, got 17"),
-            (10, 29, lambda r: "", ":10: matrix D1 row 0: expected 16 values, got 0"),
-            (10, 29, lambda r: " \t", ":10: matrix D1 row 0: expected 16 values, got 0"),
-            (59, None, lambda r: None, ": truncated file"),
+            (9, 9, lambda r: _cell(r, "abc"), ":9: matrix D1 row 0: non-numeric value"),
+            (33, 33, lambda r: _cell(r, "0x1", 5), ":33: matrix D2 row 3: non-numeric value"),
+            (33, 33, lambda r: _cell(r, "inf", 2), ":45: matrix D2: non-finite entries"),
+            (58, 58, lambda r: _cell(r, "nan"), ":59: matrix Z: non-finite entries"),
+            (14, 14, lambda r: r.rsplit(" ", 1)[0], ":14: matrix D1 row 5: expected 16 values, got 15"),
+            (9, 28, lambda r: r + " 0", ":9: matrix D1 row 0: expected 16 values, got 17"),
+            (9, 28, lambda r: "", ":9: matrix D1 row 0: expected 16 values, got 0"),
+            (9, 28, lambda r: " \t", ":9: matrix D1 row 0: expected 16 values, got 0"),
+            (58, None, lambda r: None, ": truncated file"),
         ],
         ids=["non-numeric", "non-numeric-later-row", "inf", "nan", "short-row", "all-rows-wide",
              "blank-rows", "whitespace-rows", "cut-short"],
@@ -670,8 +747,8 @@ class TestModelMatrixReader:
 
     def test_cells_only_float_takes(self, tmp_path):
         path, lines = self.saved(tmp_path)
-        lines[9] = _cell(lines[9], "1_0")
-        lines[57] = _cell(lines[57], "-2_5e-1", 1)
+        lines[8] = _cell(lines[8], "1_0")
+        lines[56] = _cell(lines[56], "-2_5e-1", 1)
         path.write_text("\n".join(lines))
         model = load_model(path)
         assert model.dictionaries[0][0, 0] == 10.0

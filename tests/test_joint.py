@@ -68,7 +68,6 @@ class TestTrainConfig:
         assert cfg.eta1 == 1.0 and cfg.eta2 == 1.0
         assert cfg.gamma == 0.1
         assert cfg.mu == 0.5
-        assert cfg.lambda_weight == 0.1
         assert cfg.drop_mode is DropMode.DROPCONNECT
         assert cfg.drop_rate == 0.10
 
@@ -83,6 +82,24 @@ class TestTrainConfig:
             TrainConfig(drop_rate=1.0)
         with pytest.raises(ValueError):
             TrainConfig(outer_iters=0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(mu=math.nan), "mu must be finite"),
+            (dict(mu=math.inf), "mu must be finite"),
+            (dict(eta1=math.inf), "eta1 must be finite"),
+            (dict(eta2=math.nan), "eta2 must be finite"),
+            (dict(gamma=math.inf), "gamma must be finite"),
+            (dict(drop_rate=math.nan), "drop_rate must be in"),
+            (dict(seed=2**64), "seed must be an integer in"),
+            (dict(seed=-1), "seed must be an integer in"),
+        ],
+        ids=["mu nan", "mu inf", "eta1 inf", "eta2 nan", "gamma inf", "drop_rate nan", "seed 2**64", "seed -1"],
+    )
+    def test_rejects_what_it_cannot_honour(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**change)
 
     def test_budget_default_is_fifth_of_deepest(self):
         arch = Architecture((100, 50, 25))
@@ -679,13 +696,13 @@ class TestObjective:
         class_cols = {1: np.array([0]), 2: np.array([1])}
         act = IDENTITY
         # recon = z itself; data = ||x - z||^2 = 1 + 1 = 2
-        # rows: class1 uses 1 row, class2 uses 0 -> lambda * 1
+        # rows: class1 uses 1 row, class2 uses 0 (a budget, not a term)
         # diversity: mean_2 = (0,0); mean_1 = (2,0)
         #   c=1: mean_2 - z_1 = (-2,0) -> 1 nonzero
         #   c=2: mean_1 - z_2 = (2,0)  -> 1 nonzero
         means = class_mean_matrix(z, class_cols, 2)
-        value, rows = objective_value(x, d, z, _class_layout(class_cols, 2), means, 0.1, 0.5, act)
-        assert value == pytest.approx(2.0 + 0.1 * 1 - 0.5 * 2)
+        value, rows = objective_value(x, d, z, _class_layout(class_cols, 2), means, 0.5, act)
+        assert value == pytest.approx(2.0 - 0.5 * 2)
         assert rows.tolist() == [1, 0]
 
 
@@ -743,10 +760,10 @@ class TestBookkeepingOnce:
             seen["sweeps"] += 1
             return b1, b2, *feas
 
-        def checked_objective(x, dicts, z, layout, means, lambda_weight, mu, a):
+        def checked_objective(x, dicts, z, layout, means, mu, a):
             assert np.array_equal(means, class_mean_matrix(z, class_cols, n_classes))
-            value, rows = objective(x, dicts, z, layout, means, lambda_weight, mu, a)
-            assert value == objective_value_reference(x, dicts, z, class_cols, lambda_weight, mu, a)
+            value, rows = objective(x, dicts, z, layout, means, mu, a)
+            assert value == objective_value_reference(x, dicts, z, class_cols, mu, a)
             assert dict(zip(class_cols, rows.tolist())) == support_sizes_reference(z, class_cols)
             seen["layouts"].add(id(layout))
             seen["z"] = z.copy()
@@ -841,7 +858,7 @@ class TestJointTrain:
         cfg = TrainConfig(drop_mode=DropMode.NONE, seed=0, outer_iters=3)
         model = joint_train(make_dataset(x, [1] * 30), Architecture((8, 6, 4)), cfg)
         rep = model.fit_report
-        assert rep.final_objective == pytest.approx(308.7658564282624, rel=1e-9)
+        assert rep.final_objective == pytest.approx(308.6658564282624, rel=1e-9)
         assert rep.final_feas1 == pytest.approx(13.143606540069044, rel=1e-9)
         assert rep.final_feas2 == pytest.approx(37.62662553396014, rel=1e-9)
 
@@ -850,7 +867,7 @@ class TestJointTrain:
         cfg = TrainConfig(drop_mode=DropMode.NONE, seed=0, outer_iters=3, mu=0.0)
         model = joint_train(make_dataset(x, [1] * 15 + [2] * 15), Architecture((8, 6, 4)), cfg)
         rep = model.fit_report
-        assert rep.final_objective == pytest.approx(308.8658564282624, rel=1e-9)
+        assert rep.final_objective == pytest.approx(308.6658564282624, rel=1e-9)
         assert rep.final_feas1 == pytest.approx(13.143606540069044, rel=1e-9)
         assert rep.final_feas2 == pytest.approx(37.62662553396014, rel=1e-9)
 
@@ -898,6 +915,18 @@ class TestJointTrain:
         x = 1e7 * rng.standard_normal((20, 10))
         data = make_dataset(x, [1] * 5 + [2] * 5)
         with pytest.raises(TrainingDivergedError):
+            joint_train(data, DEEP_ARCH, TrainConfig(drop_mode=DropMode.NONE, seed=1, outer_iters=2))
+
+    def test_divergence_guard_trips_on_nan(self, monkeypatch):
+        objective = joint.objective_value
+
+        def nan_objective(*args):
+            value, rows = objective(*args)
+            return math.nan, rows
+
+        monkeypatch.setattr(joint, "objective_value", nan_objective)
+        data = two_class_deep_factor_data(ncols=16)
+        with pytest.raises(TrainingDivergedError, match="objective nan is not within 1e\\+12 at iteration 1"):
             joint_train(data, DEEP_ARCH, TrainConfig(drop_mode=DropMode.NONE, seed=1, outer_iters=2))
 
     def test_model_summaries_consistent(self, deep_factor_model):

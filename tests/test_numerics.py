@@ -288,8 +288,8 @@ class TestActivation:
         assert np.max(np.abs(act.inverse(act.forward(grid)) - grid)) < 1e-9
 
     def test_tanh_clamp_at_saturation(self):
-        act = Activation(clamp_eps=1e-6)
-        out = act.inverse(np.array([[1.0]]))
+        assert numerics.TANH_CLAMP_EPS == 1e-6
+        out = Activation().inverse(np.array([[1.0]]))
         assert np.isfinite(out[0, 0])
         assert out[0, 0] == np.arctanh(1.0 - 1e-6)
 
@@ -299,22 +299,19 @@ class TestActivation:
         assert np.array_equal(act.forward(m), m)
         assert np.array_equal(act.inverse(m), m)
 
-    def test_clamp_eps_positive(self):
-        with pytest.raises(ValueError):
-            Activation(clamp_eps=0.0)
-
     @pytest.mark.parametrize("eps", [1e-6, 0.25])
-    def test_inverse_is_arctanh_of_np_clip_bit_for_bit(self, eps):
+    def test_inverse_is_arctanh_of_np_clip_bit_for_bit(self, monkeypatch, eps):
+        monkeypatch.setattr(numerics, "TANH_CLAMP_EPS", eps)
         # signed zeros, the clamp bounds and their neighbours, +-1, values far
         # beyond the clamp and a dense band inside it
         edges = [0.0, -0.0, 1.0, -1.0, 1.0 - eps, -1.0 + eps, 1e300, -1e300, 2.0, -3.5, 5e-324, -5e-324]
         edges += [np.nextafter(b, t) for b in (1.0 - eps, -1.0 + eps) for t in (-2.0, 2.0)]
         m = np.concatenate([edges, np.linspace(-1.5, 1.5, 302)]).reshape(-1, 6)
         want = np.arctanh(np.clip(m, -1.0 + eps, 1.0 - eps))
-        got = Activation(clamp_eps=eps).inverse(m)
+        got = Activation().inverse(m)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bit for bit, the sign of every zero included
-        identity = Activation(kind=ActivationKind.IDENTITY, clamp_eps=eps).inverse(m)
+        identity = Activation(kind=ActivationKind.IDENTITY).inverse(m)
         assert identity.tobytes() == m.tobytes()  # never clamped
 
     @pytest.mark.parametrize("kind", list(ActivationKind))

@@ -511,7 +511,7 @@ def support_sizes_reference(z, class_cols):
     return {c: int(np.sum(np.any(z[:, cols] != 0.0, axis=1))) for c, cols in class_cols.items()}
 
 
-def objective_value_reference(x, dicts, z, class_cols, lambda_weight, mu, act):
+def objective_value_reference(x, dicts, z, class_cols, mu, act):
     """The training objective with its own class means, over the (competitor,
     atom, column) layout."""
     recon = x - compose_reconstruction(dicts, z, act)
@@ -519,14 +519,12 @@ def objective_value_reference(x, dicts, z, class_cols, lambda_weight, mu, act):
     order, cls, competitors = _class_layout(class_cols)
     z_sorted = z[:, order]
     starts = np.searchsorted(cls, np.arange(competitors.shape[0]))
-    rows = np.logical_or.reduceat(z_sorted != 0.0, starts, axis=1).sum(axis=0)
     means = class_mean_matrix(z, class_cols, len(class_cols))
     differ = np.zeros((competitors.shape[1], cls.size), dtype=np.int64)
     for cols, zbar in _competitor_means_reference(means, cls, competitors):
         differ[:, cols] = np.count_nonzero(zbar != z_sorted[:, cols], axis=1)
     pairs = np.add.reduceat(differ, starts, axis=1)
-    terms = np.vstack([lambda_weight * rows, -mu * pairs]).T.ravel()
-    return float(np.cumsum(np.append(value, terms))[-1])
+    return float(np.cumsum(np.append(value, -mu * pairs.T.ravel()))[-1])
 
 
 def encode_reference(model, x):
