@@ -24,8 +24,8 @@ from .joint import (
     joint_train,
 )
 from .metrics import average_accuracy, confusion_matrix, kappa, mcnemar_z, overall_accuracy
-from .numerics import Activation, ActivationKind, Rng
-from .sparse import SparsityBudget, prox_push, pursuit
+from .numerics import Activation, Rng
+from .sparse import prox_push, pursuit
 from .dataio import (
     DataFormatError,
     Dataset,
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation",
-    "ActivationKind",
     "Architecture",
     "DataFormatError",
     "Dataset",
@@ -52,7 +51,6 @@ __all__ = [
     "Model",
     "Prediction",
     "Rng",
-    "SparsityBudget",
     "TrainConfig",
     "TrainingDivergedError",
     "average_accuracy",

@@ -5,12 +5,15 @@ compute), 1 for runtime errors.  Progress and diagnostics go to stderr;
 machine-readable outputs go to files or stdout, never mixed with log text.
 
 Commands accept an optional ``--config`` file of flat ``key=value`` lines
-(``#`` comments allowed); explicit flags override the file, the file
-overrides built-in defaults, a key the command does not take or a key
-given twice is a usage error, and the effective configuration is echoed to
-stderr and the run log for reproducibility.  ``rsddl train`` reads and
-echoes its training keys through :data:`rsddl.dataio.CONFIG_KEYS`, the
-model file's config text.
+(``#`` comments allowed), read by :func:`rsddl.dataio.read_pairs`; explicit
+flags override the file, the file overrides built-in defaults, a key the
+command does not take or a key given twice is a usage error, and the
+effective configuration is echoed to stderr and the run log for
+reproducibility.  A flag's value is text, read as its key's line would be.
+``rsddl features`` takes ``window`` and ``dims``.  ``rsddl train`` reads
+and echoes its keys through the tables of the model file's text,
+:data:`rsddl.dataio.SETTING_KEYS` (mode, arch, activation) and
+:data:`rsddl.dataio.CONFIG_KEYS` (the training keys).
 """
 
 from __future__ import annotations
@@ -31,29 +34,28 @@ from .dataio import (
     extract_spatial_spectral,
     make_dataset,
     format_config,
-    parse_config,
+    format_settings,
+    parse_settings,
+    read_pairs,
+    take_key,
     save_labels,
     save_matrix_csv,
     save_model,
 )
-from .greedy import Architecture, compose_reconstruction, layerwise_factorize
+from .greedy import compose_reconstruction, layerwise_factorize
 from .inference import format_prediction_lines, predict_batch
-from .joint import (
-    MODES,
-    Model,
-    TrainConfig,
-    TrainingDivergedError,
-    joint_train,
-    resolve_budget,
-)
+from .joint import MODES, Model, TrainConfig, TrainingDivergedError, joint_train
 from .metrics import confusion_matrix, format_report, mcnemar_z
-from .numerics import Activation, ActivationKind, Rng, pinv
+from .numerics import Activation, Rng, pinv
 
 __all__ = ["main", "entry"]
 
 
 # Defaults of the feature flags: those of extract_spatial_spectral.
 _FEATURE_DEFAULTS = inspect.signature(extract_spatial_spectral).parameters
+
+# rsddl train's defaults of the SETTING_KEYS rows; its CONFIG_KEYS default to TrainConfig's.
+_TRAIN_DEFAULTS = {"mode": MODES[0], "arch": "100,50,25", "activation": Activation.TANH.value}
 
 
 class UsageError(Exception):
@@ -65,53 +67,26 @@ def _info(msg: str) -> None:
 
 
 def _read_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key in values:
-                    raise UsageError(f"{path}:{lineno}: repeated config key {key!r}")
-                values[key] = value
+            lines = [line.split("#", 1)[0].strip() for line in fh]
+        return read_pairs((f"{path}:{lineno}", line) for lineno, line in enumerate(lines, 1) if line)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    return values
+    except DataFormatError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _resolve(args, file_cfg: dict[str, str], key: str, default, cast):
-    """Precedence: explicit flag > config file > built-in default.  Takes
-    ``key`` out of ``file_cfg``, so the keys left there are unknown."""
-    text = file_cfg.pop(key, None)
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if text is not None:
-        try:
-            return cast(text)
-        except (TypeError, ValueError):
-            raise UsageError(f"config key {key}={text!r} is not valid") from None
-    return default
-
-
-def _reject_unknown_keys(file_cfg: dict[str, str]) -> None:
-    """Fail on the config keys that no :func:`_resolve` call took."""
-    if file_cfg:
-        raise UsageError(f"unknown config key(s): {', '.join(sorted(file_cfg))}")
-
-
-def _parse_arch(text: str) -> tuple[int, ...]:
-    try:
-        atoms = tuple(int(a) for a in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad architecture {text!r}; expected comma-separated atom counts") from None
-    if not atoms or any(a < 1 for a in atoms):
-        raise UsageError(f"bad architecture {text!r}; atom counts must be positive")
-    return atoms
+def _key_text(args, defaults: dict[str, str], keys=()) -> dict[str, str]:
+    """The text of each key the command takes, those of ``defaults`` and
+    ``keys``: its flag if given, else its ``--config`` line, else its text in
+    ``defaults``; the file's other keys stay in, for the caller to reject as
+    unknown."""
+    text = dict(defaults)
+    if args.config:
+        text.update(_read_config_file(args.config))
+    text.update((key, getattr(args, key)) for key in [*defaults, *keys] if getattr(args, key) is not None)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat = sub.add_parser("features", help="extract spatial-spectral features from a cube")
     p_feat.add_argument("--cube", required=True, help="cube file (RSHSI1 format)")
     p_feat.add_argument("--labels", required=True, help="ground-truth raster (RSGT1 format)")
-    p_feat.add_argument("--window", type=int, default=None,
+    p_feat.add_argument("--window", default=None,
                         help=f"spatial window size (default {_FEATURE_DEFAULTS['window'].default})")
-    p_feat.add_argument("--dims", type=int, default=None,
+    p_feat.add_argument("--dims", default=None,
                         help=f"PCA output dimension (default {_FEATURE_DEFAULTS['d'].default})")
     p_feat.add_argument("--out", required=True, help="output prefix (<out>.csv/.labels)")
     p_feat.add_argument("--config", default=None, help="key=value config file")
@@ -138,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--arch", default=None, help="atoms per layer, e.g. 100,50,25")
     p_train.add_argument("--mode", choices=MODES, default=None)
     p_train.add_argument("--activation", choices=["tanh", "identity"], default=None)
-    # the training flags are text, read with the --config keys (CONFIG_KEYS)
     p_train.add_argument("--lambda-s", dest="lambda_s", default=None,
                          help="nonzeros per coefficient column (default: 20%% of deepest layer)")
     p_train.add_argument("--row-s", dest="row_s", default=None,
@@ -177,10 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_features(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    window = _resolve(args, file_cfg, "window", _FEATURE_DEFAULTS["window"].default, int)
-    dims = _resolve(args, file_cfg, "dims", _FEATURE_DEFAULTS["d"].default, int)
-    _reject_unknown_keys(file_cfg)
+    defaults = {"window": str(_FEATURE_DEFAULTS["window"].default), "dims": str(_FEATURE_DEFAULTS["d"].default)}
+    text = _key_text(args, defaults)
+    try:
+        window, dims = (take_key(text, key, int) for key in defaults)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if text:
+        raise UsageError(f"unknown config key(s): {', '.join(sorted(text))}")
     if window < 1:
         raise UsageError(f"window must be >= 1, got {window}")
     if dims < 1:
@@ -199,41 +177,11 @@ def cmd_features(args) -> int:
 
 
 def _effective_train_config(args):
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    mode = _resolve(args, file_cfg, "mode", MODES[0], str)
-    if mode not in MODES:
-        raise UsageError(f"mode must be joint or greedy, got {mode!r}")
-    arch_text = _resolve(args, file_cfg, "arch", "100,50,25", str)
-    atoms = _parse_arch(arch_text)
-    act_name = _resolve(args, file_cfg, "activation", Activation().kind.value, str)
+    text = _key_text(args, _TRAIN_DEFAULTS, [key for key, _, _ in CONFIG_KEYS])
     try:
-        activation = Activation(kind=ActivationKind(act_name))
-    except ValueError:
-        raise UsageError(f"activation must be tanh or identity, got {act_name!r}") from None
-
-    try:
-        arch = Architecture(atoms_per_layer=atoms, activation=activation)
-        defaults = TrainConfig(lambda_budget=resolve_budget(TrainConfig(), arch))
-        for key, _, _ in CONFIG_KEYS:  # a flag beats the file
-            if getattr(args, key) is not None:
-                file_cfg[key] = getattr(args, key)
-        cfg = parse_config(file_cfg, defaults)
-        cfg.lambda_budget.validate_for(arch.feature_dim)
+        return parse_settings(text, TrainConfig())
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _reject_unknown_keys(file_cfg)
-    return mode, arch, cfg
-
-
-def _echo_config(mode: str, arch: Architecture, cfg: TrainConfig, sinks) -> None:
-    """Write the effective configuration, its training keys as the model
-    file's config text."""
-    line = (
-        f"config: mode={mode} arch={','.join(str(a) for a in arch.atoms_per_layer)} "
-        f"activation={arch.activation.kind.value} {format_config(cfg)}"
-    )
-    for sink in sinks:
-        sink.write(line + "\n")
 
 
 def cmd_train(args) -> int:
@@ -245,12 +193,14 @@ def cmd_train(args) -> int:
     log_path = args.log if args.log is not None else args.out + ".log"
 
     with open(log_path, "w", encoding="utf-8", newline="\n") as log:
-        _echo_config(mode, arch, cfg, [log, sys.stderr])
+        settings = " ".join(f"{key}={value}" for key, value in format_settings(mode, arch).items())
+        for sink in (log, sys.stderr):  # the effective configuration, as the model file's text
+            sink.write(f"config: {settings} {format_config(cfg)}\n")
         if mode == "joint":
             model = joint_train(dataset, arch, cfg, log=log)
         else:
             dicts, codes = layerwise_factorize(
-                dataset.x, arch, cfg.lambda_budget.per_column_s, cfg.outer_iters, Rng(cfg.seed)
+                dataset.x, arch, cfg.per_column_s, cfg.outer_iters, Rng(cfg.seed)
             )
             z = codes[-1]
             model = Model(dicts, arch, z, dataset.labels, cfg, mode="greedy")

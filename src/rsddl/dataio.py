@@ -8,9 +8,10 @@ File formats (all little-endian, documented so external data can be converted):
   height*width*bands float32 values in scanline (row, column, band) order.
 * ground-truth raster: text header ``RSGT1 <height> <width>`` followed by
   height*width int32 class ids (0 = unlabeled), row-major.
-* model file: versioned text, first line ``RSDDL3 3``, then header lines
-  ``mode joint|greedy`` (how test samples are encoded), ``arch a1,...,aL``,
-  ``activation tanh|identity``, ``config`` and the config's text (below),
+* model file: versioned text, first line ``RSDDL3 3``, then one header
+  line ``<key> <value>`` per row of :data:`SETTING_KEYS` (``mode
+  joint|greedy``, how test samples are encoded; ``arch a1,...,aL``;
+  ``activation tanh|identity``), ``config`` and the config's text (below),
   ``labels N`` and the N class ids (C is the largest, and every id 1..C
   has a stored code), then D1..DL and Z, each as a ``matrix <name> <rows>
   <cols>`` line followed by rows of 17-significant-digit decimals, and
@@ -19,26 +20,28 @@ File formats (all little-endian, documented so external data can be converted):
   ``RSDDL2 2`` and ``RSDDL1 1`` included, is rejected as a bad magic.
 * config text: space-separated ``key=value`` tokens, one per row of
   :data:`CONFIG_KEYS` and in its order, floats in their shortest form that
-  reads back as the same value.  The same keys are ``rsddl train``'s flags
-  and ``--config`` keys, and the run log's ``config:`` echo ends with the
-  same tokens.
+  reads back as the same value.
+* a model's settings: the keys of :data:`SETTING_KEYS` and
+  :data:`CONFIG_KEYS`, read by :func:`parse_settings` from the model file's
+  header lines and ``config`` tokens and from ``rsddl train``'s flags and
+  ``--config`` lines, and echoed as ``key=value`` tokens in the run log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .greedy import Architecture
-from .joint import MODES, DropMode, Model, TrainConfig
-from .numerics import Activation, ActivationKind, Rng, as_labels, as_matrix, pca_fit
-from .sparse import SparsityBudget
+from .joint import MODES, DropMode, Model, TrainConfig, resolve_budget
+from .numerics import Activation, Rng, as_labels, as_matrix, pca_fit
 
 __all__ = [
     "CONFIG_KEYS",
+    "SETTING_KEYS",
     "DataFormatError",
     "Dataset",
     "HsiCube",
@@ -52,8 +55,12 @@ __all__ = [
     "save_cube",
     "extract_spatial_spectral",
     "split_per_class",
+    "read_pairs",
+    "take_key",
     "format_config",
     "parse_config",
+    "format_settings",
+    "parse_settings",
     "save_model",
     "load_model",
 ]
@@ -361,15 +368,35 @@ def split_per_class(ds: Dataset, counts: dict[int, int], rng: Rng) -> tuple[Data
 
 
 # ---------------------------------------------------------------------------
-# Config text
+# Settings and config text
+
+def _text(value) -> str:
+    """The text of a setting or config value: an enum's value, else its
+    ``str`` (for a float the shortest text that reads back as the same value)."""
+    return value.value if isinstance(value, Enum) else str(value)
+
+
+def _parse_mode(text: str) -> str:
+    if text not in MODES:
+        raise ValueError(text)
+    return text
+
+
+# The text form of a model's settings besides its TrainConfig: one (key,
+# parse, format) row each, in the order written.  The keys are the model
+# file's header lines and ``rsddl train``'s flag and ``--config`` names.
+SETTING_KEYS = (
+    ("mode", _parse_mode, str),
+    ("arch", lambda text: tuple(int(a) for a in text.split(",")), lambda atoms: ",".join(map(str, atoms))),
+    ("activation", Activation, _text),
+)
 
 # The text form of a TrainConfig: one (key, cast, attribute) row per field,
-# in the order written.  The keys are ``rsddl train``'s flag and ``--config``
-# names; a value is written as its cast's ``str``, for a float the shortest
-# text that reads back as the same value.
+# in the order written, each value written as :func:`_text` of its cast.
+# The keys are ``rsddl train``'s flag and ``--config`` names.
 CONFIG_KEYS = (
-    ("lambda_s", int, "lambda_budget.per_column_s"),
-    ("row_s", int, "lambda_budget.row_s"),
+    ("lambda_s", int, "per_column_s"),
+    ("row_s", int, "row_s"),
     ("mu", float, "mu"),
     ("eta1", float, "eta1"),
     ("eta2", float, "eta2"),
@@ -383,35 +410,71 @@ CONFIG_KEYS = (
 )
 
 
+def read_pairs(tokens) -> dict[str, str]:
+    """The ``key -> value`` text of the ``key=value`` tokens, key and value
+    stripped, of ``tokens``, ``(where, token)`` pairs; a token without ``=``
+    and a key given twice are a :class:`DataFormatError` that names ``where``."""
+    pairs: dict[str, str] = {}
+    for where, token in tokens:
+        key, eq, value = token.partition("=")
+        key = key.strip()
+        if not eq:
+            raise DataFormatError(f"{where}: expected key=value, got {token!r}")
+        if key in pairs:
+            raise DataFormatError(f"{where}: repeated config key {key!r}")
+        pairs[key] = value.strip()
+    return pairs
+
+
+def take_key(text: dict[str, str], key: str, parse):
+    """``parse`` of ``text[key]``, taking ``key`` out of ``text``; a missing
+    key or a value ``parse`` rejects is a ValueError that names it."""
+    if key not in text:
+        raise ValueError(f"missing config key {key}")
+    value = text.pop(key)
+    try:
+        return parse(value)
+    except ValueError:
+        raise ValueError(f"config key {key}={value!r} is not valid") from None
+
+
 def format_config(cfg: TrainConfig) -> str:
-    """``cfg``, its budget resolved, as its ``key=value`` tokens."""
-    tokens = []
-    for key, cast, attr in CONFIG_KEYS:
-        value = cast(attrgetter(attr)(cfg))
-        tokens.append(f"{key}={value.value if isinstance(value, DropMode) else value}")
-    return " ".join(tokens)
+    """``cfg``, its budgets resolved, as its ``key=value`` tokens."""
+    return " ".join(f"{key}={_text(cast(getattr(cfg, attr)))}" for key, cast, attr in CONFIG_KEYS)
 
 
 def parse_config(text: dict[str, str], defaults: TrainConfig | None = None) -> TrainConfig:
     """The config of the ``key -> value text`` pairs ``text``, taking each
     key it reads out of ``text`` (so the keys left there are unknown).  A key
-    not given takes its value in ``defaults``, budget resolved, if given; a
-    missing key, a bad value and a config TrainConfig rejects are a
-    ValueError."""
+    not given takes its value in ``defaults``, if given; a missing key, a bad
+    value and a config TrainConfig rejects are a ValueError."""
     fields = {}
     for key, cast, attr in CONFIG_KEYS:
-        if key in text:
-            value = text.pop(key)
-            try:
-                fields[attr] = cast(value)
-            except ValueError:
-                raise ValueError(f"config key {key}={value!r} is not valid") from None
-        elif defaults is not None:
-            fields[attr] = attrgetter(attr)(defaults)
+        if defaults is not None and key not in text:
+            fields[attr] = getattr(defaults, attr)
         else:
-            raise ValueError(f"missing config key {key}")
-    budget = SparsityBudget(fields.pop("lambda_budget.per_column_s"), fields.pop("lambda_budget.row_s"))
-    return TrainConfig(lambda_budget=budget, **fields)
+            fields[attr] = take_key(text, key, cast)
+    return TrainConfig(**fields)
+
+
+def format_settings(mode: str, arch: Architecture) -> dict[str, str]:
+    """The text of each :data:`SETTING_KEYS` row of a model of ``mode`` and ``arch``."""
+    values = (mode, arch.atoms_per_layer, arch.activation)
+    return {key: fmt(value) for (key, _, fmt), value in zip(SETTING_KEYS, values)}
+
+
+def parse_settings(text: dict[str, str], defaults: TrainConfig | None = None) -> tuple[str, Architecture, TrainConfig]:
+    """The mode, architecture and config, budgets resolved, of the ``key ->
+    value text`` pairs ``text``: every :data:`SETTING_KEYS` key, and the
+    :data:`CONFIG_KEYS` as :func:`parse_config` reads them with ``defaults``.
+    A missing key, a bad value, a model those values cannot make and a key
+    of ``text`` that no row reads are a ValueError."""
+    mode, atoms, activation = (take_key(text, key, parse) for key, parse, _ in SETTING_KEYS)
+    arch = Architecture(atoms, activation)
+    cfg = resolve_budget(parse_config(text, defaults), arch)
+    if text:
+        raise ValueError(f"unknown config key(s): {', '.join(sorted(text))}")
+    return mode, arch, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +487,9 @@ def _render_matrix(name: str, m: np.ndarray) -> list[str]:
 
 def save_model(model: Model, path) -> None:
     """Write the model in the versioned text format (17-digit decimals)."""
-    arch = model.architecture
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
-        f"mode {model.mode}",
-        "arch " + ",".join(str(a) for a in arch.atoms_per_layer),
-        f"activation {arch.activation.kind.value}",
+        *(f"{key} {value}" for key, value in format_settings(model.mode, model.architecture).items()),
         "config " + format_config(model.config),
         f"labels {model.labels.size}",
         " ".join(str(int(v)) for v in model.labels),
@@ -498,45 +558,18 @@ def load_model(path) -> Model:
     if magic[1] != str(MODEL_VERSION):
         raise DataFormatError(f"{path}: unsupported version {magic[1]}")
 
-    mode_parts = reader.next_line().split()
-    if len(mode_parts) != 2 or mode_parts[0] != "mode" or mode_parts[1] not in MODES:
-        raise DataFormatError(f"{path}: expected 'mode {'|'.join(MODES)}'")
-    mode = mode_parts[1]
-
-    arch_line = reader.next_line()
-    if not arch_line.startswith("arch "):
-        raise DataFormatError(f"{path}: missing arch line")
+    tokens = []
+    for key in [key for key, _, _ in SETTING_KEYS] + ["config"]:
+        name, _, value = reader.next_line().partition(" ")
+        if name != key:
+            reader.fail(f"missing {key} line")
+        where = f"{path}:{reader.pos}"
+        tokens += [(where, token) for token in (value.split() if key == "config" else [f"{key}={value}"])]
+    text = read_pairs(tokens)
     try:
-        atoms = tuple(int(a) for a in arch_line[len("arch "):].split(","))
-    except ValueError:
-        raise DataFormatError(f"{path}: bad arch line") from None
-
-    act_parts = reader.next_line().split()
-    if len(act_parts) != 2 or act_parts[0] != "activation":
-        raise DataFormatError(f"{path}: missing activation line")
-    try:
-        activation = Activation(kind=ActivationKind(act_parts[1]))
+        mode, arch, cfg = parse_settings(text)
     except ValueError as exc:
-        raise DataFormatError(f"{path}: bad activation line ({exc})") from None
-    arch = Architecture(atoms_per_layer=atoms, activation=activation)
-
-    config_line = reader.next_line()
-    if not config_line.startswith("config "):
-        raise DataFormatError(f"{path}: missing config line")
-    pairs = {}
-    for token in config_line[len("config "):].split():
-        if "=" not in token:
-            raise DataFormatError(f"{path}: malformed config token {token!r}")
-        k, v = token.split("=", 1)
-        if k in pairs:
-            raise DataFormatError(f"{path}: repeated config key {k!r}")
-        pairs[k] = v
-    try:
-        cfg = parse_config(pairs)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: bad config line ({exc})") from None
-    if pairs:
-        raise DataFormatError(f"{path}: unknown config key(s) {', '.join(sorted(pairs))}")
+        raise DataFormatError(f"{path}: {exc}") from None
 
     parts = reader.next_line().split()
     if len(parts) != 2 or parts[0] != "labels":

@@ -10,7 +10,7 @@ both the baseline the joint trainer is measured against (a model of mode
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class Architecture:
     """Per-layer atom counts plus the activation used between layers."""
 
     atoms_per_layer: tuple[int, ...]
-    activation: Activation = field(default_factory=Activation)
+    activation: Activation = Activation.TANH
 
     def __post_init__(self):
         atoms = tuple(int(a) for a in self.atoms_per_layer)

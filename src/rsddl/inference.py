@@ -108,7 +108,7 @@ def encode_test(model: Model, x: np.ndarray) -> EncodedFeature:
     x = as_matrix(x.reshape(-1, 1) if single else x, "X")
     if x.shape[0] != dicts[0].shape[0]:
         raise ValueError(f"data dimension {x.shape[0]} does not match model input dimension {dicts[0].shape[0]}")
-    s = model.config.lambda_budget.per_column_s
+    s = model.config.per_column_s
     z = (_encode_greedy if model.mode == "greedy" else _encode_joint)(model, x, s)
     act = model.architecture.activation
     residual = np.linalg.norm(x - compose_reconstruction(dicts, z, act), axis=0)

@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .greedy import Architecture, compose_reconstruction, layerwise_factorize
-from .numerics import DEAD_ATOM_TOL, Activation, Rng, as_labels, as_matrix, lstsq, normalize_columns
-from .sparse import SparsityBudget, group_columns, prox_push, pursuit, pursuit_gram, unit_gram
+from .numerics import DEAD_ATOM_TOL, Activation, Rng, as_int, as_labels, as_matrix, lstsq, normalize_columns
+from .sparse import group_columns, prox_push, pursuit, pursuit_gram, unit_gram
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataio import Dataset
@@ -91,15 +91,17 @@ class TrainConfig:
 
     Defaults: layer-coupling weights eta1 = eta2 = 1, inner ADMM weight
     gamma = 0.1, diversity weight mu = 0.5, and DropConnect at a 10% rate.
-    The class-row sparsity is a hard budget, not a weighted penalty.
-    ``lambda_budget=None`` derives the budget from the architecture:
-    ceil(0.2 x deepest atom count) for both the per-column and row budgets.
-    The weights must be finite and the seed below 2**64, the width of
-    :class:`~rsddl.numerics.Rng`'s key.  The text form of a config is
-    :data:`rsddl.dataio.CONFIG_KEYS`.
+    The class-row sparsity is a hard budget, not a weighted penalty:
+    ``per_column_s`` nonzeros per code column and ``row_s`` nonzero rows per
+    class block, each derived from the architecture when None
+    (:func:`resolve_budget`).  Counts, budgets and the seed must be integers
+    (``operator.index``), the weights finite and the seed below 2**64, the
+    width of :class:`~rsddl.numerics.Rng`'s key.  The text form of a config
+    is :data:`rsddl.dataio.CONFIG_KEYS`.
     """
 
-    lambda_budget: SparsityBudget | None = None
+    per_column_s: int | None = None
+    row_s: int | None = None
     mu: float = 0.5
     eta1: float = 1.0
     eta2: float = 1.0
@@ -112,6 +114,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("per_column_s", "row_s"):
+            value = getattr(self, name)
+            if value is not None and as_int(value, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         for name in ("mu", "eta1", "eta2", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -121,23 +127,24 @@ class TrainConfig:
             raise ValueError(f"eta1 and eta2 must be > 0, got {self.eta1}, {self.eta2}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if min(self.outer_iters, self.inner_iters, self.test_iters) < 1:
+        if min(as_int(getattr(self, name), name) for name in ("outer_iters", "inner_iters", "test_iters")) < 1:
             raise ValueError("iteration counts must all be >= 1")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= as_int(self.seed, "seed") < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
 
 
-def resolve_budget(cfg: TrainConfig, arch: Architecture) -> SparsityBudget:
-    """Effective sparsity budget: explicit config value or the 20% default."""
-    if cfg.lambda_budget is not None:
-        budget = cfg.lambda_budget
-    else:
-        s = max(1, math.ceil(0.2 * arch.feature_dim))
-        budget = SparsityBudget(per_column_s=s, row_s=s)
-    budget.validate_for(arch.feature_dim)
-    return budget
+def resolve_budget(cfg: TrainConfig, arch: Architecture) -> TrainConfig:
+    """``cfg`` with each budget that is None set to the 20% default,
+    ceil(0.2 x deepest atom count); a budget above that count is a ValueError."""
+    s = max(1, math.ceil(0.2 * arch.feature_dim))
+    cfg = replace(cfg, per_column_s=s if cfg.per_column_s is None else cfg.per_column_s,
+                  row_s=s if cfg.row_s is None else cfg.row_s)
+    for name in ("per_column_s", "row_s"):
+        if getattr(cfg, name) > arch.feature_dim:
+            raise ValueError(f"{name}={getattr(cfg, name)} exceeds atom count {arch.feature_dim}")
+    return cfg
 
 
 class _ClassLayout(NamedTuple):
@@ -250,7 +257,7 @@ class Model:
         missing = np.flatnonzero(np.bincount(labels)[1:] == 0) + 1
         if missing.size:
             raise ValueError(f"class {missing[0]} of 1..{labels.max()} has no stored code")
-        config = replace(self.config, lambda_budget=resolve_budget(self.config, arch))
+        config = resolve_budget(self.config, arch)
         object.__setattr__(self, "dictionaries", dicts)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -571,7 +578,7 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
     for c, cols in class_cols.items():
         if cols.size == 0:
             raise ValueError(f"class {c} has no samples")
-    budget = resolve_budget(cfg, arch)
+    cfg = resolve_budget(cfg, arch)
     layout = _class_layout(class_cols, arch.feature_dim)
     act = arch.activation
     rng = Rng(cfg.seed)
@@ -580,10 +587,10 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
     # loop); the deepest codes are recoded row-sparse per class (one grouped
     # SOMP) so the initial iterate lives in the constraint class the trainer
     # optimizes over
-    dicts, codes = layerwise_factorize(x, arch, budget.per_column_s, cfg.outer_iters, rng.substream("init"))
+    dicts, codes = layerwise_factorize(x, arch, cfg.per_column_s, cfg.outer_iters, rng.substream("init"))
     d1, d2, d3 = dicts
     z1, z2, _ = codes
-    z = pursuit(d3, act.inverse(z2), budget.row_s, groups=data.labels)
+    z = pursuit(d3, act.inverse(z2), cfg.row_s, groups=data.labels)
     b1, b2 = np.ones_like(z1), np.ones_like(z2)
     p = np.ones((x.shape[1], n_classes - 1, arch.feature_dim))
     c_relax = np.ones_like(p)
@@ -611,7 +618,7 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         z1 = solve_P4(x, d1, d2, z2, b1, cfg.eta1, act)
         z2 = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
         z = solve_P6(
-            z2, b2, d3, means, layout, budget.row_s, cfg.mu, cfg.gamma, cfg.eta2, cfg.inner_iters, p, c_relax, act
+            z2, b2, d3, means, layout, cfg.row_s, cfg.mu, cfg.gamma, cfg.eta2, cfg.inner_iters, p, c_relax, act
         )
 
         # coefficients perturbed before the dictionaries see them

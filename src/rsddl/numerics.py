@@ -7,8 +7,8 @@ as immutable once built and every routine returns fresh arrays.
 
 from __future__ import annotations
 
+import operator
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,11 +17,11 @@ __all__ = [
     "NumericsWarning",
     "as_matrix",
     "as_labels",
+    "as_int",
     "normalize_columns",
     "pinv",
     "lstsq",
     "pca_fit",
-    "ActivationKind",
     "Activation",
     "Rng",
 ]
@@ -60,6 +60,15 @@ def as_labels(labels) -> np.ndarray:
     if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
         raise ValueError("class ids must be whole numbers")
     return raw.astype(np.int64).reshape(-1)
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming ``name`` where it is not an
+    integer (``operator.index``), since a cast would truncate it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def normalize_columns(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,27 +174,22 @@ def pca_fit(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return mean, basis
 
 
-class ActivationKind(Enum):
-    TANH = "tanh"
-    IDENTITY = "identity"
-
-
-@dataclass(frozen=True)
-class Activation:
+class Activation(Enum):
     """Elementwise activation with a total (clamped) inverse: the tanh
     inverse clips by :data:`TANH_CLAMP_EPS`; the identity never clamps."""
 
-    kind: ActivationKind = ActivationKind.TANH
+    TANH = "tanh"
+    IDENTITY = "identity"
 
     def forward(self, m) -> np.ndarray:
         m = np.asarray(m, dtype=np.float64)
-        if self.kind is ActivationKind.TANH:
+        if self is Activation.TANH:
             return np.tanh(m)
         return m.copy()
 
     def inverse(self, m) -> np.ndarray:
         m = np.asarray(m, dtype=np.float64)
-        if self.kind is ActivationKind.TANH:
+        if self is Activation.TANH:
             # the clip of np.clip, bit for bit, without its Python-level wrapper
             out = np.maximum(m, -1.0 + TANH_CLAMP_EPS)
             np.minimum(out, 1.0 - TANH_CLAMP_EPS, out=out)
@@ -211,11 +215,16 @@ class Rng:
     tags; draws from one substream never affect another, which is what makes
     per-iteration, per-target randomness order-independent.
 
+    The seed is an integer in [0, 2**64), the width of the key; any other
+    seed is a ValueError, never masked or truncated into that range.
+
     A single Rng instance is single-owner: never share one across threads.
     """
 
     def __init__(self, seed: int, _tag: int = 0):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = as_int(seed, "seed")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
         self._tag = _tag & 0xFFFFFFFFFFFFFFFF
         key = np.array([self.seed, self._tag], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))

@@ -15,14 +15,11 @@ on the final supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import DEAD_ATOM_TOL, as_matrix
 
 __all__ = [
-    "SparsityBudget",
     "pursuit",
     "pursuit_gram",
     "group_columns",
@@ -44,27 +41,6 @@ _RESIDUAL_FLOOR = 1e-12
 # this is dependent on it, within 1e-5 rad, and never enters the support.  Rounding leaves a
 # picked or exactly duplicated atom at about k eps, far below.
 _DEPENDENT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SparsityBudget:
-    """Hard sparsity budgets: nonzeros per coefficient column and nonzero
-    rows per class block."""
-
-    per_column_s: int
-    row_s: int
-
-    def __post_init__(self):
-        if self.per_column_s < 1:
-            raise ValueError(f"per_column_s must be >= 1, got {self.per_column_s}")
-        if self.row_s < 1:
-            raise ValueError(f"row_s must be >= 1, got {self.row_s}")
-
-    def validate_for(self, n_atoms: int) -> None:
-        if self.per_column_s > n_atoms:
-            raise ValueError(f"per_column_s={self.per_column_s} exceeds atom count {n_atoms}")
-        if self.row_s > n_atoms:
-            raise ValueError(f"row_s={self.row_s} exceeds atom count {n_atoms}")
 
 
 def unit_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

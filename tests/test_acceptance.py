@@ -102,7 +102,7 @@ def test_03_pursuit_oracles():
 
 
 def test_04_quadratic_subproblem_gradients():
-    act = Activation()
+    act = Activation.TANH
 
     def fd_gradient(cost, point, h=1e-6):
         grad = np.zeros_like(point)

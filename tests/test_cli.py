@@ -95,15 +95,21 @@ class TestTrain:
             assert float(echo[key]) == float(value)
 
     def test_model_config_tokens_equal_echo_tokens(self, data_files):
+        """The echo's tokens are the model file's settings lines, as
+        ``key=value``, and its config tokens, key for key, in both modes and
+        for both activations."""
         tmp, _ = data_files
-        assert run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
-                    "--iters", "1", "--gamma", "0.123456789", "--mu", "1e-300", "--drop-rate", "0.3",
-                    "--out", tmp / "e.rsddl"]) == 0
-        echo = (tmp / "e.rsddl.log").read_text().split("\n")[0].split()
-        stored = (tmp / "e.rsddl").read_text().split("\n")[4].split()
-        assert echo[:4] == ["config:", "mode=joint", "arch=8,6,4", "activation=tanh"]
-        assert stored[0] == "config" and echo[4:] == stored[1:]
-        assert "gamma=0.123456789" in stored
+        for mode, activation in (("joint", "tanh"), ("greedy", "identity")):
+            assert run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
+                        "--mode", mode, "--activation", activation, "--iters", "1", "--gamma", "0.123456789",
+                        "--mu", "1e-300", "--drop-rate", "0.3", "--out", tmp / "e.rsddl"]) == 0
+            echo = (tmp / "e.rsddl.log").read_text().split("\n")[0].split()
+            lines = (tmp / "e.rsddl").read_text().split("\n")
+            assert echo[:4] == ["config:", f"mode={mode}", "arch=8,6,4", f"activation={activation}"]
+            assert [line.replace(" ", "=", 1) for line in lines[1:4]] == echo[1:4]
+            stored = lines[4].split()
+            assert stored[0] == "config" and echo[4:] == stored[1:]
+            assert "gamma=0.123456789" in stored
 
     def test_config_file_from_model_reproduces_echo(self, data_files):
         tmp, _ = data_files
@@ -144,6 +150,22 @@ class TestTrain:
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not (tmp / "v.rsddl").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("mode=layerwise", "config key mode='layerwise' is not valid"),
+         ("arch=5,0,3", "atom counts must be positive, got (5, 0, 3)"),
+         ("arch=5,x,3", "config key arch='5,x,3' is not valid"),
+         ("activation=relu", "config key activation='relu' is not valid")],
+    )
+    def test_bad_setting_is_usage_error(self, data_files, capsys, line, message):
+        tmp, _ = data_files
+        (tmp / "run.cfg").write_text(line + "\n")
+        rc = run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt",
+                  "--config", tmp / "run.cfg", "--out", tmp / "s.rsddl"])
+        assert rc == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not (tmp / "s.rsddl").exists()
+
     def test_no_lambda_weight(self, data_files, capsys):
         tmp, _ = data_files
         rc = run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
@@ -175,8 +197,7 @@ class TestTrain:
             "test_iters=10 seed=0"
         )
         defaults = TrainConfig()
-        budget = resolve_budget(defaults, Architecture((8, 6, 4)))
-        assert load_model(tmp / "m.rsddl").config == dataclasses.replace(defaults, lambda_budget=budget)
+        assert load_model(tmp / "m.rsddl").config == resolve_budget(defaults, Architecture((8, 6, 4)))
 
     @pytest.mark.parametrize("deepest", [2, 4, 5, 6, 12, 23])
     def test_one_budget_flag_keeps_the_other_default(self, deepest):
@@ -186,8 +207,8 @@ class TestTrain:
             args = build_parser().parse_args(["train", "--data", "d.csv", "--labels", "l.txt", "--out", "m",
                                               "--arch", f"8,6,{deepest}", flag, "2"])
             _, _, cfg = _effective_train_config(args)
-            assert getattr(cfg.lambda_budget, given) == 2
-            assert getattr(cfg.lambda_budget, other) == getattr(default, other)
+            assert getattr(cfg, given) == 2
+            assert getattr(cfg, other) == getattr(default, other)
 
     def test_missing_required_flag(self):
         assert run(["train", "--data", "whatever.csv"]) == 2
@@ -361,6 +382,28 @@ class TestFeatures:
         )
         assert rc == 0
         assert load_matrix_csv(tmp / "spec.csv").shape == (5, 36)
+
+    def test_flag_beats_file_beats_default(self, cube_files, capsys):
+        tmp = cube_files
+        (tmp / "f.cfg").write_text("window=3\ndims=5\n")
+        rc = run(["features", "--cube", tmp / "c.hsi", "--labels", tmp / "c.gt",
+                  "--config", tmp / "f.cfg", "--dims", "4", "--out", tmp / "feat"])
+        assert rc == 0
+        assert "config: window=3 dims=4" in capsys.readouterr().err
+        assert load_matrix_csv(tmp / "feat.csv").shape == (4, 36)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--window", "x", "config key window='x' is not valid"),
+         ("--window", "2.5", "config key window='2.5' is not valid"),
+         ("--dims", "0", "dims must be >= 1, got 0")],
+    )
+    def test_bad_value_is_usage_error(self, cube_files, capsys, flag, value, message):
+        tmp = cube_files
+        rc = run(["features", "--cube", tmp / "c.hsi", "--labels", tmp / "c.gt", flag, value, "--out", tmp / "feat"])
+        assert rc == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not list(tmp.glob("feat*"))
 
     def test_missing_cube_flag_is_usage_error(self):
         assert run(["features", "--labels", "x", "--out", "y"]) == 2

@@ -6,6 +6,7 @@ import pytest
 
 from rsddl.dataio import (
     CONFIG_KEYS,
+    SETTING_KEYS,
     DataFormatError,
     HsiCube,
     extract_spatial_spectral,
@@ -24,8 +25,7 @@ from rsddl.dataio import (
 )
 from rsddl.greedy import Architecture
 from rsddl.joint import DropMode, Model, TrainConfig, joint_train
-from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng
-from rsddl.sparse import SparsityBudget
+from rsddl.numerics import Activation, NumericsWarning, Rng
 
 from util import load_matrix_csv_reference, window_matrix_reference
 
@@ -160,7 +160,7 @@ class TestSavedBytes:
         d1 = np.array([[0.1, 2.0], [-0.0, 1 / 3], [5e-324, -1e300]])
         d2 = np.array([[1.0, -2.5e-10], [0.7, 3.0]])
         d3 = np.array([[0.6], [-0.8]])
-        cfg = TrainConfig(lambda_budget=SparsityBudget(1, 1), drop_mode=DropMode.NONE, seed=3)
+        cfg = TrainConfig(per_column_s=1, row_s=1, drop_mode=DropMode.NONE, seed=3)
         model = Model([d1, d2, d3], arch, np.array([[0.25, -7.0]]), [1, 2], cfg)
         save_model(model, tmp_path / "m.rsddl")
         assert (tmp_path / "m.rsddl").read_text(encoding="ascii") == (
@@ -453,13 +453,13 @@ class TestExtract:
 
 def small_model():
     rng = Rng(12)
-    arch = Architecture((16, 8, 4), activation=Activation(ActivationKind.TANH))
+    arch = Architecture((16, 8, 4), activation=Activation.TANH)
     d1 = rng.standard_normal((20, 16))
     d2 = rng.standard_normal((16, 8))
     d3 = rng.standard_normal((8, 4))
     features = rng.standard_normal((4, 6))
     cfg = TrainConfig(
-        lambda_budget=SparsityBudget(2, 2),
+        per_column_s=2, row_s=2,
         drop_mode=DropMode.NONE,
         seed=42,
     )
@@ -471,16 +471,16 @@ def config_pairs(text: str) -> dict[str, str]:
 
 
 class TestConfigText:
-    CFG = TrainConfig(lambda_budget=SparsityBudget(3, 2), mu=1e-300, eta1=0.30000000000000004, eta2=2.5,
+    CFG = TrainConfig(per_column_s=3, row_s=2, mu=1e-300, eta1=0.30000000000000004, eta2=2.5,
                       gamma=0.123456789, outer_iters=7, inner_iters=2, test_iters=4,
                       drop_mode=DropMode.DROPOUT, drop_rate=0.012345678901234567, seed=2**64 - 1)
 
     def test_one_row_per_field(self):
         attrs = [attr for _, _, attr in CONFIG_KEYS]
         fields = [f.name for f in dataclasses.fields(TrainConfig)]
-        assert len(fields) == 11 and len(set(attrs)) == len(attrs) == 12
-        assert set(attrs) == set(fields) - {"lambda_budget"} | {"lambda_budget.per_column_s", "lambda_budget.row_s"}
-        assert [f.name for f in dataclasses.fields(Activation)] == ["kind"]
+        assert len(fields) == 12 and len(set(attrs)) == len(attrs) == 12
+        assert set(attrs) == set(fields)
+        assert [a.value for a in Activation] == ["tanh", "identity"]
 
     def test_shortest_exact_floats(self):
         assert format_config(self.CFG) == (
@@ -492,6 +492,26 @@ class TestConfigText:
         pairs = config_pairs(format_config(self.CFG))
         assert parse_config(pairs) == self.CFG
         assert pairs == {}  # every key read is taken out
+
+    # texts of every row of both tables, each in the form the codec writes
+    ROW_TEXTS = {
+        "mode": ["joint", "greedy"], "arch": ["16,8,4", "7", "100,50,25,12"], "activation": ["tanh", "identity"],
+        "lambda_s": ["1", "3"], "row_s": ["2", "40"], "mu": ["0.0", "1e-300", "0.5"],
+        "eta1": ["0.30000000000000004", "1.0"], "eta2": ["2.5", "1e+300"], "gamma": ["0.123456789"],
+        "drop": ["none", "out", "connect"], "drop_rate": ["0.0", "0.012345678901234567"], "iters": ["1", "15"],
+        "inner_iters": ["5"], "test_iters": ["10"], "seed": ["0", "18446744073709551615"],
+    }
+
+    def test_every_row_round_trips_its_text(self):
+        """text -> value -> text is the identity on every row of both tables."""
+        assert list(self.ROW_TEXTS) == [key for key, _, _ in SETTING_KEYS + CONFIG_KEYS]
+        for key, parse, fmt in SETTING_KEYS:
+            for text in self.ROW_TEXTS[key]:
+                assert fmt(parse(text)) == text
+        for key, _, _ in CONFIG_KEYS:
+            for text in self.ROW_TEXTS[key]:
+                cfg = parse_config({key: text}, self.CFG)
+                assert config_pairs(format_config(cfg))[key] == text
 
     def test_defaults_fill_missing_keys(self):
         pairs = {"gamma": "0.25", "bogus": "1"}
@@ -583,9 +603,10 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize(
         "extra, message",
-        [(" bogus=7", "unknown config key(s) bogus"), (" bogus=7 mu=0.9", "repeated config key 'mu'"),
-         (" seed=42", "repeated config key 'seed'")],
-        ids=["unknown", "unknown-then-repeated", "repeated"],
+        [(" bogus=7", ": unknown config key(s): bogus"), (" bogus=7 mu=0.9", ":5: repeated config key 'mu'"),
+         (" seed=42", ":5: repeated config key 'seed'"), (" mode=greedy", ":5: repeated config key 'mode'"),
+         (" mu", ":5: expected key=value, got 'mu'")],
+        ids=["unknown", "unknown-then-repeated", "repeated", "repeated-setting", "malformed"],
     )
     def test_config_line_takes_each_key_once(self, tmp_path, extra, message):
         path = tmp_path / "m.rsddl"
@@ -596,7 +617,7 @@ class TestModelPersistence:
         path.write_text("\n".join(lines))
         with pytest.raises(DataFormatError) as err:
             load_model(path)
-        assert str(err.value) == f"{path}: {message}"
+        assert str(err.value) == f"{path}{message}"
 
     @pytest.mark.parametrize(
         "token, message",
@@ -615,7 +636,7 @@ class TestModelPersistence:
         path.write_text(re.sub(rf" {key}=\S*", f" {token}", path.read_text(), count=1))
         with pytest.raises(DataFormatError) as err:
             load_model(path)
-        assert str(err.value) == f"{path}: bad config line ({message})"
+        assert str(err.value) == f"{path}: {message}"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.rsddl"
@@ -625,6 +646,20 @@ class TestModelPersistence:
             path.write_text(text)
             with pytest.raises(DataFormatError, match=r"bad magic \(expected RSDDL3\)"):
                 load_model(path)
+
+    @pytest.mark.parametrize(
+        "line, text",
+        [(2, "mode layerwise"), (3, "arch 5,0,3"), (3, "arch 5,x,3"), (4, "activation relu")],
+    )
+    def test_bad_settings_line(self, tmp_path, line, text):
+        path = tmp_path / "m.rsddl"
+        save_model(small_model(), path)
+        lines = path.read_text().split("\n")
+        assert lines[line - 1].split()[0] == text.split()[0]
+        lines[line - 1] = text
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: "):
+            load_model(path)
 
     def test_shape_chain_violation(self, tmp_path):
         model = small_model()
@@ -690,12 +725,12 @@ class TestModelPersistence:
             load_model(path)
 
     def test_trained_config_equals_loaded(self, tmp_path):
-        """A model trained with the derived budget (``lambda_budget=None``)
+        """A model trained with the derived budgets (``per_column_s=row_s=None``)
         holds the same config as its saved and reloaded copy."""
         rng = Rng(8)
         data = make_dataset(rng.standard_normal((6, 8)), [1, 2] * 4)
         model = joint_train(data, Architecture((5, 4, 3)), TrainConfig(outer_iters=2))
-        assert model.config.lambda_budget == SparsityBudget(1, 1)
+        assert (model.config.per_column_s, model.config.row_s) == (1, 1)
         path = tmp_path / "m.rsddl"
         save_model(model, path)
         assert load_model(path).config == model.config

@@ -13,8 +13,7 @@ from rsddl.greedy import (
 )
 from rsddl.inference import encode_test, predict_batch
 from rsddl.joint import Model, TrainConfig
-from rsddl.numerics import Activation, ActivationKind, NumericsWarning, Rng, lstsq, normalize_columns, pinv
-from rsddl.sparse import SparsityBudget
+from rsddl.numerics import Activation, NumericsWarning, Rng, lstsq, normalize_columns, pinv
 from util import (
     MIXTURE_ARCH,
     als_factorize_reference,
@@ -31,7 +30,7 @@ def greedy_model(x, arch, s, iters, rng, labels=None):
     deepest training codes."""
     dicts, codes = layerwise_factorize(x, arch, s, iters, rng)
     labels = np.ones(x.shape[1], dtype=np.int64) if labels is None else labels
-    cfg = TrainConfig(lambda_budget=SparsityBudget(s, s), seed=0)
+    cfg = TrainConfig(per_column_s=s, row_s=s, seed=0)
     return Model(dicts, arch, codes[-1], labels, cfg, mode="greedy"), codes[-1]
 
 
@@ -127,7 +126,7 @@ class TestGreedyTrain:
             assert np.allclose(np.linalg.norm(d, axis=0), 1.0, atol=1e-9)
 
     def test_identity_two_layer_trifactorization(self):
-        act = Activation(ActivationKind.IDENTITY)
+        act = Activation.IDENTITY
         x = np.hstack([np.eye(8), np.eye(8), 0.5 * np.eye(8)])
         # the live code rows of the last layer are linearly dependent: their
         # fit takes pinv, as it always did, but no longer warns
@@ -206,7 +205,7 @@ class TestGreedyEncode:
     def _check_against_reference(model, x):
         """Batch and batches of one against the oracle: same supports,
         |dz| <= 1e-9 and the oracle code's l0/l1 labels."""
-        s = model.config.lambda_budget.per_column_s
+        s = model.config.per_column_s
         batch = encode_test(model, x)
         labels = {rule: [p.label for p in predict_batch(model, x, rule=rule)] for rule in ("l0", "l1")}
         for j in range(x.shape[1]):
@@ -248,7 +247,7 @@ class TestGreedyEncode:
         target = act.inverse(np.linalg.pinv(d2) @ act.inverse(np.linalg.pinv(d1) @ x[:, 0:30:7]))
 
         def deep_residual(s):
-            at_s = dataclasses.replace(model, config=TrainConfig(lambda_budget=SparsityBudget(s, s), seed=0))
+            at_s = dataclasses.replace(model, config=TrainConfig(per_column_s=s, row_s=s, seed=0))
             return np.linalg.norm(target - d3 @ encode_test(at_s, x[:, 0:30:7]).z, axis=0)
 
         full = deep_residual(4)

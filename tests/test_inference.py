@@ -17,7 +17,7 @@ from rsddl.inference import (
 )
 import rsddl.inference
 from rsddl.joint import DropMode, Model, TrainConfig, joint_train, resolve_budget, solve_P4, solve_P5
-from rsddl.numerics import Activation, ActivationKind, Rng
+from rsddl.numerics import Activation, Rng
 from util import (
     class_distances_reference,
     class_scores_reference,
@@ -55,7 +55,7 @@ def toy_model():
     """Model storing the worked-example features (7 samples, 6 rows)."""
     features = np.hstack([CLASS1, CLASS2])
     labels = [1, 1, 1, 2, 2, 2, 2]
-    arch = Architecture((6, 6, 6), activation=Activation(ActivationKind.IDENTITY))
+    arch = Architecture((6, 6, 6), activation=Activation.IDENTITY)
     dicts = [np.eye(6), np.eye(6), np.eye(6)]
     return Model(dicts, arch, features, labels, TrainConfig(seed=0))
 
@@ -96,7 +96,7 @@ class TestClassifyL0:
 
     def test_tie_breaks_to_smaller_class(self):
         features = np.array([[1.0, 0.0], [0.0, 1.0]])
-        arch = Architecture((2, 2, 2), activation=Activation(ActivationKind.IDENTITY))
+        arch = Architecture((2, 2, 2), activation=Activation.IDENTITY)
         model = Model([np.eye(2)] * 3, arch, features, [1, 2], TrainConfig(seed=0))
         z = np.array([2.0, 2.0])  # distance 2 to both stored features
         pred = classify_l0(model, EncodedFeature(z, 0.0))
@@ -229,7 +229,7 @@ class TestEncodeTest:
             encode_test(model, np.ones(3))
 
     def test_requires_three_layers(self):
-        arch = Architecture((2, 2), activation=Activation(ActivationKind.IDENTITY))
+        arch = Architecture((2, 2), activation=Activation.IDENTITY)
         with pytest.raises(ValueError, match="joint model needs exactly 3 layers"):
             Model(
                 dictionaries=[np.eye(2), np.eye(2)],
@@ -250,11 +250,10 @@ def random_model(act, cfg, rng):
 class TestEncoderMaps:
     """The cached P4/P5 maps of the encoder against the training solves."""
 
-    @pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.IDENTITY])
+    @pytest.mark.parametrize("act", [Activation.TANH, Activation.IDENTITY])
     @pytest.mark.parametrize("n", [1, 6])
-    def test_maps_match_solves(self, kind, n):
-        rng = Rng(60).substream(kind.value, n)
-        act = Activation(kind)
+    def test_maps_match_solves(self, act, n):
+        rng = Rng(60).substream(act.value, n)
         for cfg in (TrainConfig(seed=0), TrainConfig(seed=0, eta1=0.3, eta2=2.5)):
             model = random_model(act, cfg, rng)
             d1, d2, d3 = model.dictionaries
@@ -470,7 +469,7 @@ class TestModelCache:
 
     def test_replaced_model_gets_own_factors(self):
         base = TrainConfig(seed=0)
-        model = random_model(Activation(ActivationKind.TANH), base, Rng(61))
+        model = random_model(Activation.TANH, base, Rng(61))
         before = _encoder(model)
         for other in (dataclasses.replace(base, eta1=0.4), dataclasses.replace(base, eta2=3.0)):
             maps = _encoder(dataclasses.replace(model, config=other))

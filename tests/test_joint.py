@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from rsddl.joint import (
     solve_P5,
     solve_P6,
 )
-from rsddl.numerics import DEAD_ATOM_TOL, Activation, ActivationKind, Rng, normalize_columns, pinv
-from rsddl.sparse import SparsityBudget, pursuit
+from rsddl.numerics import DEAD_ATOM_TOL, Activation, Rng, normalize_columns, pinv
+from rsddl.sparse import pursuit
 import util
 from util import (
     DEEP_ARCH,
@@ -43,8 +44,8 @@ from util import (
 )
 
 
-IDENTITY = Activation(ActivationKind.IDENTITY)
-TANH = Activation()
+IDENTITY = Activation.IDENTITY
+TANH = Activation.TANH
 
 
 def fd_gradient(cost, point, h=1e-6):
@@ -101,6 +102,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=message):
             TrainConfig(**change)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seed", 1.5), ("seed", 2.0), ("outer_iters", 2.5), ("inner_iters", 3.0), ("test_iters", "4"),
+         ("per_column_s", 1.5), ("row_s", 2.0), ("outer_iters", None)],
+    )
+    def test_rejects_counts_that_are_not_integers(self, name, value):
+        """A count, budget or seed that is not an integer is rejected, never
+        truncated: a float seed would train the truncated seed's model while
+        the config held the float."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = TrainConfig(seed=np.uint64(2**64 - 1), outer_iters=np.int32(2), per_column_s=np.int64(1))
+        assert cfg.seed == 2**64 - 1 and cfg.outer_iters == 2 and cfg.per_column_s == 1
+
     def test_budget_default_is_fifth_of_deepest(self):
         arch = Architecture((100, 50, 25))
         budget = resolve_budget(TrainConfig(), arch)
@@ -108,7 +125,7 @@ class TestTrainConfig:
         assert budget.row_s == 5
 
     def test_explicit_budget_validated(self):
-        cfg = TrainConfig(lambda_budget=SparsityBudget(5, 5))
+        cfg = TrainConfig(per_column_s=5, row_s=5)
         with pytest.raises(ValueError):
             resolve_budget(cfg, Architecture((8, 6, 4)))
 
@@ -137,7 +154,7 @@ class TestModel:
         assert model.features.dtype == np.float64 and not model.features.flags.writeable
         assert model.labels.dtype == np.int64 and model.labels.tolist() == [1, 2, 2]
         assert model.dictionaries[0] is not args["dictionaries"][0]
-        assert model.config == dataclasses.replace(args["config"], lambda_budget=SparsityBudget(1, 1))
+        assert model.config == dataclasses.replace(args["config"], per_column_s=1, row_s=1)
         assert model.num_classes == 2
 
     @pytest.mark.parametrize(
@@ -154,8 +171,8 @@ class TestModel:
             (dict(labels=[1, 3, 3]), "class 2 of 1..3 has no stored code"),
             (dict(labels=[0, 1, 2]), "class ids starting at 1"),
             (dict(labels=[1, 2.5, 2]), "class ids must be whole numbers"),
-            (dict(config=TrainConfig(lambda_budget=SparsityBudget(3, 1))), "per_column_s=3 exceeds atom count 2"),
-            (dict(config=TrainConfig(lambda_budget=SparsityBudget(1, 3))), "row_s=3 exceeds atom count 2"),
+            (dict(config=TrainConfig(per_column_s=3, row_s=1)), "per_column_s=3 exceeds atom count 2"),
+            (dict(config=TrainConfig(per_column_s=1, row_s=3)), "row_s=3 exceeds atom count 2"),
         ],
         ids=["mode", "joint-depth", "dictionary-count", "atoms", "first-atoms", "chain", "z-rows",
              "z-columns", "missing-class", "class-zero", "fractional-class", "column-budget", "row-budget"],
@@ -179,7 +196,8 @@ class TestModel:
 
     def test_trained_model_holds_resolved_budget(self, deep_factor_model):
         _, model = deep_factor_model
-        assert model.config.lambda_budget == resolve_budget(TrainConfig(), model.architecture)
+        want = resolve_budget(TrainConfig(), model.architecture)
+        assert (model.config.per_column_s, model.config.row_s) == (want.per_column_s, want.row_s)
 
 
 class TestSolveP1:

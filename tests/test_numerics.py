@@ -6,7 +6,6 @@ import pytest
 from rsddl import numerics
 from rsddl.numerics import (
     Activation,
-    ActivationKind,
     NumericsWarning,
     Rng,
     as_matrix,
@@ -274,27 +273,27 @@ class TestPcaGramRoute:
 
 class TestActivation:
     def test_tanh_forward_zero(self):
-        act = Activation()
+        act = Activation.TANH
         assert act.forward(np.zeros((2, 2))).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_tanh_roundtrip_point(self):
-        act = Activation()
+        act = Activation.TANH
         v = np.array([[1.2345]])
         assert abs(act.inverse(act.forward(v))[0, 0] - 1.2345) < 1e-9
 
     def test_tanh_roundtrip_band(self):
-        act = Activation()
+        act = Activation.TANH
         grid = np.linspace(-5.0, 5.0, 101).reshape(1, -1)
         assert np.max(np.abs(act.inverse(act.forward(grid)) - grid)) < 1e-9
 
     def test_tanh_clamp_at_saturation(self):
         assert numerics.TANH_CLAMP_EPS == 1e-6
-        out = Activation().inverse(np.array([[1.0]]))
+        out = Activation.TANH.inverse(np.array([[1.0]]))
         assert np.isfinite(out[0, 0])
         assert out[0, 0] == np.arctanh(1.0 - 1e-6)
 
     def test_identity_is_identity(self):
-        act = Activation(kind=ActivationKind.IDENTITY)
+        act = Activation.IDENTITY
         m = np.array([[3.0, -7.0]])
         assert np.array_equal(act.forward(m), m)
         assert np.array_equal(act.inverse(m), m)
@@ -308,15 +307,14 @@ class TestActivation:
         edges += [np.nextafter(b, t) for b in (1.0 - eps, -1.0 + eps) for t in (-2.0, 2.0)]
         m = np.concatenate([edges, np.linspace(-1.5, 1.5, 302)]).reshape(-1, 6)
         want = np.arctanh(np.clip(m, -1.0 + eps, 1.0 - eps))
-        got = Activation().inverse(m)
+        got = Activation.TANH.inverse(m)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bit for bit, the sign of every zero included
-        identity = Activation(kind=ActivationKind.IDENTITY).inverse(m)
+        identity = Activation.IDENTITY.inverse(m)
         assert identity.tobytes() == m.tobytes()  # never clamped
 
-    @pytest.mark.parametrize("kind", list(ActivationKind))
-    def test_forward_and_inverse_never_write_into_their_argument(self, kind):
-        act = Activation(kind=kind)
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_forward_and_inverse_never_write_into_their_argument(self, act):
         m = np.array([[0.0, -0.0, 1.0, -1.0, 3.0], [-3.0, 0.5, -0.5, 1e-7, 1.0 - 1e-7]])
         before = m.copy()
         for fn in (act.forward, act.inverse):
@@ -345,6 +343,18 @@ class TestRng:
         a = root.substream("a").random(8)
         b = root.substream("b").random(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5, 0.0, np.float64(3.0), "7", None])
+    def test_rejects_a_seed_outside_its_key(self, seed):
+        """A seed is an integer in [0, 2**64); anything else is rejected, not
+        masked or truncated onto another seed's stream."""
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            Rng(seed)
+
+    def test_every_integer_seed_of_its_key(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(5)):
+            assert Rng(seed).seed == int(seed)
+        assert np.array_equal(Rng(np.int64(5)).random(4), Rng(5).random(4))
 
     def test_substream_isolated_from_parent(self):
         r1 = Rng(9)

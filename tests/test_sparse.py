@@ -8,9 +8,9 @@ import rsddl.joint
 import rsddl.sparse
 from rsddl.greedy import Architecture
 from rsddl.inference import predict_batch
-from rsddl.joint import DropMode, TrainConfig, _class_layout, joint_train, solve_P6
+from rsddl.joint import DropMode, TrainConfig, _class_layout, joint_train, resolve_budget, solve_P6
 from rsddl.numerics import Activation, Rng, normalize_columns
-from rsddl.sparse import SparsityBudget, group_columns, prox_push, pursuit, pursuit_gram, unit_gram
+from rsddl.sparse import group_columns, prox_push, pursuit, pursuit_gram, unit_gram
 from util import (
     coherence,
     column_layout,
@@ -42,16 +42,18 @@ def groupings(n):
 
 
 class TestSparsityBudget:
+    """The budgets a TrainConfig holds, per_column_s and row_s."""
+
     def test_positive(self):
         with pytest.raises(ValueError):
-            SparsityBudget(0, 1)
+            TrainConfig(per_column_s=0, row_s=1)
         with pytest.raises(ValueError):
-            SparsityBudget(1, 0)
+            TrainConfig(per_column_s=1, row_s=0)
 
     def test_validate_for(self):
-        SparsityBudget(2, 2).validate_for(4)
+        resolve_budget(TrainConfig(per_column_s=2, row_s=2), Architecture((4,)))
         with pytest.raises(ValueError):
-            SparsityBudget(5, 2).validate_for(4)
+            resolve_budget(TrainConfig(per_column_s=5, row_s=2), Architecture((4,)))
 
 
 class TestHardThreshold:
@@ -543,7 +545,7 @@ class TestP6GramForm:
         # unequal class sizes (one of a single column) in shuffled column order;
         # C as the reference leaves it one inner step earlier, since no step
         # reads the last step's C update
-        act = Activation()
+        act = Activation.TANH
         for seed, (n_classes, row_s, eta2, gamma) in enumerate(
             [(2, 2, 1.0, 0.1), (4, 3, 0.7, 0.25), (8, 2, 2.0, 0.05), (5, 5, 1.0, 1.0)]
         ):

@@ -9,7 +9,7 @@ import numpy as np
 
 from rsddl.dataio import DataFormatError, make_dataset
 from rsddl.numerics import (
-    DEAD_ATOM_TOL, Activation, ActivationKind, NumericsWarning, Rng, as_matrix, normalize_columns, pinv,
+    DEAD_ATOM_TOL, Activation, NumericsWarning, Rng, as_matrix, normalize_columns, pinv,
 )
 from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.inference import SUPPORT_TOL
@@ -149,7 +149,7 @@ def many_class_mixture(seed=7, n_classes=16, dim=60, n_train=25, n_test=5, separ
     return make_dataset(x, labels), x_test
 
 
-MIXTURE_ARCH = Architecture((6, 4, 2), activation=Activation(ActivationKind.IDENTITY))
+MIXTURE_ARCH = Architecture((6, 4, 2), activation=Activation.IDENTITY)
 DEEP_ARCH = Architecture((16, 8, 4))
 
 
