@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .greedy import Architecture
 from .joint import MODES, DropMode, Model, TrainConfig, resolve_budget
-from .numerics import Activation, Rng, as_labels, as_matrix, pca_fit
+from .numerics import Activation, Rng, _pca_basis, as_labels, as_int, as_matrix
 
 __all__ = [
     "CONFIG_KEYS",
@@ -303,8 +303,12 @@ def extract_spatial_spectral(
     window); borders are mirror-padded.  Pixels are traversed in row-major
     order; a class id that is not a whole number raises ValueError.  PCA is
     fit on the pixels selected by ``train_mask`` (all labeled pixels when
-    None; then on the raw window matrix itself, without a copy) and ``d`` is
-    clipped to the available dimension.
+    None) and ``d`` is clipped to the available dimension.
+
+    The window matrix is gathered into a new float64 array (``cube.values``
+    is never written) and centered in place; the basis is fit on it, or on a
+    copy of its ``train_mask`` columns, and projects it, so one window-sized
+    array is alive while ``eigh`` runs.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -318,24 +322,27 @@ def extract_spatial_spectral(
         raise ValueError(f"d must be >= 1, got {d}")
     lead = (window - 1) // 2
     trail = window - 1 - lead
-    padded = np.pad(cube.values, ((lead, trail), (lead, trail), (0, 0)), mode="symmetric")
+    padded = np.pad(cube.values.astype(np.float64, copy=False), ((lead, trail), (lead, trail), (0, 0)),
+                    mode="symmetric")
 
     rows, cols = np.nonzero(cube.ground_truth > 0)  # row-major order
     if rows.size == 0:
         raise ValueError("no labeled pixels in ground truth")
     labels = as_labels(cube.ground_truth[rows, cols])
     windows = sliding_window_view(padded, (window, window, cube.bands))[:, :, 0]
-    raw = windows[rows, cols].reshape(rows.size, -1).T  # one column per pixel, a view
+    raw = windows[rows, cols].reshape(rows.size, -1).T  # one column per pixel, a gathered copy
     selected = np.ones(rows.size, dtype=bool) if train_mask is None else train_mask[rows, cols].astype(bool)
     if not selected.any():
         raise ValueError("train_mask selects no labeled pixels")
     fit = raw if selected.all() else raw[:, selected]
 
-    d_eff = min(d, raw.shape[0], fit.shape[1])
-    mean, basis = pca_fit(fit, d_eff)
-    projection = PcaProjection(mean=mean, basis=basis)
-    features = projection.project(raw)
-    return make_dataset(features, labels), projection
+    # pca_fit's steps, with x - mean done in place: the same mean, subtraction and layout
+    mean = as_matrix(fit, "X").mean(axis=1, keepdims=True)
+    fit -= mean
+    if fit is not raw:
+        raw -= mean
+    basis = _pca_basis(fit, min(d, raw.shape[0], fit.shape[1]))
+    return make_dataset(basis.T @ raw, labels), PcaProjection(mean=mean, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +354,13 @@ def split_per_class(ds: Dataset, counts: dict[int, int], rng: Rng) -> tuple[Data
     ``counts[c]`` columns of class c go to the training set; everything else
     becomes test.  Classes absent from ``counts`` contribute no training
     samples.  Column order within each side follows the original dataset.
+    A count that is not an integer is a ValueError, never truncated.
     """
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for c in range(1, ds.num_classes + 1):
         cols = ds.class_index[c]
-        n = int(counts.get(c, 0))
+        n = as_int(counts.get(c, 0), f"count for class {c}")
         if n < 0:
             raise ValueError(f"negative count for class {c}")
         if n > cols.size:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEAD_ATOM_TOL, Activation, NumericsWarning, Rng, as_matrix, lstsq, normalize_columns
+from .numerics import DEAD_ATOM_TOL, Activation, NumericsWarning, Rng, as_int, as_matrix, lstsq, normalize_columns
 from .sparse import pursuit
 
 __all__ = ["Architecture", "dict_learn", "layerwise_factorize", "compose_reconstruction"]
@@ -22,13 +22,14 @@ __all__ = ["Architecture", "dict_learn", "layerwise_factorize", "compose_reconst
 
 @dataclass(frozen=True)
 class Architecture:
-    """Per-layer atom counts plus the activation used between layers."""
+    """Per-layer atom counts plus the activation used between layers; an atom
+    count that is not a positive integer is a ValueError, never truncated."""
 
     atoms_per_layer: tuple[int, ...]
     activation: Activation = Activation.TANH
 
     def __post_init__(self):
-        atoms = tuple(int(a) for a in self.atoms_per_layer)
+        atoms = tuple(as_int(a, "atom count") for a in self.atoms_per_layer)
         object.__setattr__(self, "atoms_per_layer", atoms)
         if len(atoms) < 1:
             raise ValueError("architecture needs at least one layer")

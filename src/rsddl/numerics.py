@@ -130,7 +130,7 @@ def lstsq(target: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def pca_fit(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fit a d-component PCA to the columns of ``x``.
+    """Fit a d-component PCA to the columns of ``x``; ``x`` is never written.
 
     Returns ``(mean, basis)``: ``mean`` is the column mean (rows x 1) and
     ``basis`` has ``d`` orthonormal columns ordered by descending explained
@@ -147,11 +147,17 @@ def pca_fit(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     so its first nonzero entry is positive, making the fit reproducible.
     """
     x = as_matrix(x, "X")
-    if not 1 <= d <= min(x.shape):
-        raise ValueError(f"d must be in [1, min(rows, cols)] = [1, {min(x.shape)}], got {d}")
     mean = x.mean(axis=1, keepdims=True)
-    centered = x - mean
-    wide = x.shape[0] <= x.shape[1]
+    return mean, _pca_basis(x - mean, d)
+
+
+def _pca_basis(centered: np.ndarray, d: int) -> np.ndarray:
+    """:func:`pca_fit`'s basis of data already centered, which is read, never
+    written; ``extract_spatial_spectral`` passes its window matrix centered
+    in place, so no second copy of it is alive while ``eigh`` runs."""
+    if not 1 <= d <= min(centered.shape):
+        raise ValueError(f"d must be in [1, min(rows, cols)] = [1, {min(centered.shape)}], got {d}")
+    wide = centered.shape[0] <= centered.shape[1]
     eig, vecs = np.linalg.eigh(centered @ centered.T if wide else centered.T @ centered)
     eig, vecs = eig[:-d - 1:-1], vecs[:, :-d - 1:-1]  # top d, descending
     if eig[-1] > 1e-8 * eig[0]:
@@ -164,14 +170,14 @@ def pca_fit(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
                 f"requested {d} components but data rank is {rank}; "
                 "padding with orthonormal complement vectors",
                 NumericsWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         basis = u[:, :d].copy()
     for j in range(d):
         nz = np.nonzero(np.abs(basis[:, j]) > 1e-12)[0]
         if nz.size and basis[nz[0], j] < 0:
             basis[:, j] = -basis[:, j]
-    return mean, basis
+    return basis
 
 
 class Activation(Enum):

@@ -1,5 +1,9 @@
 import dataclasses
+import importlib.util
 import re
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +29,29 @@ from rsddl.dataio import (
 )
 from rsddl.greedy import Architecture
 from rsddl.joint import DropMode, Model, TrainConfig, joint_train
-from rsddl.numerics import Activation, NumericsWarning, Rng
+from rsddl.numerics import Activation, NumericsWarning, Rng, pca_fit
 
 from util import load_matrix_csv_reference, window_matrix_reference
+
+_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "data.py"
+_SPEC = importlib.util.spec_from_file_location("bench_data", _PATH)
+bench_data = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_data)
+
+
+def scene_map_cube(dtype=np.float64):
+    """The scene-map benchmark's cube for seed 0 (``benchmarks/data.py``);
+    as float64 it is what ``rsddl features`` loads from the cube file."""
+    values, gt = bench_data.scene_cube(0, height=20, width=20, bands=50, n_classes=16, labelled_fraction=0.7)
+    return HsiCube(values.astype(dtype), gt)
+
+
+def rank_two_cube():
+    """An 8x8x6 cube whose spectra span two directions, so a 4-component
+    PCA of its pixels falls below the Gram route's gate."""
+    rng = Rng(17)
+    values = (rng.standard_normal((64, 2)) @ rng.standard_normal((2, 6))).reshape(8, 8, 6)
+    return HsiCube(values, np.ones((8, 8), dtype=np.int64))
 
 
 class TestCsv:
@@ -296,6 +320,15 @@ class TestSplit:
         with pytest.raises(ValueError, match="class 2"):
             split_per_class(ds, {1: 2, 2: 7}, Rng(5))
 
+    def test_counts_are_integers(self):
+        # a count of 2.7 used to take 2 samples
+        ds = make_dataset(Rng(3).standard_normal((2, 6)), [1, 1, 1, 2, 2, 2])
+        with pytest.raises(ValueError, match="count for class 1 must be an integer, got 2.7"):
+            split_per_class(ds, {1: 2.7, 2: 1}, Rng(5))
+        train, _ = split_per_class(ds, {1: np.int64(2), 2: 1}, Rng(5))
+        want, _ = split_per_class(ds, {1: 2, 2: 1}, Rng(5))
+        assert np.array_equal(train.x, want.x)
+
 
 class TestCubeFormat:
     def _cube(self):
@@ -433,6 +466,60 @@ class TestExtract:
         ds_all, proj_all = extract_spatial_spectral(
             cube, window=window, d=5, train_mask=np.ones((7, 9), dtype=bool))
         assert np.array_equal(ds_all.x, ds.x) and np.array_equal(proj_all.basis, proj.basis)
+
+    @pytest.mark.parametrize("cube, window, d, masked, warns", [
+        (scene_map_cube(), 3, 30, False, False),
+        (scene_map_cube(np.float32), 3, 30, False, False),
+        (scene_map_cube(), 3, 30, True, False),
+        (scene_map_cube(), 1, 30, False, False),
+        (rank_two_cube(), 1, 4, False, True),
+    ], ids=["scene-map", "float32-values", "train-mask", "wide-gram", "rank-deficient"])
+    def test_features_are_pca_fit_then_projection(self, cube, window, d, masked, warns):
+        # the window matrix centered in place gives pca_fit's basis and the
+        # projection of raw - mean, bit for bit, and cube.values is not written
+        train_mask = None
+        if masked:  # the top half of the image
+            train_mask = np.zeros(cube.ground_truth.shape, dtype=bool)
+            train_mask[: cube.height // 2] = True
+        raw, labels = window_matrix_reference(cube, window)
+        raw = np.asfortranarray(raw)  # each pixel's window contiguous, as gathered; the mean's sums follow it
+        fit = raw[:, train_mask[cube.ground_truth > 0]] if masked else raw
+        values = cube.values.copy()
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            mean, basis = pca_fit(fit, min(d, *fit.shape))
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            ds, proj = extract_spatial_spectral(cube, window=window, d=d, train_mask=train_mask)
+        assert [(w.category, str(w.message)) for w in warned] == [
+            (w.category, str(w.message)) for w in want_warned
+        ]
+        assert len(warned) == warns
+        assert np.array_equal(proj.mean, mean) and np.array_equal(proj.basis, basis)
+        assert np.array_equal(ds.x, basis.T @ (raw - mean))
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(cube.values, values)
+
+    def test_one_window_matrix_alive_at_the_peak(self):
+        # the peak holds the window matrix and the Gram matrix's
+        # eigendecomposition, not a second, centered window matrix: 3.32 MiB
+        # when pca_fit centered a copy, 2.36 MiB centered in place (numpy 2.4)
+        cube = scene_map_cube()
+        pixels = np.count_nonzero(cube.ground_truth)
+        window_bytes, gram_bytes = 3 * 3 * cube.bands * pixels * 8, pixels * pixels * 8
+        extract_spatial_spectral(cube, window=3, d=30)  # numpy's lazy set-up, outside the measurement
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            extract_spatial_spectral(cube, window=3, d=30)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < window_bytes + 3 * gram_bytes
 
     def test_fractional_ground_truth_rejected(self):
         # a class id of 2.7 used to become class 2

@@ -41,6 +41,15 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             Architecture((4, 0))
 
+    def test_atom_counts_are_integers(self):
+        # a float count used to be truncated: (5.7, 3, 2) became (5, 3, 2)
+        for atoms in ((5.7, 3, 2), (5.0, 3, 2), ("5", 3, 2)):
+            with pytest.raises(ValueError, match="atom count must be an integer"):
+                Architecture(atoms)
+        arch = Architecture((np.int64(5), np.int32(3), 2))
+        assert arch.atoms_per_layer == (5, 3, 2)
+        assert all(type(a) is int for a in arch.atoms_per_layer)
+
     def test_properties(self):
         arch = Architecture((16, 8, 4))
         assert arch.depth == 3

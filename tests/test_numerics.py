@@ -203,6 +203,17 @@ class TestPcaFit:
         with pytest.raises(ValueError):
             pca_fit(np.eye(3), 4)
 
+    @pytest.mark.parametrize("shape, rank, d", [((60, 40), 40, 8), ((40, 60), 40, 8), ((6, 20), 2, 5)],
+                             ids=["tall", "wide", "rank-deficient"])
+    def test_input_is_not_written(self, shape, rank, d):
+        rng = Rng(5)
+        x = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1])) + 3.0
+        before = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericsWarning)
+            pca_fit(x, d)
+        assert np.array_equal(x, before)
+
 
 def decaying_spectrum(shape, d, last, seed):
     """A ``shape`` matrix around a random mean whose centered singular values
