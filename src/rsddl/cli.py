@@ -9,11 +9,11 @@ Commands accept an optional ``--config`` file of flat ``key=value`` lines
 flags override the file, the file overrides built-in defaults, a key the
 command does not take or a key given twice is a usage error, and the
 effective configuration is echoed to stderr and the run log for
-reproducibility.  A flag's value is text, read as its key's line would be.
-``rsddl features`` takes ``window`` and ``dims``.  ``rsddl train`` reads
-and echoes its keys through the tables of the model file's text,
-:data:`rsddl.dataio.SETTING_KEYS` (mode, arch, activation) and
-:data:`rsddl.dataio.CONFIG_KEYS` (the training keys).
+reproducibility.  Each key is a ``--key`` flag too, its text read as the
+key's line is: ``rsddl features`` takes ``window`` and ``dims``, and
+``rsddl train`` a row of :data:`rsddl.dataio.SETTING_KEYS` (mode, arch,
+activation) or :data:`rsddl.dataio.CONFIG_KEYS` (the training keys) each,
+the tables of the model file's text.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from .dataio import (
     CONFIG_KEYS,
+    SETTING_KEYS,
     DataFormatError,
     load_cube,
     load_labels,
@@ -43,7 +44,7 @@ from .dataio import (
     save_model,
 )
 from .greedy import compose_reconstruction, layerwise_factorize
-from .inference import format_prediction_lines, predict_batch
+from .inference import RULES, format_prediction_lines, predict_batch
 from .joint import MODES, Model, TrainConfig, TrainingDivergedError, joint_train
 from .metrics import confusion_matrix, format_report, mcnemar_z
 from .numerics import Activation, Rng, pinv
@@ -51,8 +52,9 @@ from .numerics import Activation, Rng, pinv
 __all__ = ["main", "entry"]
 
 
-# Defaults of the feature flags: those of extract_spatial_spectral.
-_FEATURE_DEFAULTS = inspect.signature(extract_spatial_spectral).parameters
+# rsddl features' keys and defaults: those of extract_spatial_spectral's window and d.
+_FEATURE_PARAMS = inspect.signature(extract_spatial_spectral).parameters
+_FEATURE_DEFAULTS = {"window": str(_FEATURE_PARAMS["window"].default), "dims": str(_FEATURE_PARAMS["d"].default)}
 
 # rsddl train's defaults of the SETTING_KEYS rows; its CONFIG_KEYS default to TrainConfig's.
 _TRAIN_DEFAULTS = {"mode": MODES[0], "arch": "100,50,25", "activation": Activation.TANH.value}
@@ -77,15 +79,22 @@ def _read_config_file(path) -> dict[str, str]:
         raise UsageError(str(exc)) from None
 
 
-def _key_text(args, defaults: dict[str, str], keys=()) -> dict[str, str]:
-    """The text of each key the command takes, those of ``defaults`` and
-    ``keys``: its flag if given, else its ``--config`` line, else its text in
-    ``defaults``; the file's other keys stay in, for the caller to reject as
-    unknown."""
+def _add_key_flags(parser, keys) -> None:
+    """A ``--key`` flag (``_`` written ``-``) for each of ``keys``, its text
+    read and checked as the key's ``--config`` line is, then ``--config``."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
+    parser.add_argument("--config", default=None, help="key=value config file")
+    parser.set_defaults(flag_keys=tuple(keys))
+
+
+def _key_text(args, defaults: dict[str, str]) -> dict[str, str]:
+    """The text of each key the command takes: its flag, else its ``--config``
+    line, else ``defaults``; the file's other keys stay in, to be rejected."""
     text = dict(defaults)
     if args.config:
         text.update(_read_config_file(args.config))
-    text.update((key, getattr(args, key)) for key in [*defaults, *keys] if getattr(args, key) is not None)
+    text.update((key, getattr(args, key)) for key in args.flag_keys if getattr(args, key) is not None)
     return text
 
 
@@ -99,44 +108,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat = sub.add_parser("features", help="extract spatial-spectral features from a cube")
     p_feat.add_argument("--cube", required=True, help="cube file (RSHSI1 format)")
     p_feat.add_argument("--labels", required=True, help="ground-truth raster (RSGT1 format)")
-    p_feat.add_argument("--window", default=None,
-                        help=f"spatial window size (default {_FEATURE_DEFAULTS['window'].default})")
-    p_feat.add_argument("--dims", default=None,
-                        help=f"PCA output dimension (default {_FEATURE_DEFAULTS['d'].default})")
     p_feat.add_argument("--out", required=True, help="output prefix (<out>.csv/.labels)")
-    p_feat.add_argument("--config", default=None, help="key=value config file")
+    _add_key_flags(p_feat, _FEATURE_DEFAULTS)
     p_feat.set_defaults(func=cmd_features)
 
     p_train = sub.add_parser("train", help="train a model on a feature CSV")
     p_train.add_argument("--data", required=True, help="feature CSV, one sample per row")
     p_train.add_argument("--labels", required=True, help="label list, one class id per line")
-    p_train.add_argument("--arch", default=None, help="atoms per layer, e.g. 100,50,25")
-    p_train.add_argument("--mode", choices=MODES, default=None)
-    p_train.add_argument("--activation", choices=["tanh", "identity"], default=None)
-    p_train.add_argument("--lambda-s", dest="lambda_s", default=None,
-                         help="nonzeros per coefficient column (default: 20%% of deepest layer)")
-    p_train.add_argument("--row-s", dest="row_s", default=None,
-                         help="nonzero rows per class block (default: 20%% of deepest layer)")
-    p_train.add_argument("--mu", default=None, help="support-diversity weight")
-    p_train.add_argument("--gamma", default=None, help="inner ADMM weight")
-    p_train.add_argument("--eta1", default=None)
-    p_train.add_argument("--eta2", default=None)
-    p_train.add_argument("--drop", choices=["none", "out", "connect"], default=None)
-    p_train.add_argument("--drop-rate", dest="drop_rate", default=None)
-    p_train.add_argument("--iters", default=None,
-                         help=f"outer iterations (default {TrainConfig.outer_iters})")
-    p_train.add_argument("--inner-iters", dest="inner_iters", default=None)
-    p_train.add_argument("--test-iters", dest="test_iters", default=None)
-    p_train.add_argument("--seed", default=None)
     p_train.add_argument("--out", required=True, help="model output path")
     p_train.add_argument("--log", default=None, help="run log path (default <out>.log)")
-    p_train.add_argument("--config", default=None, help="key=value config file")
+    _add_key_flags(p_train, [key for key, _, _ in SETTING_KEYS + CONFIG_KEYS])
     p_train.set_defaults(func=cmd_train)
 
     p_cls = sub.add_parser("classify", help="encode and classify a feature CSV")
     p_cls.add_argument("--model", required=True)
     p_cls.add_argument("--data", required=True, help="feature CSV, one sample per row")
-    p_cls.add_argument("--rule", choices=["l0", "l1"], default="l0")
+    p_cls.add_argument("--rule", choices=RULES, default=RULES[0])
     p_cls.add_argument("--out", required=True, help="prediction output path")
     p_cls.set_defaults(func=cmd_classify)
 
@@ -151,10 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_features(args) -> int:
-    defaults = {"window": str(_FEATURE_DEFAULTS["window"].default), "dims": str(_FEATURE_DEFAULTS["d"].default)}
-    text = _key_text(args, defaults)
+    text = _key_text(args, _FEATURE_DEFAULTS)
     try:
-        window, dims = (take_key(text, key, int) for key in defaults)
+        window, dims = (take_key(text, key, int) for key in _FEATURE_DEFAULTS)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if text:
@@ -166,7 +152,7 @@ def cmd_features(args) -> int:
     _info(f"config: window={window} dims={dims}")
 
     cube = load_cube(args.cube, args.labels)
-    dataset, _ = extract_spatial_spectral(cube, window=window, d=dims)
+    dataset = extract_spatial_spectral(cube, window=window, d=dims)
     save_matrix_csv(dataset.x, args.out + ".csv")
     save_labels(dataset.labels, args.out + ".labels")
     _info(
@@ -177,7 +163,7 @@ def cmd_features(args) -> int:
 
 
 def _effective_train_config(args):
-    text = _key_text(args, _TRAIN_DEFAULTS, [key for key, _, _ in CONFIG_KEYS])
+    text = _key_text(args, _TRAIN_DEFAULTS)
     try:
         return parse_settings(text, TrainConfig())
     except ValueError as exc:

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .greedy import Architecture
 from .joint import MODES, DropMode, Model, TrainConfig, resolve_budget
-from .numerics import Activation, Rng, _pca_basis, as_labels, as_int, as_matrix
+from .numerics import Activation, Rng, as_labels, as_int, as_matrix, pca_basis
 
 __all__ = [
     "CONFIG_KEYS",
@@ -45,7 +45,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "HsiCube",
-    "PcaProjection",
     "make_dataset",
     "load_matrix_csv",
     "save_matrix_csv",
@@ -278,23 +277,12 @@ def load_cube(cube_path, gt_path) -> HsiCube:
 # ---------------------------------------------------------------------------
 # Spatial-spectral feature extraction
 
-@dataclass
-class PcaProjection:
-    """PCA mean and basis that map raw window vectors to features."""
-
-    mean: np.ndarray
-    basis: np.ndarray
-
-    def project(self, raw: np.ndarray) -> np.ndarray:
-        return self.basis.T @ (raw - self.mean)
-
-
 def extract_spatial_spectral(
     cube: HsiCube,
     window: int = 4,
     d: int = 200,
     train_mask: np.ndarray | None = None,
-) -> tuple[Dataset, PcaProjection]:
+) -> Dataset:
     """Per labeled pixel: flatten the window x window x bands neighborhood and
     project it onto the top PCA directions.
 
@@ -336,13 +324,13 @@ def extract_spatial_spectral(
         raise ValueError("train_mask selects no labeled pixels")
     fit = raw if selected.all() else raw[:, selected]
 
-    # pca_fit's steps, with x - mean done in place: the same mean, subtraction and layout
-    mean = as_matrix(fit, "X").mean(axis=1, keepdims=True)
+    # the fit pixels' mean, subtracted in place from them and from every pixel
+    mean = fit.mean(axis=1, keepdims=True)
     fit -= mean
     if fit is not raw:
         raw -= mean
-    basis = _pca_basis(fit, min(d, raw.shape[0], fit.shape[1]))
-    return make_dataset(basis.T @ raw, labels), PcaProjection(mean=mean, basis=basis)
+    basis = pca_basis(fit, min(d, raw.shape[0], fit.shape[1]))
+    return make_dataset(basis.T @ raw, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +342,12 @@ def split_per_class(ds: Dataset, counts: dict[int, int], rng: Rng) -> tuple[Data
     ``counts[c]`` columns of class c go to the training set; everything else
     becomes test.  Classes absent from ``counts`` contribute no training
     samples.  Column order within each side follows the original dataset.
-    A count that is not an integer is a ValueError, never truncated.
+    A count that is not an integer, or a key that is not a class id
+    (1..C), is a ValueError, never truncated or ignored.
     """
+    unknown = [c for c in counts if c not in ds.class_index]
+    if unknown:
+        raise ValueError(f"counts for keys that are not class ids 1..{ds.num_classes}: {unknown}")
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for c in range(1, ds.num_classes + 1):

@@ -23,6 +23,7 @@ from .numerics import as_matrix, pinv
 from .sparse import pursuit_gram, unit_gram
 
 __all__ = [
+    "RULES",
     "EncodedFeature",
     "Prediction",
     "encode_test",
@@ -31,6 +32,9 @@ __all__ = [
     "predict_batch",
     "format_prediction_lines",
 ]
+
+# The classification rules, by name: predict_batch's and ``rsddl classify --rule``'s.
+RULES = ("l0", "l1")
 
 # Coordinates of two codes that differ by more than this count for l0.
 SUPPORT_TOL = 1e-8
@@ -198,8 +202,8 @@ def classify_l1(model: Model, f: EncodedFeature) -> Prediction | list[Prediction
 def predict_batch(model: Model, x: np.ndarray, rule: str = "l0") -> list[Prediction]:
     """Encode and classify every column of ``x`` in one batch."""
     x = as_matrix(x, "X")
-    if rule not in ("l0", "l1"):
-        raise ValueError(f"unknown rule {rule!r} (expected 'l0' or 'l1')")
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r} (expected {' or '.join(map(repr, RULES))})")
     feature = encode_test(model, x)
     classify = classify_l0 if rule == "l0" else classify_l1
     return classify(model, feature)

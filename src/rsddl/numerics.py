@@ -21,7 +21,7 @@ __all__ = [
     "normalize_columns",
     "pinv",
     "lstsq",
-    "pca_fit",
+    "pca_basis",
     "Activation",
     "Rng",
 ]
@@ -129,12 +129,12 @@ def lstsq(target: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return fit
 
 
-def pca_fit(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fit a d-component PCA to the columns of ``x``; ``x`` is never written.
-
-    Returns ``(mean, basis)``: ``mean`` is the column mean (rows x 1) and
-    ``basis`` has ``d`` orthonormal columns ordered by descending explained
-    variance.  Projection of a sample is ``basis.T @ (sample - mean)``.
+def pca_basis(centered: np.ndarray, d: int) -> np.ndarray:
+    """The d-component PCA basis of the columns of ``centered``, data less
+    its column mean, which is read, never written: ``d`` orthonormal columns
+    by descending explained variance; a sample projects to ``basis.T @
+    (sample - mean)``.  A caller may center in place, as
+    ``extract_spatial_spectral`` does, so no second copy is alive in ``eigh``.
 
     The basis is the top-d eigenvectors of the smaller Gram matrix of the
     centered data C: ``C C'`` when C is not taller than wide, else ``C' C``,
@@ -143,18 +143,11 @@ def pca_fit(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     where the d-th eigenvalue is not above 1e-8 of the largest (cond > 1e4),
     the basis is the left singular vectors of C's SVD, and if ``d`` exceeds
     C's rank the extra columns are orthonormal complement vectors (warned
-    through :class:`NumericsWarning`).  Each basis column is sign-normalized
+    through :class:`NumericsWarning`, which points at the line that called
+    ``extract_spatial_spectral``).  Each basis column is sign-normalized
     so its first nonzero entry is positive, making the fit reproducible.
     """
-    x = as_matrix(x, "X")
-    mean = x.mean(axis=1, keepdims=True)
-    return mean, _pca_basis(x - mean, d)
-
-
-def _pca_basis(centered: np.ndarray, d: int) -> np.ndarray:
-    """:func:`pca_fit`'s basis of data already centered, which is read, never
-    written; ``extract_spatial_spectral`` passes its window matrix centered
-    in place, so no second copy of it is alive while ``eigh`` runs."""
+    centered = as_matrix(centered, "X")
     if not 1 <= d <= min(centered.shape):
         raise ValueError(f"d must be in [1, min(rows, cols)] = [1, {min(centered.shape)}], got {d}")
     wide = centered.shape[0] <= centered.shape[1]

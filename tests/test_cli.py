@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from rsddl.cli import _effective_train_config, build_parser, main
-from rsddl.dataio import HsiCube, load_labels, load_matrix_csv, load_model, save_cube, save_labels, save_matrix_csv
+from rsddl.dataio import (
+    CONFIG_KEYS, SETTING_KEYS, HsiCube, load_labels, load_matrix_csv, load_model, save_cube, save_labels,
+    save_matrix_csv,
+)
 from rsddl.greedy import Architecture
 from rsddl.joint import TrainConfig, resolve_budget
 from rsddl.numerics import Rng
@@ -166,6 +169,20 @@ class TestTrain:
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not (tmp / "s.rsddl").exists()
 
+    @pytest.mark.parametrize("key, value", [("mode", "layerwise"), ("activation", "relu"),
+                                            ("drop", "sometimes"), ("iters", "2.5")])
+    def test_flag_and_config_line_give_one_usage_error(self, data_files, capsys, key, value):
+        tmp, _ = data_files
+        (tmp / "run.cfg").write_text(f"{key}={value}\n")
+        base = ["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
+                "--out", tmp / "k.rsddl"]
+        errors = []
+        for given in ([f"--{key}", value], ["--config", tmp / "run.cfg"]):
+            assert run(base + given) == 2
+            errors.append(capsys.readouterr().err)
+            assert not (tmp / "k.rsddl").exists()
+        assert errors[0] == errors[1] == f"usage error: config key {key}={value!r} is not valid\n"
+
     def test_no_lambda_weight(self, data_files, capsys):
         tmp, _ = data_files
         rc = run(["train", "--data", tmp / "data.csv", "--labels", tmp / "labels.txt", "--arch", "8,6,4",
@@ -219,6 +236,26 @@ class TestTrain:
              "--out", tmp_path / "m.rsddl"]
         )
         assert rc == 1
+
+
+class TestKeyFlags:
+    """A flag per key of a command's tables, none of them a fixed flag."""
+
+    FIXED = {"--data", "--labels", "--out", "--log", "--config", "--cube"}
+
+    @pytest.mark.parametrize("command, keys, fixed", [
+        ("train", [key for key, _, _ in SETTING_KEYS + CONFIG_KEYS],
+         ["--data", "d.csv", "--labels", "l.txt", "--out", "m"]),
+        ("features", ["window", "dims"], ["--cube", "c.hsi", "--labels", "c.gt", "--out", "f"]),
+    ], ids=["train", "features"])
+    def test_every_key_has_a_flag(self, command, keys, fixed):
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            assert flag not in self.FIXED
+            # any text is taken: the key's parse checks it, as for a config line
+            args = build_parser().parse_args([command, *fixed, flag, "any text"])
+            assert getattr(args, key) == "any text"
+            assert all(getattr(args, other) is None for other in keys if other != key)
 
 
 class TestClassify:

@@ -29,9 +29,9 @@ from rsddl.dataio import (
 )
 from rsddl.greedy import Architecture
 from rsddl.joint import DropMode, Model, TrainConfig, joint_train
-from rsddl.numerics import Activation, NumericsWarning, Rng, pca_fit
+from rsddl.numerics import Activation, NumericsWarning, Rng, pca_basis
 
-from util import load_matrix_csv_reference, window_matrix_reference
+from util import load_matrix_csv_reference, pca_fit_reference, window_matrix_reference
 
 _PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "data.py"
 _SPEC = importlib.util.spec_from_file_location("bench_data", _PATH)
@@ -52,6 +52,16 @@ def rank_two_cube():
     rng = Rng(17)
     values = (rng.standard_normal((64, 2)) @ rng.standard_normal((2, 6))).reshape(8, 8, 6)
     return HsiCube(values, np.ones((8, 8), dtype=np.int64))
+
+
+def pca_features(raw, d, fit=None):
+    """``basis.T @ (raw - mean)``, where ``mean`` and ``pca_basis`` come from
+    the ``fit`` columns of ``raw`` (all when None), with raw F-ordered as the
+    gather lays it out: the mean's sums follow the layout."""
+    raw = np.asfortranarray(raw)
+    cols = raw if fit is None else raw[:, fit]
+    mean = cols.mean(axis=1, keepdims=True)
+    return pca_basis(cols - mean, min(d, *cols.shape)).T @ (raw - mean)
 
 
 class TestCsv:
@@ -329,6 +339,12 @@ class TestSplit:
         want, _ = split_per_class(ds, {1: 2, 2: 1}, Rng(5))
         assert np.array_equal(train.x, want.x)
 
+    def test_counts_name_classes_of_the_dataset(self):
+        # 3 is no class of this 2-class set, and 0 is no class id at all
+        ds = make_dataset(Rng(3).standard_normal((2, 6)), [1, 1, 1, 2, 2, 2])
+        with pytest.raises(ValueError, match=re.escape("counts for keys that are not class ids 1..2: [3, 0]")):
+            split_per_class(ds, {1: 2, 3: 2, 0: 1}, Rng(5))
+
 
 class TestCubeFormat:
     def _cube(self):
@@ -379,42 +395,43 @@ class TestExtract:
         values = rng.standard_normal((4, 4, 5))
         gt = np.ones((4, 4), dtype=np.int64)
         cube = HsiCube(values=values, ground_truth=gt)
-        ds, proj = extract_spatial_spectral(cube, window=1, d=5)
-        assert proj.mean.shape == (5, 1)
-        # feature of pixel (0, 0) equals the projected band vector
+        ds = extract_spatial_spectral(cube, window=1, d=5)
+        assert ds.x.shape == (5, 16)
+        # feature of pixel (0, 0) equals the projected band vector, with the
+        # SVD fit of the pixels' band vectors
+        mean, basis = pca_fit_reference(values.reshape(16, 5).T, 5)
         raw = values[0, 0, :].reshape(-1, 1)
-        assert np.allclose(ds.x[:, 0], proj.project(raw).ravel())
+        assert np.allclose(ds.x[:, 0], (basis.T @ (raw - mean)).ravel())
 
     def test_constant_cube_identical_features(self):
         values = np.full((5, 5, 3), 2.0)
         gt = np.ones((5, 5), dtype=np.int64)
         with pytest.warns(Warning):
-            ds, _ = extract_spatial_spectral(HsiCube(values, gt), window=3, d=2)
+            ds = extract_spatial_spectral(HsiCube(values, gt), window=3, d=2)
         assert np.allclose(ds.x - ds.x[:, [0]], 0.0)
 
     def test_raw_window_length_and_anchor(self):
-        # 8x8x5 cube, window 4: raw feature length 4*4*5 = 80; interior pixel
-        # (3, 3) takes rows/cols 2..5 (target at position (2, 2), 1-indexed)
+        # 10x10x5 cube, window 4: raw feature length 4*4*5 = 80, so d=100 is
+        # clipped to 80; interior pixel (3, 3) takes rows/cols 2..5 (target at
+        # position (2, 2), 1-indexed)
         rng = Rng(9)
-        values = rng.standard_normal((8, 8, 5))
-        gt = np.zeros((8, 8), dtype=np.int64)
-        gt[3, 3] = 1
-        with pytest.warns(NumericsWarning, match="data rank is 0"):  # one labelled pixel
-            ds, proj = extract_spatial_spectral(HsiCube(values, gt), window=4, d=80)
-        assert proj.basis.shape[0] == 80  # raw dimension before projection
-        expected_raw = values[2:6, 2:6, :].reshape(-1, 1)
-        assert np.allclose(ds.x[:, 0], proj.project(expected_raw).ravel())
+        values = rng.standard_normal((10, 10, 5))
+        ds = extract_spatial_spectral(HsiCube(values, np.ones((10, 10), dtype=np.int64)), window=4, d=100)
+        assert ds.x.shape == (80, 100)  # raw dimension before projection
+        # 80 components of 100 pixels span every window: the projection keeps
+        # distances, here those of pixel (3, 3) to the interior pixel (6, 7)
+        want = np.linalg.norm(values[2:6, 2:6, :] - values[5:9, 6:10, :])
+        assert np.isclose(np.linalg.norm(ds.x[:, 33] - ds.x[:, 67]), want, rtol=1e-10)
 
     def test_border_mirror_padding(self):
         rng = Rng(10)
         values = rng.standard_normal((6, 6, 2))
-        gt = np.zeros((6, 6), dtype=np.int64)
-        gt[0, 0] = 1
-        with pytest.warns(NumericsWarning, match="data rank is 0"):  # one labelled pixel
-            ds, proj = extract_spatial_spectral(HsiCube(values, gt), window=4, d=4)
+        ds = extract_spatial_spectral(HsiCube(values, np.ones((6, 6), dtype=np.int64)), window=4, d=32)
+        # 32 components of 36 pixels span every window: the projection keeps
+        # distances, here those of the two corner pixels' padded windows
         padded = np.pad(values, ((1, 2), (1, 2), (0, 0)), mode="symmetric")
-        expected_raw = padded[0:4, 0:4, :].reshape(-1, 1)
-        assert np.allclose(ds.x[:, 0], proj.project(expected_raw).ravel())
+        want = np.linalg.norm(padded[0:4, 0:4, :] - padded[5:9, 5:9, :])
+        assert np.isclose(np.linalg.norm(ds.x[:, 0] - ds.x[:, 35]), want, rtol=1e-10)
 
     def test_pca_fit_on_train_pixels_only(self):
         rng = Rng(11)
@@ -424,12 +441,14 @@ class TestExtract:
         cube = HsiCube(values, gt)
         mask = np.zeros((6, 6), dtype=bool)
         mask[:2, :] = True
-        ds_masked, proj_masked = extract_spatial_spectral(cube, window=1, d=3, train_mask=mask)
-        _, proj_all = extract_spatial_spectral(cube, window=1, d=3)
-        assert not np.allclose(proj_masked.basis, proj_all.basis)
-        # features of non-mask pixels still use the mask statistics
+        ds_masked = extract_spatial_spectral(cube, window=1, d=3, train_mask=mask)
+        ds_all = extract_spatial_spectral(cube, window=1, d=3)
+        assert not np.allclose(np.abs(ds_masked.x), np.abs(ds_all.x))
+        # features of non-mask pixels still use the mask statistics: the SVD
+        # fit of the masked pixels' band vectors
+        mean, basis = pca_fit_reference(values[:2].reshape(12, 4).T, 3)
         raw = values[5, 5, :].reshape(-1, 1)
-        assert np.allclose(ds_masked.x[:, -1], proj_masked.project(raw).ravel())
+        assert np.allclose(ds_masked.x[:, -1], (basis.T @ (raw - mean)).ravel())
 
     @pytest.mark.parametrize("shape", [(2, 2), (6, 6)])
     def test_train_mask_shape_must_match_ground_truth(self, shape):
@@ -457,15 +476,14 @@ class TestExtract:
     def test_window_gather_matches_the_per_pixel_loop(self, window):
         cube = self.border_cube()
         raw, labels = window_matrix_reference(cube, window)
-        ds, proj = extract_spatial_spectral(cube, window=window, d=5)
-        assert np.array_equal(ds.x, proj.project(raw))
+        ds = extract_spatial_spectral(cube, window=window, d=5)
+        assert np.array_equal(ds.x, pca_features(raw, 5))
         assert np.array_equal(ds.labels, labels)
         rows, cols = np.divmod(np.flatnonzero(cube.ground_truth), cube.width)
         assert np.array_equal(ds.labels, cube.ground_truth[rows, cols])  # row-major order
         # an all-True mask fits the same pixels, on the same path
-        ds_all, proj_all = extract_spatial_spectral(
-            cube, window=window, d=5, train_mask=np.ones((7, 9), dtype=bool))
-        assert np.array_equal(ds_all.x, ds.x) and np.array_equal(proj_all.basis, proj.basis)
+        ds_all = extract_spatial_spectral(cube, window=window, d=5, train_mask=np.ones((7, 9), dtype=bool))
+        assert np.array_equal(ds_all.x, ds.x)
 
     @pytest.mark.parametrize("cube, window, d, masked, warns", [
         (scene_map_cube(), 3, 30, False, False),
@@ -475,35 +493,40 @@ class TestExtract:
         (rank_two_cube(), 1, 4, False, True),
     ], ids=["scene-map", "float32-values", "train-mask", "wide-gram", "rank-deficient"])
     def test_features_are_pca_fit_then_projection(self, cube, window, d, masked, warns):
-        # the window matrix centered in place gives pca_fit's basis and the
-        # projection of raw - mean, bit for bit, and cube.values is not written
+        # the window matrix centered in place gives the features of
+        # pca_basis(fit - mean) bit for bit, near those of the SVD fit, and
+        # cube.values is not written
         train_mask = None
         if masked:  # the top half of the image
             train_mask = np.zeros(cube.ground_truth.shape, dtype=bool)
             train_mask[: cube.height // 2] = True
         raw, labels = window_matrix_reference(cube, window)
-        raw = np.asfortranarray(raw)  # each pixel's window contiguous, as gathered; the mean's sums follow it
-        fit = raw[:, train_mask[cube.ground_truth > 0]] if masked else raw
+        fit = train_mask[cube.ground_truth > 0] if masked else None
         values = cube.values.copy()
         with warnings.catch_warnings(record=True) as want_warned:
             warnings.simplefilter("always")
-            mean, basis = pca_fit(fit, min(d, *fit.shape))
+            want = pca_features(raw, d, fit)
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
-            ds, proj = extract_spatial_spectral(cube, window=window, d=d, train_mask=train_mask)
+            ds = extract_spatial_spectral(cube, window=window, d=d, train_mask=train_mask)
         assert [(w.category, str(w.message)) for w in warned] == [
             (w.category, str(w.message)) for w in want_warned
         ]
         assert len(warned) == warns
-        assert np.array_equal(proj.mean, mean) and np.array_equal(proj.basis, basis)
-        assert np.array_equal(ds.x, basis.T @ (raw - mean))
+        assert np.array_equal(ds.x, want)
+        fit_raw = raw if fit is None else raw[:, fit]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericsWarning)
+            mean, basis = pca_fit_reference(fit_raw, min(d, *fit_raw.shape))
+        svd = basis.T @ (raw - mean)
+        assert np.allclose(ds.x, svd, rtol=0, atol=1e-9 * np.abs(svd).max())
         assert np.array_equal(ds.labels, labels)
         assert np.array_equal(cube.values, values)
 
     def test_one_window_matrix_alive_at_the_peak(self):
         # the peak holds the window matrix and the Gram matrix's
         # eigendecomposition, not a second, centered window matrix: 3.32 MiB
-        # when pca_fit centered a copy, 2.36 MiB centered in place (numpy 2.4)
+        # when the fit centered a copy, 2.36 MiB centered in place (numpy 2.4)
         cube = scene_map_cube()
         pixels = np.count_nonzero(cube.ground_truth)
         window_bytes, gram_bytes = 3 * 3 * cube.bands * pixels * 8, pixels * pixels * 8
@@ -531,8 +554,8 @@ class TestExtract:
 
     def test_whole_float_ground_truth(self):
         cube = self.border_cube()
-        ds, _ = extract_spatial_spectral(cube, window=3, d=4)
-        ds_float, _ = extract_spatial_spectral(
+        ds = extract_spatial_spectral(cube, window=3, d=4)
+        ds_float = extract_spatial_spectral(
             HsiCube(cube.values, cube.ground_truth.astype(np.float64)), window=3, d=4)
         assert ds_float.labels.dtype == np.int64
         assert np.array_equal(ds_float.labels, ds.labels) and np.array_equal(ds_float.x, ds.x)

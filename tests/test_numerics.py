@@ -10,12 +10,17 @@ from rsddl.numerics import (
     Rng,
     as_matrix,
     normalize_columns,
-    pca_fit,
+    pca_basis,
     lstsq,
     pinv,
 )
 
 from util import pca_fit_reference
+
+
+def centered(x):
+    """``x`` less its column mean: the data :func:`pca_basis` takes."""
+    return x - x.mean(axis=1, keepdims=True)
 
 
 class TestPinv:
@@ -145,37 +150,37 @@ class TestPcaFit:
     def test_identical_columns_project_to_zero(self):
         x = np.tile(np.array([[1.0], [2.0], [3.0]]), (1, 5))
         with pytest.warns(NumericsWarning):
-            mean, basis = pca_fit(x, 1)
-        assert np.allclose(basis.T @ (x - mean), 0.0)
+            basis = pca_basis(centered(x), 1)
+        assert np.allclose(basis.T @ centered(x), 0.0)
 
     def test_line_cloud_basis(self):
         # points on y = x: eigendecomposition of the covariance by hand gives
         # the direction (1, 1)/sqrt(2)
         x = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
-        _, basis = pca_fit(x, 1)
+        basis = pca_basis(centered(x), 1)
         assert np.allclose(np.abs(basis[:, 0]), 1.0 / np.sqrt(2.0), atol=1e-12)
         assert basis[0, 0] > 0  # sign convention
 
     def test_orthonormal_basis(self):
         rng = Rng(2)
         x = rng.standard_normal((6, 30))
-        _, basis = pca_fit(x, 4)
+        basis = pca_basis(centered(x), 4)
         assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-9)
 
     def test_full_rank_reconstruction(self):
         rng = Rng(3)
         x = rng.standard_normal((5, 40))
-        mean, basis = pca_fit(x, 5)
-        centered = x - mean
-        recon = basis @ (basis.T @ centered)
-        assert np.linalg.norm(recon - centered) / np.linalg.norm(centered) < 1e-8
+        c = centered(x)
+        basis = pca_basis(c, 5)
+        recon = basis @ (basis.T @ c)
+        assert np.linalg.norm(recon - c) / np.linalg.norm(c) < 1e-8
 
     def test_rank_deficient_pads_orthonormal(self):
         rng = Rng(4)
         base = rng.standard_normal((6, 2))
         x = base @ rng.standard_normal((2, 20))  # rank 2
         with pytest.warns(NumericsWarning):
-            _, basis = pca_fit(x, 5)
+            basis = pca_basis(centered(x), 5)
         assert np.allclose(basis.T @ basis, np.eye(5), atol=1e-9)
 
     @pytest.mark.parametrize("shape, rank, d", [((3, 5), 0, 1), ((6, 20), 2, 5), ((20, 9), 2, 4)],
@@ -189,29 +194,33 @@ class TestPcaFit:
             x = np.tile(np.array([[1.0], [2.0], [3.0]]), (1, shape[1]))
         with warnings.catch_warnings(record=True) as want_warned:
             warnings.simplefilter("always")
-            want = pca_fit_reference(x, d)
+            _, want = pca_fit_reference(x, d)
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
-            got = pca_fit(x, d)
+            got = pca_basis(centered(x), d)
         assert [(w.category, str(w.message)) for w in warned] == [
             (w.category, str(w.message)) for w in want_warned
         ]
         assert len(warned) == 1 and issubclass(warned[0].category, NumericsWarning)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(got, want)
 
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
-            pca_fit(np.eye(3), 4)
+            pca_basis(centered(np.eye(3)), 4)
+
+    def test_non_finite_input(self):
+        with pytest.raises(ValueError, match="X contains NaN or Inf entries"):
+            pca_basis(np.array([[np.nan, 1.0], [0.0, -1.0]]), 1)
 
     @pytest.mark.parametrize("shape, rank, d", [((60, 40), 40, 8), ((40, 60), 40, 8), ((6, 20), 2, 5)],
                              ids=["tall", "wide", "rank-deficient"])
     def test_input_is_not_written(self, shape, rank, d):
         rng = Rng(5)
-        x = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1])) + 3.0
+        x = centered(rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1])) + 3.0)
         before = x.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NumericsWarning)
-            pca_fit(x, d)
+            pca_basis(x, d)
         assert np.array_equal(x, before)
 
 
@@ -236,7 +245,7 @@ def svd_calls(monkeypatch):
 
 
 class TestPcaGramRoute:
-    """``pca_fit`` from the smaller Gram matrix against the SVD fit it
+    """``pca_basis`` from the smaller Gram matrix against the SVD fit it
     replaces (``util.pca_fit_reference``), on tall and wide data."""
 
     D = 8
@@ -249,12 +258,11 @@ class TestPcaGramRoute:
     def test_projections_match_the_svd_oracle(self, shape, last, tol, seed, svd_calls):
         x = decaying_spectrum(shape, self.D, last, seed)
         want_mean, want_basis = pca_fit_reference(x, self.D)
+        c = x - want_mean
         svd_calls.clear()
-        mean, basis = pca_fit(x, self.D)
+        basis = pca_basis(c, self.D)
         assert svd_calls == []  # the Gram route: no SVD
-        assert np.array_equal(mean, want_mean)
-        centered = x - mean
-        got, want = basis.T @ centered, want_basis.T @ centered
+        got, want = basis.T @ c, want_basis.T @ c
         rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert rel.max() <= tol
         # the sign convention: each column's first entry above 1e-12 is positive
@@ -267,18 +275,18 @@ class TestPcaGramRoute:
     @pytest.mark.parametrize("last", [8e-5, 1e-6])
     def test_below_the_gate_takes_the_svd_bit_for_bit(self, shape, last, svd_calls):
         x = decaying_spectrum(shape, self.D, last, 3)
-        mean, basis = pca_fit(x, self.D)
+        basis = pca_basis(centered(x), self.D)
         assert len(svd_calls) == 1
-        want_mean, want_basis = pca_fit_reference(x, self.D)
-        assert np.array_equal(mean, want_mean) and np.array_equal(basis, want_basis)
+        _, want_basis = pca_fit_reference(x, self.D)
+        assert np.array_equal(basis, want_basis)
 
     def test_the_gate_is_on_the_d_th_eigenvalue(self, svd_calls):
         # the same data fits its first components from the Gram matrix and
         # all of them, down past 1e-4 of the first singular value, by SVD
         x = decaying_spectrum((40, 60), self.D, 1e-5, 4)
-        pca_fit(x, 3)
+        pca_basis(centered(x), 3)
         assert svd_calls == []
-        pca_fit(x, self.D)
+        pca_basis(centered(x), self.D)
         assert len(svd_calls) == 1
 
 
