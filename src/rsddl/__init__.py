@@ -8,7 +8,6 @@ coordinates) or l1 distance.
 
 from .greedy import Architecture, dict_learn
 from .inference import (
-    EncodedFeature,
     Prediction,
     classify_l0,
     classify_l1,
@@ -45,7 +44,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "DropMode",
-    "EncodedFeature",
     "FitReport",
     "HsiCube",
     "Model",

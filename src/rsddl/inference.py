@@ -1,13 +1,14 @@
 """Test-time sparse encoding and support-based classification.
 
-A batch of samples (one sample is a batch of one) is encoded as the model's
-mode says.  A joint model uses the split scheme of its training: OMP on the
-deepest layer, closed-form least squares on the two proxy layers, and the
-printed relaxation updates, iterated ``test_iters`` times.  A greedy model
-uses the layer-wise chain of its training: pseudo-inverses through the upper
-layers, then OMP on the deepest.  Classification is nearest-training-sample with either
-the count of differing coordinates (l0) or the sum of absolute differences
-(l1) as the distance.
+A sample is a column, and one sample is a one-column matrix: ``encode_test``
+encodes a (dim x n) matrix as the model's mode says and returns its (deepest
+atoms x n) code matrix.  A joint model uses the split scheme of its training:
+OMP on the deepest layer, closed-form least squares on the two proxy layers,
+and the printed relaxation updates, iterated ``test_iters`` times.  A greedy
+model uses the layer-wise chain of its training: pseudo-inverses through the
+upper layers, then OMP on the deepest.  ``classify_l0``/``classify_l1`` return
+one prediction per code column: the nearest training sample by the count of
+differing coordinates (l0) or the sum of absolute differences (l1).
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import compose_reconstruction
 from .joint import Model, p4_lhs, p5_lhs
 from .numerics import as_matrix, pinv
 from .sparse import pursuit_gram, unit_gram
 
 __all__ = [
     "RULES",
-    "EncodedFeature",
     "Prediction",
     "encode_test",
     "classify_l0",
@@ -42,15 +41,6 @@ SUPPORT_TOL = 1e-8
 # At most this many (test column, atom, training) differences per distance pass, or one
 # column: a block of 2^15 doubles stays in cache, and blocks of 2^17 and up measured slower.
 _DISTANCE_CHUNK = 1 << 15
-
-
-@dataclass
-class EncodedFeature:
-    """Deepest-layer code and composed reconstruction residual: a vector and
-    a float for one sample, one column each for a batch."""
-
-    z: np.ndarray
-    reconstruction_residual: float | np.ndarray
 
 
 @dataclass
@@ -103,22 +93,15 @@ def _index(model: Model) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(model.features[:, order]), starts
 
 
-def encode_test(model: Model, x: np.ndarray) -> EncodedFeature:
-    """Encode one sample (a vector) or a batch (samples as columns) as the
-    model's mode says; every column is encoded independently of the others."""
-    dicts = model.dictionaries
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x = as_matrix(x.reshape(-1, 1) if single else x, "X")
-    if x.shape[0] != dicts[0].shape[0]:
-        raise ValueError(f"data dimension {x.shape[0]} does not match model input dimension {dicts[0].shape[0]}")
-    s = model.config.per_column_s
-    z = (_encode_greedy if model.mode == "greedy" else _encode_joint)(model, x, s)
-    act = model.architecture.activation
-    residual = np.linalg.norm(x - compose_reconstruction(dicts, z, act), axis=0)
-    if single:
-        return EncodedFeature(z=z[:, 0], reconstruction_residual=float(residual[0]))
-    return EncodedFeature(z=z, reconstruction_residual=residual)
+def encode_test(model: Model, x: np.ndarray) -> np.ndarray:
+    """The (deepest atoms x n) code matrix of the columns of ``x`` (dim x n,
+    one sample per column), encoded as the model's mode says; every column is
+    encoded independently of the others."""
+    x = as_matrix(x, "X")
+    dim = model.dictionaries[0].shape[0]
+    if x.shape[0] != dim:
+        raise ValueError(f"data dimension {x.shape[0]} does not match model input dimension {dim}")
+    return (_encode_greedy if model.mode == "greedy" else _encode_joint)(model, x, model.config.per_column_s)
 
 
 def _encode_greedy(model: Model, x: np.ndarray, s: int) -> np.ndarray:
@@ -164,10 +147,13 @@ def _encode_joint(model: Model, x: np.ndarray, s: int) -> np.ndarray:
     return z
 
 
-def _classify(model: Model, f: EncodedFeature, rule: str) -> Prediction | list[Prediction]:
+def _classify(model: Model, z: np.ndarray, rule: str) -> list[Prediction]:
+    """One ``rule`` prediction per column of the code matrix ``z``, one row per deepest atom."""
+    z = as_matrix(z, "Z")
     features, starts = _index(model)
-    z = f.z.reshape(f.z.shape[0], -1)
-    n_atoms, n_train = features.shape
+    n_atoms, n_train = features.shape  # the stored codes: deepest atoms x training samples
+    if z.shape[0] != n_atoms:
+        raise ValueError(f"Z has {z.shape[0]} rows, but the model's deepest layer has {n_atoms} atoms")
     chunk = max(1, _DISTANCE_CHUNK // (n_atoms * n_train))
     scores = np.empty((z.shape[1], starts.size))
     for lo in range(0, z.shape[1], chunk):
@@ -180,33 +166,29 @@ def _classify(model: Model, f: EncodedFeature, rule: str) -> Prediction | list[P
     winner = np.argmin(scores, axis=1)  # first minimum: smallest class id wins ties
     distances = scores[np.arange(winner.size), winner].tolist()
     classes = range(1, starts.size + 1)
-    preds = [
+    return [
         Prediction(label=int(w) + 1, per_class_score=list(zip(classes, row)), rule=rule, distance=dist)
         for w, row, dist in zip(winner, scores.tolist(), distances)
     ]
-    return preds[0] if f.z.ndim == 1 else preds
 
 
-def classify_l0(model: Model, f: EncodedFeature) -> Prediction | list[Prediction]:
-    """Nearest training feature by count of differing coordinates
-    (|z_test - z_train| above :data:`SUPPORT_TOL`); a list for a batch."""
-    return _classify(model, f, "l0")
+def classify_l0(model: Model, z: np.ndarray) -> list[Prediction]:
+    """For each column of the code matrix ``z``, the nearest training feature
+    by count of differing coordinates (|z_test - z_train| above :data:`SUPPORT_TOL`)."""
+    return _classify(model, z, "l0")
 
 
-def classify_l1(model: Model, f: EncodedFeature) -> Prediction | list[Prediction]:
-    """Nearest training feature by sum of absolute coordinate differences;
-    a list for a batch."""
-    return _classify(model, f, "l1")
+def classify_l1(model: Model, z: np.ndarray) -> list[Prediction]:
+    """For each column of the code matrix ``z``, the nearest training feature
+    by sum of absolute coordinate differences."""
+    return _classify(model, z, "l1")
 
 
 def predict_batch(model: Model, x: np.ndarray, rule: str = "l0") -> list[Prediction]:
     """Encode and classify every column of ``x`` in one batch."""
-    x = as_matrix(x, "X")
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r} (expected {' or '.join(map(repr, RULES))})")
-    feature = encode_test(model, x)
-    classify = classify_l0 if rule == "l0" else classify_l1
-    return classify(model, feature)
+    return (classify_l0 if rule == "l0" else classify_l1)(model, encode_test(model, x))
 
 
 def format_prediction_lines(predictions: list[Prediction]) -> str:

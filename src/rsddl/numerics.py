@@ -144,8 +144,8 @@ def pca_basis(centered: np.ndarray, d: int) -> np.ndarray:
     the basis is the left singular vectors of C's SVD, and if ``d`` exceeds
     C's rank the extra columns are orthonormal complement vectors (warned
     through :class:`NumericsWarning`, which points at the line that called
-    ``extract_spatial_spectral``).  Each basis column is sign-normalized
-    so its first nonzero entry is positive, making the fit reproducible.
+    ``pca_basis``).  Each basis column is sign-normalized so its first
+    nonzero entry is positive, making the fit reproducible.
     """
     centered = as_matrix(centered, "X")
     if not 1 <= d <= min(centered.shape):
@@ -163,7 +163,7 @@ def pca_basis(centered: np.ndarray, d: int) -> np.ndarray:
                 f"requested {d} components but data rank is {rank}; "
                 "padding with orthonormal complement vectors",
                 NumericsWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         basis = u[:, :d].copy()
     for j in range(d):

@@ -1,6 +1,6 @@
 """Guards for the documentation and the public names: the README's CLI
-walkthrough runs as written and prints the scores it documents, and every
-exported name resolves."""
+walkthrough runs as written and prints the scores it documents, its library
+example runs as written, and every exported name resolves."""
 
 import contextlib
 import importlib
@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from rsddl.cli import main
+from rsddl.inference import predict_batch
+from util import two_class_mixture_data
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = [
@@ -55,6 +57,19 @@ def test_readme_walkthrough_prints_documented_scores(tmp_path, monkeypatch):
     report = out.getvalue().split("\n")
     assert report[0] == f"OA {documented.group(1)}" == "OA 0.9583"
     assert report[2] == f"Kappa {documented.group(2)}" == "Kappa 0.9375"
+
+
+def test_readme_library_use_runs_as_written():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    train, x_test, _ = two_class_mixture_data(dim=12, n_train=20, n_test=4)
+    names = {"features": train.x, "labels": train.labels, "x_new": x_test[:, [0]], "x_batch": x_test}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), names)
+    assert names["codes"].shape == (4, 1)
+    assert len(names["preds"]) == x_test.shape[1]
+    assert out.getvalue() == f"{predict_batch(names['model'], x_test[:, [0]])[0].label}\n"
 
 
 @pytest.mark.parametrize("module", ["rsddl"] + MODULES)

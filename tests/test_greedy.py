@@ -200,7 +200,7 @@ class TestGreedyEncode:
     def test_single_layer_identity(self):
         model, _ = greedy_model(np.eye(3), Architecture((3,)), 1, 5, Rng(0))
         model = dataclasses.replace(model, dictionaries=[np.eye(3)])
-        assert np.allclose(encode_test(model, [0.0, 2.0, 0.0]).z, [0.0, 2.0, 0.0])
+        assert np.allclose(encode_test(model, [[0.0], [2.0], [0.0]]), [[0.0], [2.0], [0.0]])
 
     def _trained(self, atoms=(8, 6, 4)):
         rng = Rng(9)
@@ -219,7 +219,7 @@ class TestGreedyEncode:
         labels = {rule: [p.label for p in predict_batch(model, x, rule=rule)] for rule in ("l0", "l1")}
         for j in range(x.shape[1]):
             z_ref = greedy_encode(model, x[:, j], s)
-            for z in (batch.z[:, j], encode_test(model, x[:, j]).z):
+            for z in (batch[:, j], encode_test(model, x[:, [j]])[:, 0]):
                 assert np.array_equal(z != 0.0, z_ref != 0.0)
                 assert np.max(np.abs(z - z_ref)) <= 1e-9
             for rule, got in labels.items():
@@ -242,9 +242,8 @@ class TestGreedyEncode:
         x, arch, model, z = self._trained()
         recon = compose_reconstruction(model.dictionaries, z, arch.activation)
         train_res = np.linalg.norm(x - recon, axis=0)
-        encoded = encode_test(model, x)
-        r = np.linalg.norm(x - compose_reconstruction(model.dictionaries, encoded.z, arch.activation), axis=0)
-        assert np.allclose(encoded.reconstruction_residual, r, rtol=0.0, atol=1e-12)
+        test_recon = compose_reconstruction(model.dictionaries, encode_test(model, x), arch.activation)
+        r = np.linalg.norm(x - test_recon, axis=0)
         assert np.all(r <= 2.0 * np.maximum(train_res, 1e-12))
 
     def test_full_budget_never_worse(self):
@@ -257,7 +256,7 @@ class TestGreedyEncode:
 
         def deep_residual(s):
             at_s = dataclasses.replace(model, config=TrainConfig(per_column_s=s, row_s=s, seed=0))
-            return np.linalg.norm(target - d3 @ encode_test(at_s, x[:, 0:30:7]).z, axis=0)
+            return np.linalg.norm(target - d3 @ encode_test(at_s, x[:, 0:30:7]), axis=0)
 
         full = deep_residual(4)
         for s in (1, 2, 3):
@@ -266,4 +265,4 @@ class TestGreedyEncode:
     def test_dimension_mismatch(self):
         model, _ = greedy_model(np.eye(3), Architecture((3,)), 1, 3, Rng(0))
         with pytest.raises(ValueError):
-            encode_test(model, [1.0, 2.0])
+            encode_test(model, [[1.0], [2.0]])

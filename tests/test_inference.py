@@ -7,7 +7,6 @@ import pytest
 
 from rsddl.greedy import Architecture, compose_reconstruction
 from rsddl.inference import (
-    EncodedFeature,
     _encoder,
     classify_l0,
     classify_l1,
@@ -71,6 +70,23 @@ class TestClassSupport:
         assert class_support(np.zeros((4, 3))).tolist() == [0, 0, 0, 0]
 
 
+class TestClassifyShape:
+    """A code matrix has one row per deepest atom; anything else is refused
+    before a distance is taken."""
+
+    @pytest.mark.parametrize("classify", [classify_l0, classify_l1])
+    def test_a_vector_is_refused(self, classify):
+        with pytest.raises(ValueError, match="Z must be 2-D"):
+            classify(toy_model(), CLASS1[:, 0])
+
+    @pytest.mark.parametrize("classify", [classify_l0, classify_l1])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_a_wrong_row_count_is_refused(self, classify, rows):
+        # one row would broadcast against every atom
+        with pytest.raises(ValueError, match=f"Z has {rows} rows, but the model's deepest layer has 6 atoms"):
+            classify(toy_model(), np.full((rows, 2), 0.5))
+
+
 class TestClassifyL0:
     def test_hand_counted_distances(self):
         model = toy_model()
@@ -81,7 +97,7 @@ class TestClassifyL0:
         # vs class-2 sample (1.1,0,0,0.1,0,0.2): 5 coordinates differ
         diffs2 = np.count_nonzero(np.abs(test_z - CLASS2[:, 0]) > 1e-8)
         assert diffs2 == 5
-        pred = classify_l0(model, EncodedFeature(test_z, 0.0))
+        (pred,) = classify_l0(model, test_z[:, None])
         assert pred.label == 1
         scores = dict(pred.per_class_score)
         assert scores[1] == 1.0  # nearest class-1 sample (0,0,0.4,0,0.2,0) differs on one row
@@ -89,8 +105,7 @@ class TestClassifyL0:
 
     def test_exact_training_feature_distance_zero(self):
         model = toy_model()
-        z = CLASS2[:, 1].copy()
-        pred = classify_l0(model, EncodedFeature(z, 0.0))
+        (pred,) = classify_l0(model, CLASS2[:, [1]])
         assert pred.label == 2
         assert pred.distance == 0.0
 
@@ -98,8 +113,8 @@ class TestClassifyL0:
         features = np.array([[1.0, 0.0], [0.0, 1.0]])
         arch = Architecture((2, 2, 2), activation=Activation.IDENTITY)
         model = Model([np.eye(2)] * 3, arch, features, [1, 2], TrainConfig(seed=0))
-        z = np.array([2.0, 2.0])  # distance 2 to both stored features
-        pred = classify_l0(model, EncodedFeature(z, 0.0))
+        z = np.array([[2.0], [2.0]])  # distance 2 to both stored features
+        (pred,) = classify_l0(model, z)
         assert pred.label == 1
 
     def test_equals_support_hamming_for_disjoint_supports(self):
@@ -136,48 +151,53 @@ class TestClassifyL1:
         test_z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
         assert np.isclose(np.sum(np.abs(test_z - CLASS1[:, 0])), 0.3)
         assert np.isclose(np.sum(np.abs(test_z - CLASS2[:, 0])), 1.9)
-        pred = classify_l1(model, EncodedFeature(test_z, 0.0))
+        (pred,) = classify_l1(model, test_z[:, None])
         assert pred.label == 1
 
     def test_identical_zero_distance(self):
         model = toy_model()
-        z = CLASS1[:, 2].copy()
-        pred = classify_l1(model, EncodedFeature(z, 0.0))
+        (pred,) = classify_l1(model, CLASS1[:, [2]])
         assert pred.distance == 0.0
 
     def test_scaling_invariance_of_argmin(self):
         model = toy_model()
-        z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
-        pred = classify_l1(model, EncodedFeature(z, 0.0))
+        z = np.array([[0.0, 0.0, 0.4, 0.0, 0.1, 0.0]]).T
+        (pred,) = classify_l1(model, z)
         scaled = dataclasses.replace(model, features=model.features * 3.0)
-        pred_scaled = classify_l1(scaled, EncodedFeature(z * 3.0, 0.0))
+        (pred_scaled,) = classify_l1(scaled, z * 3.0)
         assert pred.label == pred_scaled.label
 
     def test_permutation_equivariance(self):
         model = toy_model()
-        z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
-        base = classify_l1(model, EncodedFeature(z, 0.0))
+        z = np.array([[0.0, 0.0, 0.4, 0.0, 0.1, 0.0]]).T
+        (base,) = classify_l1(model, z)
         perm = Rng(5).permutation(7)
         shuffled = dataclasses.replace(model, features=model.features[:, perm], labels=model.labels[perm])
-        pred = classify_l1(shuffled, EncodedFeature(z, 0.0))
+        (pred,) = classify_l1(shuffled, z)
         assert pred.label == base.label
         assert pred.per_class_score == base.per_class_score
+
+
+def encoded_residual(model, x):
+    """Each column's reconstruction residual ``||x - D1 phi(D2 phi(D3 z))||`` at
+    its test code ``z``."""
+    z = encode_test(model, x)
+    return np.linalg.norm(x - compose_reconstruction(model.dictionaries, z, model.architecture.activation), axis=0)
 
 
 class TestEncodeTest:
     def test_deterministic(self, deep_factor_model):
         data, model = deep_factor_model
-        a = encode_test(model, data.x[:, 0])
-        b = encode_test(model, data.x[:, 0])
-        assert np.array_equal(a.z, b.z)
-        assert a.reconstruction_residual == b.reconstruction_residual
+        a = encode_test(model, data.x[:, [0]])
+        b = encode_test(model, data.x[:, [0]])
+        assert np.array_equal(a, b)
 
     def test_support_size_within_budget(self, deep_factor_model):
         data, model = deep_factor_model
         budget = resolve_budget(model.config, model.architecture)
         for j in range(0, data.n_samples, 5):
-            f = encode_test(model, data.x[:, j])
-            assert int(np.sum(np.abs(f.z) > 1e-8)) <= budget.per_column_s
+            z = encode_test(model, data.x[:, [j]])
+            assert int(np.sum(np.abs(z) > 1e-8)) <= budget.per_column_s
 
     def test_training_columns_within_twice_training_residual(self, mixture_bundle):
         from rsddl.joint import DropMode
@@ -187,8 +207,8 @@ class TestEncodeTest:
         recon = compose_reconstruction(model.dictionaries, model.features, model.architecture.activation)
         col_res = np.linalg.norm(train.x - recon, axis=0)
         for j in range(0, train.n_samples, 4):
-            f = encode_test(model, train.x[:, j])
-            assert f.reconstruction_residual <= 2.0 * max(col_res[j], 1e-12)
+            x = train.x[:, [j]]
+            assert encoded_residual(model, x)[0] <= 2.0 * max(col_res[j], 1e-12)
 
     def test_training_columns_typical_ratio_tanh_model(self, deep_factor_model):
         # relaxations restart at ones for test encoding, so individual tanh
@@ -198,8 +218,7 @@ class TestEncodeTest:
         col_res = np.linalg.norm(data.x - recon, axis=0)
         ratios = []
         for j in range(data.n_samples):
-            f = encode_test(model, data.x[:, j])
-            ratios.append(f.reconstruction_residual / max(col_res[j], 1e-12))
+            ratios.append(encoded_residual(model, data.x[:, [j]])[0] / max(col_res[j], 1e-12))
         assert np.median(ratios) <= 2.0
         assert np.mean(np.asarray(ratios) <= 2.0) >= 0.8
 
@@ -225,8 +244,13 @@ class TestEncodeTest:
 
     def test_dimension_mismatch(self, deep_factor_model):
         _, model = deep_factor_model
-        with pytest.raises(ValueError):
-            encode_test(model, np.ones(3))
+        with pytest.raises(ValueError, match="data dimension 3 does not match"):
+            encode_test(model, np.ones((3, 1)))
+
+    def test_a_vector_is_refused(self, deep_factor_model):
+        data, model = deep_factor_model
+        with pytest.raises(ValueError, match="must be 2-D"):
+            encode_test(model, data.x[:, 0])
 
     def test_requires_three_layers(self):
         arch = Architecture((2, 2), activation=Activation.IDENTITY)
@@ -300,7 +324,7 @@ class TestRequestPath:
         self._count(monkeypatch, counts, np.linalg, "solve")
         for j in range(x_test.shape[1]):
             counts.clear()
-            encode_test(model, x_test[:, j])
+            encode_test(model, x_test[:, [j]])
             assert counts == {"pursuit_gram": model.config.test_iters, "solve": model.config.test_iters}
 
     def test_predict_batch_calls_the_encoder_and_classifiers_by_module_name(self, served, monkeypatch):
@@ -341,13 +365,12 @@ class TestBatchedEncoder:
         batch = encode_test(model, x)
         preds = {rule: predict_batch(model, x, rule=rule) for rule in ("l0", "l1")}
         for j in range(x.shape[1]):
-            z_ref, res_ref = encode_reference(model, x[:, j])
-            z = batch.z[:, j]
+            z_ref = encode_reference(model, x[:, j])
+            z = batch[:, j]
             assert np.array_equal(np.abs(z) > 1e-8, np.abs(z_ref) > 1e-8)
             assert np.max(np.abs(z - z_ref)) <= 1e-9
-            assert abs(batch.reconstruction_residual[j] - res_ref) <= 1e-9
-            single = encode_test(model, x[:, j])
-            assert np.max(np.abs(single.z - z)) <= 1e-9
+            single = encode_test(model, x[:, [j]])[:, 0]
+            assert np.max(np.abs(single - z)) <= 1e-9
             for rule, pred in preds.items():
                 ref = class_distances_reference(model, z, rule)
                 best = min(score for _, score in ref)
@@ -370,9 +393,9 @@ class TestBatchedEncoder:
             batch = encode_test(model, x)
             labels = {rule: [p.label for p in predict_batch(model, x, rule=rule)] for rule in ("l0", "l1")}
             for j in range(x.shape[1]):
-                single = encode_test(model, x[:, j])
-                assert np.array_equal(single.z != 0.0, batch.z[:, j] != 0.0)
-                assert np.max(np.abs(single.z - batch.z[:, j])) <= 1e-12
+                single = encode_test(model, x[:, [j]])[:, 0]
+                assert np.array_equal(single != 0.0, batch[:, j] != 0.0)
+                assert np.max(np.abs(single - batch[:, j])) <= 1e-12
                 for rule, batch_labels in labels.items():
                     assert predict_batch(model, x[:, [j]], rule=rule)[0].label == batch_labels[j]
 
@@ -395,8 +418,7 @@ class TestDistancePass:
         classes = range(1, model.num_classes + 1)
         for rule, classify in (("l0", classify_l0), ("l1", classify_l1)):
             want = class_scores_reference(model, z, rule)
-            preds = classify(model, EncodedFeature(z=z, reconstruction_residual=0.0))
-            preds = preds if isinstance(preds, list) else [preds]
+            preds = classify(model, z)
             assert [p.per_class_score for p in preds] == [list(zip(classes, row)) for row in want.tolist()]
             assert np.array_equal([p.distance for p in preds], want.min(axis=1))
             assert [p.label for p in preds] == (want.argmin(axis=1) + 1).tolist()
@@ -418,7 +440,7 @@ class TestDistancePass:
         z[rng.random((21, 40)) < 0.5] = 0.0
         self._check(model, z)
         for j in range(z.shape[1]):  # pairwise and atom-by-atom sums differ on about half of them
-            self._check(model, z[:, j])
+            self._check(model, z[:, [j]])
 
     def test_batch_over_several_chunks(self, monkeypatch):
         rng = Rng(6)
@@ -428,7 +450,7 @@ class TestDistancePass:
         z[:, :8] = model.features[:, ::50]  # distance 0 to a stored code
         monkeypatch.setattr(rsddl.inference, "_DISTANCE_CHUNK", 3 * model.features.size)
         self._check(model, z)  # 17 chunks of at most 3 columns
-        self._check(model, z[:, 9])
+        self._check(model, z[:, [9]])
 
 
 class TestModelCache:
@@ -445,27 +467,27 @@ class TestModelCache:
 
     def test_replaced_arrays_are_seen(self):
         model = toy_model()
-        z = np.array([0.0, 0.0, 0.4, 0.0, 0.1, 0.0])
+        z = np.array([[0.0, 0.0, 0.4, 0.0, 0.1, 0.0]]).T
         x = z.copy()  # identity dictionaries
-        before = classify_l1(model, EncodedFeature(z, 0.0))
+        before = classify_l1(model, z)
         encoded = encode_test(model, x)
         swapped = dataclasses.replace(model, features=np.hstack([CLASS2, CLASS1]), labels=[1, 1, 1, 1, 2, 2, 2])
-        after = classify_l1(swapped, EncodedFeature(z, 0.0))
-        assert before.label == 1 and after.label == 2
+        after = classify_l1(swapped, z)
+        assert before[0].label == 1 and after[0].label == 2
         scaled = dataclasses.replace(model, dictionaries=[2.0 * np.eye(6), np.eye(6), np.eye(6)])
-        assert not np.allclose(encode_test(scaled, x).z, encoded.z)
-        assert classify_l1(model, EncodedFeature(z, 0.0)) == before
-        assert np.array_equal(encode_test(model, x).z, encoded.z)
+        assert not np.allclose(encode_test(scaled, x), encoded)
+        assert classify_l1(model, z) == before
+        assert np.array_equal(encode_test(model, x), encoded)
 
     def test_config_change_is_seen(self, deep_factor_model):
         data, model = deep_factor_model
         base = encode_test(model, data.x[:, :3])
         other = TrainConfig(seed=7, eta1=5.0, eta2=0.2)
         changed = encode_test(dataclasses.replace(model, config=other), data.x[:, :3])
-        assert not np.allclose(base.z, changed.z)
+        assert not np.allclose(base, changed)
         fresh = Model(model.dictionaries, model.architecture, model.features, model.labels, other)
-        assert np.array_equal(changed.z, encode_test(fresh, data.x[:, :3]).z)
-        assert np.array_equal(base.z, encode_test(model, data.x[:, :3]).z)
+        assert np.array_equal(changed, encode_test(fresh, data.x[:, :3]))
+        assert np.array_equal(base, encode_test(model, data.x[:, :3]))
 
     def test_replaced_model_gets_own_factors(self):
         base = TrainConfig(seed=0)

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -203,6 +204,18 @@ class TestPcaFit:
         ]
         assert len(warned) == 1 and issubclass(warned[0].category, NumericsWarning)
         assert np.array_equal(got, want)
+
+    def test_rank_deficient_warning_points_at_the_calling_line(self):
+        def direct():
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                line = inspect.currentframe().f_lineno + 1
+                pca_basis(centered(np.eye(3)), 3)  # rank 2
+            return warned, line
+
+        warned, line = direct()
+        assert len(warned) == 1 and issubclass(warned[0].category, NumericsWarning)
+        assert (warned[0].filename, warned[0].lineno) == (__file__, line)
 
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):

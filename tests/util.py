@@ -529,7 +529,7 @@ def objective_value_reference(x, dicts, z, class_cols, mu, act):
 
 def encode_reference(model, x):
     """Test encoding of one sample as it was first written: per-sample
-    pseudo-inverses and the column-loop OMP.  Returns (z, residual)."""
+    pseudo-inverses and the column-loop OMP.  Returns the code vector z."""
     cfg = model.config
     d1, d2, d3 = model.dictionaries
     act = model.architecture.activation
@@ -545,8 +545,7 @@ def encode_reference(model, x):
         z2 = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
         b1 = z1 - act.forward(d2 @ z2) - b1
         b2 = z2 - act.forward(d3 @ z) - b2
-    recon = d1 @ act.forward(d2 @ act.forward(d3 @ z))
-    return z[:, 0], float(np.linalg.norm(xcol - recon))
+    return z[:, 0]
 
 
 def greedy_encode(model, x, s):
