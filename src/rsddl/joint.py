@@ -10,11 +10,14 @@ codes, or their SVD pseudo-inverse, without a warning, once an eigenvalue of
 their Gram falls to 1e-8 of its trace.
 P6 solves every class at once: the classes share D3, the Gram matrix and
 the class-mean snapshot, and no class reads another class's result, so each
-inner step is one grouped SOMP with one group per class.  P and C are
-(column, competitor, atom) arrays over the class-sorted columns, so P6 and
-the objective work on contiguous column slices, P6 in place; the class
-layout is built once per training and the class means once per outer
-iteration.
+inner step is one grouped SOMP with one group per class.  C is a (column,
+competitor, atom) array over the class-sorted columns, so P6 and the
+objective work on contiguous column slices, P6 in place; the class layout is
+built once per training and the class means once per outer iteration.  P,
+the proxy of the discriminative split, is recomputed, not stored: each P6
+call rebuilds the previous call's last P slice by slice from that call's
+class means, the Z it returned and C, so C is the trainer's only (column,
+competitor, atom) array.
 Relaxation variables follow the printed update rule ``B <- residual - B``
 (an involution around the residual).  The outer sweep updates B1 and B2;
 C, the relaxation variable of the discriminative split, is P6's alone.
@@ -70,8 +73,9 @@ DIVERGENCE_LIMIT = 1e12
 # greedy layer-wise chain it was trained with.
 MODES = ("joint", "greedy")
 
-# Columns per slice of the (column, competitor, atom) arrays P and C are capped
-# so that one slice holds at most this many elements, whatever the class count.
+# Columns per slice of the (column, competitor, atom) array C, and so of P6's
+# slice buffers, are capped so that one slice holds at most this many elements,
+# whatever the class count.
 _PAIR_CHUNK = 1 << 14
 
 
@@ -414,7 +418,7 @@ def solve_P6(
     gamma: float,
     eta2: float,
     inner_iters: int,
-    p: np.ndarray,
+    previous: tuple[np.ndarray, np.ndarray] | None,
     c_relax: np.ndarray,
     act: Activation,
 ) -> np.ndarray:
@@ -429,15 +433,19 @@ def solve_P6(
     correlation ``eta2 D3' T + gamma sum_k (mean_k + C_k - P_k)``, and each
     inner step is one grouped pursuit with one group per class.
 
-    ``p`` and ``c_relax`` are (column, competitor, atom) arrays over the
-    class-sorted columns of ``layout``: the row ``[j, i]`` belongs to sorted
-    column j's class c and its i-th competitor, the i-th class other than c
-    in ascending order.  ``class_means`` are the class means of Z as it was
-    when the outer iteration began.  Both arrays are updated in place: P
-    after every inner step, C after every step but the last, since no step
-    reads that update (and the rule, an involution, would give C back if
-    applied again around the same residual).  With ``mu == 0`` or a single
-    class this is plain SOMP per class on the data term.  Returns Z with its
+    ``c_relax`` is a (column, competitor, atom) array over the class-sorted
+    columns of ``layout``: the row ``[j, i]`` belongs to sorted column j's
+    class c and its i-th competitor, the i-th class other than c in
+    ascending order.  ``class_means`` are the class means of Z as it was when
+    the outer iteration began.  C is updated in place after every step but
+    the last, since no step reads that update (and the rule, an involution,
+    would give C back if applied again around the same residual).  P is
+    recomputed, not stored: it is 1 when ``previous`` is None, as on the first
+    call; otherwise ``previous`` is the ``(class_means, Z)`` of the previous
+    call with the same settings and this C, and the first step reads that
+    call's last P, ``prox_push(mean_k - Z_c + C)``, recomputed slice by slice
+    as that call would have computed it.  With ``mu == 0`` or a single class
+    this is plain SOMP per class on the data term.  Returns Z with its
     columns in data order.
     """
     order, cls, competitors = layout.order, layout.cls, layout.competitors
@@ -451,29 +459,45 @@ def solve_P6(
     corr_top = eta2 * (d3.T @ target)
     sq_top = eta2 * np.einsum("ij,ij->j", target, target)
     table = _competitor_table(class_means, competitors)
-    buffer = np.empty((layout.slices[0].stop,) + table.shape[1:])
+    # slice scratch: mean_k - Z_c, and P
+    buffer, p_buf = np.empty((2, layout.slices[0].stop) + table.shape[1:])
+    if previous is None:
+        p_buf.fill(1.0)
+    else:
+        prev_table, prev_rows = _competitor_table(previous[0], competitors), previous[1].T
     corr, y_sq = corr_top.copy(), sq_top.copy()
     for cols, zbar in _competitor_means(table, layout):
+        p_cols = p_buf[: zbar.shape[0]]
+        if previous is not None:
+            prev_zbar = prev_table.take(cls[cols], axis=0)
+            _p_slice(prev_zbar, prev_rows[order[cols]], c_relax[cols], mu, gamma, buffer, p_cols)
         zbar += c_relax[cols]
-        _add_competitor_terms(corr, y_sq, cols, np.subtract(zbar, p[cols], out=zbar), gamma, buffer)
-    # one pass per inner step: step t's P and C updates, written straight into
-    # P's and C's contiguous slices, then step t+1's correlation from them
+        _add_competitor_terms(corr, y_sq, cols, np.subtract(zbar, p_cols, out=zbar), gamma, buffer)
+    # one pass per inner step but the last: step t's P and C updates, C written
+    # straight into its contiguous slices, then step t+1's correlation from them
     for step in range(inner_iters):
         z_sorted = pursuit_gram(gram, corr, y_sq, row_s, layout.groups)
+        if step == inner_iters - 1:
+            break
         z_rows = z_sorted.T.copy()
-        more = step < inner_iters - 1
-        if more:
-            corr, y_sq = corr_top.copy(), sq_top.copy()
+        corr, y_sq = corr_top.copy(), sq_top.copy()
         for cols, zbar in _competitor_means(table, layout):
-            p_cols, c_cols = p[cols], c_relax[cols]
-            shifted = np.subtract(zbar, z_rows[cols, None, :], out=buffer[: zbar.shape[0]])
-            prox_push(np.add(shifted, c_cols, out=p_cols), mu, gamma, out=p_cols)
-            if more:
-                np.subtract(np.subtract(p_cols, shifted, out=shifted), c_cols, out=c_cols)
-                zbar += c_cols
-                _add_competitor_terms(corr, y_sq, cols, np.subtract(zbar, p_cols, out=zbar), gamma, buffer)
+            c_cols, p_cols = c_relax[cols], p_buf[: zbar.shape[0]]
+            shifted = _p_slice(zbar, z_rows[cols], c_cols, mu, gamma, buffer, p_cols)
+            np.subtract(np.subtract(p_cols, shifted, out=shifted), c_cols, out=c_cols)
+            zbar += c_cols
+            _add_competitor_terms(corr, y_sq, cols, np.subtract(zbar, p_cols, out=zbar), gamma, buffer)
     z[:, order] = z_sorted
     return z
+
+
+def _p_slice(zbar, z_rows, c_cols, mu: float, gamma: float, buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P of one slice, ``prox_push(mean_k - Z_c + C)`` from its competitor
+    means ``zbar``, its Z rows and its C, written into ``out``; returns the
+    shift ``mean_k - Z_c``, written into ``buffer``'s first rows."""
+    shifted = np.subtract(zbar, z_rows[:, None, :], out=buffer[: zbar.shape[0]])
+    prox_push(np.add(shifted, c_cols, out=out), mu, gamma, out=out)
+    return shifted
 
 
 def _add_competitor_terms(corr, y_sq, cols: slice, blocks: np.ndarray, gamma: float, buffer: np.ndarray) -> None:
@@ -592,8 +616,8 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
     z1, z2, _ = codes
     z = pursuit(d3, act.inverse(z2), cfg.row_s, groups=data.labels)
     b1, b2 = np.ones_like(z1), np.ones_like(z2)
-    p = np.ones((x.shape[1], n_classes - 1, arch.feature_dim))
-    c_relax = np.ones_like(p)
+    c_relax = np.ones((x.shape[1], n_classes - 1, arch.feature_dim))
+    previous = None  # the (class means, Z) of the last P6, which recomputes its P
     means = class_mean_matrix(z, class_cols, n_classes)
 
     greedy_recon = float(np.linalg.norm(x - compose_reconstruction(dicts, z, act)))
@@ -618,8 +642,9 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         z1 = solve_P4(x, d1, d2, z2, b1, cfg.eta1, act)
         z2 = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
         z = solve_P6(
-            z2, b2, d3, means, layout, cfg.row_s, cfg.mu, cfg.gamma, cfg.eta2, cfg.inner_iters, p, c_relax, act
+            z2, b2, d3, means, layout, cfg.row_s, cfg.mu, cfg.gamma, cfg.eta2, cfg.inner_iters, previous, c_relax, act
         )
+        previous = means, z
 
         # coefficients perturbed before the dictionaries see them
         if cfg.drop_mode is DropMode.DROPOUT and not final_iter:

@@ -111,21 +111,28 @@ def lstsq(target: np.ndarray, codes: np.ndarray) -> np.ndarray:
     stays below 1e4, since the normal equations square it).  An all-zero code
     row leaves its atom undetermined and gets a zero column; all-zero codes
     give a zero D.  Dependent or worse-conditioned codes take
-    ``target pinv(codes)``, the minimum-norm fit, without a warning.
+    ``target pinv(codes)``, the minimum-norm fit, without a warning.  The
+    result is a new C-ordered array, and with every code row nonzero it is
+    the fit of the live rows without their gather and scatter, bit for bit.
     """
     target = as_matrix(target, "target")
     codes = as_matrix(codes, "codes")
     if target.shape[1] != codes.shape[1]:
         raise ValueError(f"column mismatch: target has {target.shape[1]}, codes have {codes.shape[1]}")
     live = codes.any(axis=1)
-    c = codes[live]
+    every = bool(live.all())
+    # with every row live, the rows in the C order a gather would give them
+    c = np.ascontiguousarray(codes) if every else codes[live]
     gram = c @ c.T
     try:
         np.linalg.cholesky(gram - 1e-8 * np.trace(gram) * np.eye(gram.shape[0]))
     except np.linalg.LinAlgError:
         return target @ pinv(codes)
+    solved = np.linalg.solve(gram, c @ target.T).T
+    if every:
+        return np.ascontiguousarray(solved)
     fit = np.zeros((target.shape[0], codes.shape[0]))
-    fit[:, live] = np.linalg.solve(gram, c @ target.T).T
+    fit[:, live] = solved
     return fit
 
 

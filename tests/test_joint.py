@@ -449,30 +449,30 @@ class TestSolveP6:
 
     @staticmethod
     def _relax(n_classes, n):
-        return np.ones((n, n_classes - 1, 4)), np.ones((n, n_classes - 1, 4))
+        return np.ones((n, n_classes - 1, 4))
 
     def test_no_competitors_is_plain_somp(self):
         d3, z2, b2, class_cols = self._inputs(n_classes=1)
-        p, c = self._relax(1, 8)
+        c = self._relax(1, 8)
         layout = _class_layout(class_cols, 4)
-        out = solve_P6(z2, b2, d3, np.zeros((4, 1)), layout, 2, 0.5, 0.1, 1.0, 5, p, c, TANH)
+        out = solve_P6(z2, b2, d3, np.zeros((4, 1)), layout, 2, 0.5, 0.1, 1.0, 5, None, c, TANH)
         expected = pursuit(d3, TANH.inverse(z2 - b2), 2, groups=np.zeros(8))
         assert np.array_equal(out, expected)
 
     def test_mu_zero_is_plain_somp(self):
         d3, z2, b2, class_cols = self._inputs()
-        p, c = self._relax(2, 16)
-        out = solve_P6(z2, b2, d3, np.zeros((4, 2)), _class_layout(class_cols, 4), 2, 0.0, 0.1, 1.0, 5, p, c, TANH)
+        c = self._relax(2, 16)
+        out = solve_P6(z2, b2, d3, np.zeros((4, 2)), _class_layout(class_cols, 4), 2, 0.0, 0.1, 1.0, 5, None, c, TANH)
         for cols in class_cols.values():
             expected = pursuit(d3, TANH.inverse(z2[:, cols] - b2[:, cols]), 2, groups=np.zeros(8))
             assert np.array_equal(out[:, cols], expected)
-        assert np.all(p == 1.0) and np.all(c == 1.0)
+        assert np.all(c == 1.0)
 
     def test_row_budget_always_respected(self):
         d3, z2, b2, class_cols = self._inputs(n_classes=3)
-        p, c = self._relax(3, 24)
+        c = self._relax(3, 24)
         means = Rng(3).standard_normal((4, 3))
-        out = solve_P6(z2, b2, d3, means, _class_layout(class_cols, 4), 1, 0.5, 0.1, 1.0, 5, p, c, TANH)
+        out = solve_P6(z2, b2, d3, means, _class_layout(class_cols, 4), 1, 0.5, 0.1, 1.0, 5, None, c, TANH)
         for cols in class_cols.values():
             assert np.count_nonzero(np.abs(out[:, cols]).sum(axis=1)) <= 1
 
@@ -487,8 +487,8 @@ class TestSolveP6:
         means[:, 1] = 0.5 * np.abs(Rng(5).standard_normal(4))
 
         def run(mu):
-            p, c = self._relax(2, 20)
-            out = solve_P6(z2, b2, d3, means, _class_layout(class_cols, 4), 1, mu, 0.1, 1.0, 5, p, c, TANH)
+            c = self._relax(2, 20)
+            out = solve_P6(z2, b2, d3, means, _class_layout(class_cols, 4), 1, mu, 0.1, 1.0, 5, None, c, TANH)
             return set(np.nonzero(np.abs(out[:, class_cols[1]]).sum(axis=1))[0])
 
         competitor_support = {int(np.argmax(means[:, 1]))}
@@ -498,10 +498,11 @@ class TestSolveP6:
 
 
 def solve_P6_contract(z2, b2, d3, means, class_cols, row_s, mu, gamma, eta2, inner_iters, p, c, act):
-    """What ``solve_P6`` must return and leave in P and C, given them as
-    (column, competitor, atom) arrays: Z and P of ``solve_P6_reference`` run
-    for ``inner_iters`` steps, and C of the reference run one step fewer (C
-    as given, for one step).  Returns new ``(z, p, c)``; the inputs are kept."""
+    """What ``solve_P6`` must return and leave in C, and the P it reads at its
+    next call, given P and C as (column, competitor, atom) arrays: Z and P of
+    ``solve_P6_reference`` run for ``inner_iters`` steps, and C of the
+    reference run one step fewer (C as given, for one step).  Returns new
+    ``(z, p, c)``; the inputs are kept."""
     p_ref, c_ref = np.transpose(p, (1, 2, 0)).copy(), np.transpose(c, (1, 2, 0)).copy()
     c_want = c_ref.copy()
     args = (row_s, mu, gamma, eta2)
@@ -512,13 +513,16 @@ def solve_P6_contract(z2, b2, d3, means, class_cols, row_s, mu, gamma, eta2, inn
 
 
 class TestSolveP6MatchesTwoPass:
-    """The one-pass ``solve_P6`` against ``solve_P6_reference``, the two-pass
-    form over the (competitor, atom, column) layout: identical Z and P, and
-    C as the reference leaves it one inner step earlier, since no step reads
-    the last step's C update."""
+    """Consecutive calls of the one-pass ``solve_P6`` against
+    ``solve_P6_reference``, the two-pass form over the (competitor, atom,
+    column) layout that carries P from call to call: identical Z, and C as
+    the reference leaves it one inner step earlier, since no step reads the
+    last step's C update.  ``solve_P6`` stores no P: the first call reads
+    P = 1, and each later one recomputes the P the previous call ended with
+    from that call's class means and Z."""
 
     @staticmethod
-    def _check(sizes, row_s=3, mu=0.5, gamma=0.1, eta2=1.0, inner_iters=5, atoms=7, seed=30):
+    def _check(sizes, row_s=3, mu=0.5, gamma=0.1, eta2=1.0, inner_iters=5, atoms=7, seed=30, calls=3):
         rng = Rng(seed)
         n_classes = len(sizes)
         d3, _ = normalize_columns(rng.standard_normal((9, atoms)))
@@ -526,24 +530,28 @@ class TestSolveP6MatchesTwoPass:
         labels = rng.permutation(np.repeat(np.arange(1, n_classes + 1), sizes))
         class_cols = {c: np.flatnonzero(labels == c) for c in range(1, n_classes + 1)}
         n = labels.size
-        z2 = 0.4 * rng.standard_normal((9, n))
-        b2 = 0.1 * rng.standard_normal((9, n))
+        layout = _class_layout(class_cols, atoms)
         means = rng.standard_normal((atoms, n_classes))
-        p = column_layout(rng.standard_normal((n_classes - 1, atoms, n)))
         c = column_layout(rng.standard_normal((n_classes - 1, atoms, n)))
+        p_ref, c_ref = np.ones_like(c), c.copy()
         args = (row_s, mu, gamma, eta2, inner_iters)
-        z_ref, p_ref, c_ref = solve_P6_contract(z2, b2, d3, means, class_cols, *args, p, c, TANH)
-        z = solve_P6(z2, b2, d3, means, _class_layout(class_cols, atoms), *args, p, c, TANH)
-        assert np.array_equal(z, z_ref)
-        assert np.array_equal(p, p_ref)
-        assert np.array_equal(c, c_ref)
+        previous = None
+        for _ in range(calls):
+            z2 = 0.4 * rng.standard_normal((9, n))
+            b2 = 0.1 * rng.standard_normal((9, n))
+            z_ref, p_ref, c_ref = solve_P6_contract(z2, b2, d3, means, class_cols, *args, p_ref, c_ref, TANH)
+            z = solve_P6(z2, b2, d3, means, layout, *args, previous, c, TANH)
+            assert np.array_equal(z, z_ref)
+            assert np.array_equal(c, c_ref)
+            # the next call's snapshot is the means of this Z, as in joint_train
+            previous, means = (means, z), class_mean_matrix(z, class_cols, n_classes)
         return z
 
     def test_uneven_class_sizes(self):
         for seed in range(5):
             self._check([1, 6, 3, 9, 2], seed=seed)
         self._check([4, 1, 7], inner_iters=1)
-        self._check([5, 2, 8, 3], row_s=7, gamma=1.0, eta2=0.3)
+        self._check([5, 2, 8, 3], row_s=7, gamma=1.0, eta2=0.3, calls=2)
         # one atom: numpy would sum the 11 competitors of a column pairwise
         self._check([2, 3, 1, 4, 2, 3, 1, 2, 5, 2, 3, 1], row_s=1, atoms=1)
 
@@ -567,11 +575,12 @@ class TestSolveP6MatchesTwoPass:
     def test_inner_step_counts(self, inner_iters):
         # one step: C comes back as given; 40 classes span several slices
         self._check([1, 6, 3, 9, 2], inner_iters=inner_iters)
-        self._check([3 + c % 3 for c in range(40)], row_s=2, inner_iters=inner_iters)
+        self._check([3 + c % 3 for c in range(40)], row_s=2, inner_iters=inner_iters, calls=2)
 
     def test_kernel_calls_of_a_mixture_training(self, monkeypatch):
         # the benchmark's mixture workload: 16 classes, 60 dims, arch 42,30,21;
-        # corr and y_sq sum the same terms in the same order in both layouts
+        # corr and y_sq sum the same terms in the same order in both layouts,
+        # and the reference carries P from one outer iteration to the next
         calls = {"new": [], "old": []}
 
         def recorder(kernel, key):
@@ -585,15 +594,17 @@ class TestSolveP6MatchesTwoPass:
         train, _ = many_class_mixture()
         class_cols = {c: np.asarray(train.class_index[c]) for c in range(1, train.num_classes + 1)}
         solve = joint.solve_P6
+        carried = {}
 
-        def both(z2, b2, d3, means, layout, row_s, mu, gamma, eta2, inner_iters, p, c, act):
+        def both(z2, b2, d3, means, layout, row_s, mu, gamma, eta2, inner_iters, previous, c, act):
             args = (row_s, mu, gamma, eta2, inner_iters)
+            p = carried["p"] if previous is not None else np.ones_like(c)
             mark = len(calls["old"])
-            z_ref, p_ref, c_ref = solve_P6_contract(z2, b2, d3, means, class_cols, *args, p, c, act)
+            z_ref, carried["p"], c_ref = solve_P6_contract(z2, b2, d3, means, class_cols, *args, p, c, act)
             del calls["old"][mark : mark + inner_iters - 1]  # the shorter run, for C
-            z = solve(z2, b2, d3, means, layout, *args, p, c, act)
+            z = solve(z2, b2, d3, means, layout, *args, previous, c, act)
             assert np.array_equal(z, z_ref)
-            assert np.array_equal(p, p_ref) and np.array_equal(c, c_ref)
+            assert np.array_equal(c, c_ref)
             return z
 
         monkeypatch.setattr(joint, "pursuit_gram", recorder(joint.pursuit_gram, "new"))
@@ -927,6 +938,34 @@ class TestJointTrain:
         assert len(seen_a["c"]) == cfg.outer_iters
         assert all(np.array_equal(ca, cb) for ca, cb in zip(seen_a["c"], seen_b["c"]))
         assert seen_a["objective"] == seen_b["objective"]
+
+    def test_p6_state_is_one_pair_array(self, monkeypatch):
+        # C is the only (column, competitor, atom) array P6 gets; P is recomputed
+        # from the previous call's class means and the Z that call returned
+        rng = Rng(8)
+        labels = rng.permutation(np.repeat([1, 2, 3, 4], [3, 9, 5, 7]))
+        data = make_dataset(rng.standard_normal((12, labels.size)), labels)
+        solve = joint.solve_P6
+        calls = []
+
+        def recorded_p6(*args):
+            z = solve(*args)
+            calls.append((args, z))
+            return z
+
+        monkeypatch.setattr(joint, "solve_P6", recorded_p6)
+        cfg = TrainConfig(seed=2, outer_iters=3)
+        joint_train(data, Architecture((10, 8, 6)), cfg)
+        assert len(calls) == cfg.outer_iters
+        for i, (args, _) in enumerate(calls):
+            pair_arrays = [a for a in args if isinstance(a, np.ndarray) and a.shape == (labels.size, 3, 6)]
+            assert len(pair_arrays) == 1
+            previous = args[10]
+            if i == 0:
+                assert previous is None
+            else:
+                prev_args, prev_z = calls[i - 1]
+                assert previous[0] is prev_args[3] and previous[1] is prev_z
 
     def test_divergence_guard(self):
         rng = Rng(1)

@@ -117,6 +117,40 @@ class TestLstsq:
         assert np.all(d[:, [1, 3]] == 0.0)
         assert np.max(np.abs(d - target @ pinv(codes))) <= 1e-10
 
+    @staticmethod
+    def masked_route(target, codes):
+        """The normal-equations fit through the gather of the live code rows
+        and the scatter into a zero-filled D, whether or not a row is dead."""
+        live = codes.any(axis=1)
+        c = codes[live]
+        fit = np.zeros((target.shape[0], codes.shape[0]))
+        fit[:, live] = np.linalg.solve(c @ c.T, c @ target.T).T
+        return fit
+
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    def test_all_live_rows_match_the_masked_route(self, monkeypatch, layout):
+        # greedy fits the codes side as lstsq(x.T, d.T): codes that are a transpose
+        rng = Rng(16)
+        target = rng.standard_normal((6, 30))
+        codes = rng.standard_normal((8, 30)) if layout == "C" else rng.standard_normal((30, 8)).T
+        calls = self.counted_pinv(monkeypatch)
+        d = lstsq(target, codes)
+        assert calls == []
+        assert d.flags.c_contiguous
+        assert np.array_equal(d, self.masked_route(target, codes))
+
+    def test_a_dead_row_keeps_a_zero_column_beside_the_all_live_fit(self, monkeypatch):
+        rng = Rng(17)
+        target = rng.standard_normal((6, 30))
+        codes = rng.standard_normal((8, 30))
+        codes[5] = 0.0
+        calls = self.counted_pinv(monkeypatch)
+        d = lstsq(target, codes)
+        assert calls == []
+        assert d.flags.c_contiguous and np.all(d[:, 5] == 0.0)
+        assert np.array_equal(d, self.masked_route(target, codes))
+        assert np.array_equal(np.delete(d, 5, axis=1), lstsq(target, np.delete(codes, 5, axis=0)))
+
     def test_all_zero_codes_give_a_zero_fit(self, monkeypatch):
         calls = self.counted_pinv(monkeypatch)
         d = lstsq(Rng(2).standard_normal((3, 7)), np.zeros((4, 7)))

@@ -542,9 +542,11 @@ def solve_P6_stacked(z2c, b2c, d3, competitor_means, row_s, mu, gamma, eta2, inn
 class TestP6GramForm:
     def test_matches_stacked_system(self):
         # every class at once against the per-class stacked reference, with
-        # unequal class sizes (one of a single column) in shuffled column order;
-        # C as the reference leaves it one inner step earlier, since no step
-        # reads the last step's C update
+        # unequal class sizes (one of a single column) in shuffled column order,
+        # over two consecutive calls: the first reads P = 1, the second the P
+        # the first ended with, which the stacked reference carries and
+        # solve_P6 recomputes; C as the reference leaves it one inner step
+        # earlier, since no step reads the last step's C update
         act = Activation.TANH
         for seed, (n_classes, row_s, eta2, gamma) in enumerate(
             [(2, 2, 1.0, 0.1), (4, 3, 0.7, 0.25), (8, 2, 2.0, 0.05), (5, 5, 1.0, 1.0)]
@@ -556,24 +558,31 @@ class TestP6GramForm:
             labels = rng.permutation(np.repeat(np.arange(1, n_classes + 1), sizes))
             class_cols = {c: np.where(labels == c)[0] for c in range(1, n_classes + 1)}
             n = labels.size
-            z2 = 0.4 * rng.standard_normal((9, n))
-            b2 = 0.1 * rng.standard_normal((9, n))
-            means = rng.standard_normal((7, n_classes))
-            p = rng.standard_normal((n_classes - 1, 7, n))
-            c = rng.standard_normal((n_classes - 1, 7, n))
-            p_ref, c_ref = p.copy(), c.copy()
-            p, c = column_layout(p), column_layout(c)
-            out = solve_P6(z2, b2, d3, means, _class_layout(class_cols, 7), row_s, 0.5, gamma, eta2, 5, p, c, act)
-            lo = 0
+            c_ref = rng.standard_normal((n_classes - 1, 7, n))
+            c = column_layout(c_ref)
+            # each class's P and C of the stacked reference, by competitor class
+            lo, blocks, p_k, c_k = 0, {}, {}, {}
             for k, cols in class_cols.items():
-                block = slice(lo, lo + cols.size)  # class k's columns of P and C
+                blocks[k] = slice(lo, lo + cols.size)  # class k's columns of C
                 lo += cols.size
                 others = [j for j in class_cols if j != k]
-                p_k, c_k, c_5 = ({j: a[i, :, block].copy() for i, j in enumerate(others)} for a in (p_ref, c_ref, c_ref))
-                inputs = (z2[:, cols], b2[:, cols], d3, {j: means[:, j - 1] for j in others}, row_s, 0.5, gamma, eta2)
-                solve_P6_stacked(*inputs, 4, {j: a.copy() for j, a in p_k.items()}, c_k, act)  # C of four steps
-                ref = solve_P6_stacked(*inputs, 5, p_k, c_5, act)  # Z and P of five
-                TestAgainstReference._assert_same(out[:, cols], ref)
-                for i, j in enumerate(others):
-                    assert np.max(np.abs(p[block, i].T - p_k[j])) <= 1e-9
-                    assert np.max(np.abs(c[block, i].T - c_k[j])) <= 1e-9
+                p_k[k] = {j: np.ones((7, cols.size)) for j in others}
+                c_k[k] = {j: c_ref[i, :, blocks[k]].copy() for i, j in enumerate(others)}
+            previous = None
+            for _ in range(2):
+                z2 = 0.4 * rng.standard_normal((9, n))
+                b2 = 0.1 * rng.standard_normal((9, n))
+                means = rng.standard_normal((7, n_classes))
+                layout = _class_layout(class_cols, 7)
+                out = solve_P6(z2, b2, d3, means, layout, row_s, 0.5, gamma, eta2, 5, previous, c, act)
+                previous = means, out
+                for k, cols in class_cols.items():
+                    others = sorted(p_k[k])
+                    competitor_means = {j: means[:, j - 1] for j in others}
+                    inputs = (z2[:, cols], b2[:, cols], d3, competitor_means, row_s, 0.5, gamma, eta2)
+                    p_4, c_5 = ({j: a.copy() for j, a in state[k].items()} for state in (p_k, c_k))
+                    solve_P6_stacked(*inputs, 4, p_4, c_k[k], act)  # C of four steps
+                    ref = solve_P6_stacked(*inputs, 5, p_k[k], c_5, act)  # Z and P of five
+                    TestAgainstReference._assert_same(out[:, cols], ref)
+                    for i, j in enumerate(others):
+                        assert np.max(np.abs(c[blocks[k], i].T - c_k[k][j])) <= 1e-9
