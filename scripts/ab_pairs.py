@@ -19,8 +19,9 @@ change can show in which layer its saving sits.  Whether lower or higher is
 better, and each metric's bound, are read from the change's
 ``BENCHMARK.json``.  The verdict is the first that holds of:
 
-* ``gain``: the change won at least 9 of 10 pairs, and its median is better
-  than the parent's by more than the parent's IQR (interquartile range);
+* ``gain``: the change failed no larger share of its ops than the parent,
+  won at least 9 of 10 pairs, and its median is better than the parent's by
+  more than the parent's IQR (interquartile range);
 * ``worse``: the change's median is worse than the parent's by more than the
   bound, a fraction of the parent's median;
 * ``unresolved``: the parent's IQR is more than the bound times its median,
@@ -89,12 +90,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: list[float], change: list[float], wins: int, better: str, bound: float) -> str:
-    """The verdict on one metric's paired runs (see the module docstring)."""
+def failed_share(results: list[dict]) -> float:
+    """The share of failed ops over benchmark result lines."""
+    attempted = sum(r["attempted"] for r in results)
+    return sum(r["failed"] for r in results) / attempted if attempted else 0.0
+
+
+def verdict(parent: list[float], change: list[float], wins: int, better: str, bound: float, more_failed: bool) -> str:
+    """The verdict on one metric's paired runs (see the module docstring);
+    ``more_failed`` says that the change failed a larger share of its ops."""
     sign = 1.0 if better == "higher" else -1.0
     (p1, p2, p3), (_, c2, _) = quartiles(parent), quartiles(change)
     gain = sign * (c2 - p2)  # positive when the change's median is better
-    if 10 * wins >= 9 * len(parent) and gain > p3 - p1:
+    if not more_failed and 10 * wins >= 9 * len(parent) and gain > p3 - p1:
         return "gain"
     if -gain > bound * abs(p2):
         return "worse"
@@ -108,6 +116,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: di
     """One row per metric of ``better`` (name -> "lower" or "higher") over the
     (parent result, change result) pairs of one workload; ``bounds`` gives
     each metric's bound."""
+    more_failed = failed_share([c for _, c in pairs]) > failed_share([p for p, _ in pairs])
     rows = []
     for name, direction in better.items():
         got = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
@@ -123,7 +132,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: di
             "metric": name, "better": direction, "pairs": len(got), "wins": wins, "ties": ties,
             "parent": p_q, "change": c_q, "parent_iqr": p_q[2] - p_q[0],
             "delta": (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else float("nan"),
-            "verdict": verdict(parent, change, wins, direction, bounds[name]),
+            "verdict": verdict(parent, change, wins, direction, bounds[name], more_failed),
         })
     return rows
 

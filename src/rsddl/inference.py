@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .joint import Model, p4_lhs, p5_lhs
+from .joint import Model, p4_maps, p5_maps
 from .numerics import as_matrix, pinv
 from .sparse import pursuit_gram, unit_gram
 
@@ -70,12 +70,11 @@ def _per_model(build):
 
 @_per_model
 def _encoder(model: Model) -> tuple:
-    """pinv(D1), pinv(D2), unit_gram(D3'D3) and solve_P4/solve_P5 as linear maps: inv(L4),
-    inv(L4) D1', eta1 inv(L5) D2', eta2 inv(L5), with L4, L5 their (SPD) left-hand sides."""
+    """pinv(D1), pinv(D2), unit_gram(D3'D3) and the linear maps of solve_P4 and solve_P5
+    (``p4_maps``, ``p5_maps``): inv(L4), inv(L4) D1', eta1 inv(L5) D2', eta2 inv(L5)."""
     d1, d2, d3 = model.dictionaries
     cfg = model.config
-    i4, i5 = np.linalg.inv(p4_lhs(d1, cfg.eta1)), np.linalg.inv(p5_lhs(d2, cfg.eta1, cfg.eta2))
-    return pinv(d1), pinv(d2), unit_gram(d3.T @ d3), i4, i4 @ d1.T, cfg.eta1 * i5 @ d2.T, cfg.eta2 * i5
+    return pinv(d1), pinv(d2), unit_gram(d3.T @ d3), *p4_maps(d1, cfg.eta1), *p5_maps(d2, cfg.eta1, cfg.eta2)
 
 
 @_per_model

@@ -8,12 +8,18 @@ different classes apart.  P1-P3 are the least-squares fit that the greedy
 warm start uses too (``rsddl.numerics.lstsq``): the normal equations of the
 codes, or their SVD pseudo-inverse, without a warning, once an eigenvalue of
 their Gram falls to 1e-8 of its trace.
+P4 and P5 apply the inverses of their left-hand sides by a matrix product
+(:func:`p4_maps`, :func:`p5_maps`, the maps the test encoder caches) to the
+forward maps phi(D2 Z2) and phi(D3 Z), which the relaxation sweep computes
+once per outer iteration and the objective reads too.
 P6 solves every class at once: the classes share D3, the Gram matrix and
 the class-mean snapshot, and no class reads another class's result, so each
 inner step is one grouped SOMP with one group per class.  C is a (column,
-competitor, atom) array over the class-sorted columns, so P6 and the
-objective work on contiguous column slices, P6 in place; the class layout is
-built once per training and the class means once per outer iteration.  P,
+competitor, atom) array over the class-sorted columns, so P6 works on
+contiguous column slices in place, and the objective counts its diversity
+term from per-class zero counts and the nonzero entries of Z, without a
+pass over C's layout; the class layout is built once per training and the
+class means once per outer iteration.  P,
 the proxy of the discriminative split, is recomputed, not stored: each P6
 call rebuilds the previous call's last P slice by slice from that call's
 class means, the Z it returned and C, so C is the trainer's only (column,
@@ -60,6 +66,8 @@ __all__ = [
     "solve_P4",
     "solve_P5",
     "solve_P6",
+    "p4_maps",
+    "p5_maps",
     "bregman_update",
     "apply_dropout",
     "apply_dropconnect",
@@ -222,7 +230,8 @@ class Model:
     """Trained classifier state: dictionaries, stored codes with their class
     ids 1..C, and the mode (one of :data:`MODES`) that says how test samples
     are encoded.  The constructor alone normalizes and checks a model, and
-    stores ``config`` with its sparsity budget resolved.  Its arrays are
+    stores ``config`` with its sparsity budget resolved; a dictionary or
+    stored code with a NaN or infinite entry is a ValueError.  Its arrays are
     read-only copies, so ``cache`` keeps unpersisted inference factors for
     good; ``dataclasses.replace`` makes a new model with its own cache."""
 
@@ -253,9 +262,13 @@ class Model:
                 raise ValueError(f"D{i + 1} has shape {d.shape}, arch says {arch.atoms_per_layer[i]} atoms")
             if i > 0 and d.shape[0] != arch.atoms_per_layer[i - 1]:
                 raise ValueError(f"D{i + 1} has {d.shape[0]} rows, which breaks the layer chain")
+            if not np.all(np.isfinite(d)):
+                raise ValueError(f"D{i + 1} has non-finite entries")
         if features.shape != (arch.feature_dim, labels.size):
             want = (arch.feature_dim, labels.size)
             raise ValueError(f"Z has shape {features.shape}, not (deepest atoms, labels) {want}")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("Z has non-finite entries")
         if labels.size == 0 or labels.min() < 1:
             raise ValueError("labels must be class ids starting at 1")
         missing = np.flatnonzero(np.bincount(labels)[1:] == 0) + 1
@@ -295,7 +308,9 @@ def _competitor_means(table: np.ndarray, layout: _ClassLayout):
 
 def objective_value(
     x: np.ndarray,
-    dicts: list[np.ndarray],
+    d1: np.ndarray,
+    d2: np.ndarray,
+    f3: np.ndarray,
     z: np.ndarray,
     layout: _ClassLayout,
     means: np.ndarray,
@@ -306,21 +321,41 @@ def objective_value(
 
     ``||X - D1 phi(D2 phi(D3 Z))||_F^2 - mu * sum_c sum_{k != c} nnz(mean_k - Z_c)``
 
-    The class-row sparsity is a hard budget, so it adds no term.  ``means``
-    are the class means of Z (:func:`class_mean_matrix`).  Returns the value
-    and each class's row count, its support size, in class order.
+    ``f3`` is ``phi(D3 Z)``, as the relaxation sweep computed it.  The
+    class-row sparsity is a hard budget, so it adds no term.  ``means`` are
+    the class means of Z (:func:`class_mean_matrix`).  Returns the value and
+    each class's row count, its support size, in class order.
     """
-    recon = x - compose_reconstruction(dicts, z, act)
+    recon = x - d1 @ act.forward(d2 @ f3)
     value = float(np.sum(recon * recon))
-    z_rows = z.T[layout.order]
-    rows = np.logical_or.reduceat(z_rows != 0.0, layout.starts, axis=0).sum(axis=1)
-    differ = np.zeros((z_rows.shape[0], layout.competitors.shape[1]), dtype=np.int64)
-    for cols, zbar in _competitor_means(_competitor_table(means, layout.competitors), layout):
-        differ[cols] = np.count_nonzero(zbar != z_rows[cols, None, :], axis=2)
-    pairs = np.add.reduceat(differ, layout.starts, axis=0)
+    rows, pairs = _support_counts(z, layout, means)
     # a running sum, class by class and competitor by competitor, so the value
     # rounds exactly as the loop over class pairs it replaces did
     return float(np.cumsum(np.append(value, -mu * pairs.ravel()))[-1]), rows
+
+
+def _support_counts(z: np.ndarray, layout: _ClassLayout, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's count of nonzero rows of Z, and the (class, competitor)
+    table of ``nnz(mean_k - Z_c)`` summed over class c's columns, both exact.
+
+    The entries of class c that differ from ``mean_k`` are its n_c x atoms
+    entries less those equal to it: where ``mean_k`` is 0, class c's zeros of
+    that atom (one small integer product); elsewhere, its nonzero entries
+    equal to ``mean_k`` (one comparison per nonzero entry and class, then one
+    ``bincount``).
+    """
+    z_rows = z.T[layout.order]
+    zero = z_rows == 0.0
+    sizes = np.bincount(layout.cls)
+    zeros = np.add.reduceat(zero, layout.starts, axis=0, dtype=np.int64)  # (class, atom)
+    rows = np.count_nonzero(zeros < sizes[:, None], axis=1)
+    atoms, n_classes = means.shape
+    flat = np.flatnonzero(~zero)  # the nonzero entries of z_rows, as flat offsets
+    equal = np.flatnonzero(z_rows.ravel()[flat, None] == means.take(flat % atoms, axis=0))
+    entry, mean_class = np.divmod(equal, n_classes)
+    hits = np.bincount(layout.cls[flat[entry] // atoms] * n_classes + mean_class, minlength=n_classes * n_classes)
+    matches = zeros @ (means == 0.0) + hits.reshape(n_classes, n_classes)
+    return rows, sizes[:, None] * atoms - np.take_along_axis(matches, layout.competitors, axis=1)
 
 
 def _fit_dictionary(target: np.ndarray, codes: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -367,44 +402,42 @@ def solve_P3(
     return _fit_dictionary(act.inverse(z2 - b2), z, prev)[0]
 
 
-def solve_P4(
-    x: np.ndarray,
-    d1: np.ndarray,
-    d2: np.ndarray,
-    z2: np.ndarray,
-    b1: np.ndarray,
-    eta1: float,
-    act: Activation,
-) -> np.ndarray:
-    """Stationary point of ``||X - D1 Z1||^2 + eta1 ||Z1 - phi(D2 Z2) - B1||^2``."""
-    return np.linalg.solve(p4_lhs(d1, eta1), d1.T @ x + eta1 * (act.forward(d2 @ z2) + b1))
+def solve_P4(x: np.ndarray, d1: np.ndarray, f2: np.ndarray, b1: np.ndarray, eta1: float) -> np.ndarray:
+    """Stationary point of ``||X - D1 Z1||^2 + eta1 ||Z1 - phi(D2 Z2) - B1||^2``,
+    ``f2`` being ``phi(D2 Z2)``, by the linear maps of :func:`p4_maps`."""
+    inv4, p4_x = p4_maps(d1, eta1)
+    return p4_x @ x + inv4 @ (eta1 * (f2 + b1))
 
 
-def p4_lhs(d1: np.ndarray, eta1: float) -> np.ndarray:
-    """Left-hand side of the P4 normal equations."""
-    return d1.T @ d1 + eta1 * np.eye(d1.shape[1])
+def p4_maps(d1: np.ndarray, eta1: float) -> tuple[np.ndarray, np.ndarray]:
+    """P4 as linear maps: ``inv(L4)`` and ``inv(L4) D1'``, with
+    ``L4 = D1'D1 + eta1 I`` the (SPD) left-hand side of its normal equations."""
+    inv4 = np.linalg.inv(d1.T @ d1 + eta1 * np.eye(d1.shape[1]))
+    return inv4, inv4 @ d1.T
 
 
-def p5_lhs(d2: np.ndarray, eta1: float, eta2: float) -> np.ndarray:
-    """Left-hand side of the P5 normal equations."""
-    return eta1 * (d2.T @ d2) + eta2 * np.eye(d2.shape[1])
+def p5_maps(d2: np.ndarray, eta1: float, eta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """P5 as linear maps: ``eta1 inv(L5) D2'`` and ``eta2 inv(L5)``, with
+    ``L5 = eta1 D2'D2 + eta2 I`` the (SPD) left-hand side of its normal equations."""
+    inv5 = np.linalg.inv(eta1 * (d2.T @ d2) + eta2 * np.eye(d2.shape[1]))
+    return eta1 * inv5 @ d2.T, eta2 * inv5
 
 
 def solve_P5(
     z1: np.ndarray,
     b1: np.ndarray,
     d2: np.ndarray,
-    d3: np.ndarray,
-    z: np.ndarray,
+    f3: np.ndarray,
     b2: np.ndarray,
     eta1: float,
     eta2: float,
     act: Activation,
 ) -> np.ndarray:
     """Stationary point of
-    ``eta1 ||phi^-1(Z1 - B1) - D2 Z2||^2 + eta2 ||Z2 - phi(D3 Z) - B2||^2``."""
-    rhs = eta1 * (d2.T @ act.inverse(z1 - b1)) + eta2 * (act.forward(d3 @ z) + b2)
-    return np.linalg.solve(p5_lhs(d2, eta1, eta2), rhs)
+    ``eta1 ||phi^-1(Z1 - B1) - D2 Z2||^2 + eta2 ||Z2 - phi(D3 Z) - B2||^2``,
+    ``f3`` being ``phi(D3 Z)``, by the linear maps of :func:`p5_maps`."""
+    p5_z1, p5_z = p5_maps(d2, eta1, eta2)
+    return p5_z1 @ act.inverse(z1 - b1) + p5_z @ (f3 + b2)
 
 
 def solve_P6(
@@ -522,17 +555,21 @@ def bregman_update(
     d2: np.ndarray,
     d3: np.ndarray,
     act: Activation,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray, np.ndarray]:
     """Relaxation-variable sweep by the printed rule ``B <- residual - B`` for
     B1 and B2 (C is updated inside :func:`solve_P6`).  Returns the new B1 and
-    B2 and the norms of the two coupling residuals it swept with, feas1
-    ``||Z1 - phi(D2 Z2)||`` and feas2 ``||Z2 - phi(D3 Z)||``."""
-    r1, r2 = _coupling_residuals(z1, z2, z, d2, d3, act)
-    return r1 - b1, r2 - b2, float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
+    B2, the norms of the two coupling residuals it swept with, feas1
+    ``||Z1 - phi(D2 Z2)||`` and feas2 ``||Z2 - phi(D3 Z)||``, and the forward
+    maps ``phi(D2 Z2)`` and ``phi(D3 Z)``, which the objective and the next
+    P4 and P5 read."""
+    f2, f3 = _forward_maps(z2, z, d2, d3, act)
+    r1, r2 = z1 - f2, z2 - f3
+    return r1 - b1, r2 - b2, float(np.linalg.norm(r1)), float(np.linalg.norm(r2)), f2, f3
 
 
-def _coupling_residuals(z1, z2, z, d2, d3, act: Activation) -> tuple[np.ndarray, np.ndarray]:
-    return z1 - act.forward(d2 @ z2), z2 - act.forward(d3 @ z)
+def _forward_maps(z2, z, d2, d3, act: Activation) -> tuple[np.ndarray, np.ndarray]:
+    """``phi(D2 Z2)`` and ``phi(D3 Z)``."""
+    return act.forward(d2 @ z2), act.forward(d3 @ z)
 
 
 def _drop(rate: float, rng: Rng, **arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -620,9 +657,12 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
     previous = None  # the (class means, Z) of the last P6, which recomputes its P
     means = class_mean_matrix(z, class_cols, n_classes)
 
-    greedy_recon = float(np.linalg.norm(x - compose_reconstruction(dicts, z, act)))
-    init_feas1, init_feas2 = (float(np.linalg.norm(r)) for r in _coupling_residuals(z1, z2, z, d2, d3, act))
-    init_obj, _ = objective_value(x, dicts, z, layout, means, cfg.mu, act)
+    # phi(D2 Z2) and phi(D3 Z), computed once per iteration by the relaxation
+    # sweep, here by the initial check, and read by the objective and P4 and P5
+    f2, f3 = _forward_maps(z2, z, d2, d3, act)
+    greedy_recon = float(np.linalg.norm(x - compose_reconstruction([d1, d2], f3, act)))
+    init_feas1, init_feas2 = float(np.linalg.norm(z1 - f2)), float(np.linalg.norm(z2 - f3))
+    init_obj, _ = objective_value(x, d1, d2, f3, z, layout, means, cfg.mu, act)
     report = FitReport(
         initial_objective=init_obj,
         initial_feas1=init_feas1,
@@ -639,8 +679,9 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         final_iter = it == cfg.outer_iters - 1
 
         # coefficient sweeps
-        z1 = solve_P4(x, d1, d2, z2, b1, cfg.eta1, act)
-        z2 = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
+        z1 = solve_P4(x, d1, f2, b1, cfg.eta1)
+        z2 = solve_P5(z1, b1, d2, f3, b2, cfg.eta1, cfg.eta2, act)
+        del f2, f3  # read by P4 and P5 only: not alive during P6
         z = solve_P6(
             z2, b2, d3, means, layout, cfg.row_s, cfg.mu, cfg.gamma, cfg.eta2, cfg.inner_iters, previous, c_relax, act
         )
@@ -658,12 +699,12 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         if cfg.drop_mode is DropMode.DROPCONNECT and not final_iter:
             d1, d2, d3 = apply_dropconnect(d1, d2, d3, cfg.drop_rate, rng.substream("drop", it))
 
-        b1, b2, feas1, feas2 = bregman_update(b1, b2, z1, z2, z, d2, d3, act)
+        b1, b2, feas1, feas2, f2, f3 = bregman_update(b1, b2, z1, z2, z, d2, d3, act)
 
         # Z stays as it is until the next P6, so these means are also the next
         # iteration's snapshot
         means = class_mean_matrix(z, class_cols, n_classes)
-        obj, rows = objective_value(x, [d1, d2, d3], z, layout, means, cfg.mu, act)
+        obj, rows = objective_value(x, d1, d2, f3, z, layout, means, cfg.mu, act)
         if not obj <= DIVERGENCE_LIMIT:  # NaN too
             raise TrainingDivergedError(
                 f"objective {obj:.3e} is not within {DIVERGENCE_LIMIT:.0e} at iteration {it + 1}"
@@ -674,7 +715,7 @@ def joint_train(data: "Dataset", arch: Architecture, cfg: TrainConfig | None = N
         _emit(report, log, _format_record(rec))
 
     final_dicts = [d1, d2, d3]
-    joint_recon = float(np.linalg.norm(x - compose_reconstruction(final_dicts, z, act)))
+    joint_recon = float(np.linalg.norm(x - compose_reconstruction([d1, d2], f3, act)))
     report.joint_reconstruction = joint_recon
     if cfg.drop_mode is not DropMode.NONE:
         _emit(

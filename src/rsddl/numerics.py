@@ -106,9 +106,10 @@ def lstsq(target: np.ndarray, codes: np.ndarray) -> np.ndarray:
     greedy warm start and the joint trainer's P1-P3.
 
     Solves the normal equations ``C C' D' = C target'`` of the nonzero code
-    rows C when ``C C' - 1e-8 trace(C C') I`` has a Cholesky factor, that is
-    when every eigenvalue of ``C C'`` exceeds 1e-8 of its trace (so cond(C)
-    stays below 1e4, since the normal equations square it).  An all-zero code
+    rows C as ``D = (target C') inv(C C')``, one product with the inverse,
+    when ``C C' - 1e-8 trace(C C') I`` has a Cholesky factor, that is when
+    every eigenvalue of ``C C'`` exceeds 1e-8 of its trace (so cond(C) stays
+    below 1e4, since the normal equations square it).  An all-zero code
     row leaves its atom undetermined and gets a zero column; all-zero codes
     give a zero D.  Dependent or worse-conditioned codes take
     ``target pinv(codes)``, the minimum-norm fit, without a warning.  The
@@ -128,9 +129,11 @@ def lstsq(target: np.ndarray, codes: np.ndarray) -> np.ndarray:
         np.linalg.cholesky(gram - 1e-8 * np.trace(gram) * np.eye(gram.shape[0]))
     except np.linalg.LinAlgError:
         return target @ pinv(codes)
-    solved = np.linalg.solve(gram, c @ target.T).T
+    # one GEMM with the explicit inverse: np.linalg.solve with as many
+    # right-hand sides as target rows is several times slower at these sizes
+    solved = (target @ c.T) @ np.linalg.inv(gram)
     if every:
-        return np.ascontiguousarray(solved)
+        return solved
     fit = np.zeros((target.shape[0], codes.shape[0]))
     fit[:, live] = solved
     return fit

@@ -111,6 +111,23 @@ def test_verdict_gain_needs_nine_wins_of_ten_and_a_gap_beyond_the_parent_iqr():
     assert verdicts(TIGHT_TRAIN, barely, TIGHT_RATE, TIGHT_RATE)["train_s"] == "within bound"
 
 
+def test_no_gain_when_the_change_fails_a_larger_share_of_its_ops():
+    faster = [t - 0.05 for t in TIGHT_TRAIN]
+    pairs = [(result(pt, 300.0, 9.5), result(ct, 320.0, 9.5)) for pt, ct in zip(TIGHT_TRAIN, faster)]
+
+    def train_verdict():
+        return {r["metric"]: r["verdict"] for r in ab_pairs.summarize(pairs, BETTER, BOUNDS)}["train_s"]
+
+    assert train_verdict() == "gain"
+    pairs[0][1]["failed"] = 1  # 1 of 100 change ops against 0 of 100
+    assert ab_pairs.failed_share([c for _, c in pairs]) == 0.01
+    assert train_verdict() == "within bound"
+    pairs[1][0]["failed"] = 1  # the same share on both sides
+    assert train_verdict() == "gain"
+    pairs[2][0]["attempted"] = 20  # 1 of 110 parent ops: a smaller share than the change's
+    assert train_verdict() == "within bound"
+
+
 def test_verdict_worse_beyond_the_bound_in_either_direction():
     slower = [1.3 * t for t in TIGHT_TRAIN]  # +30% against a 25% bound
     fewer = [0.7 * r for r in TIGHT_RATE]  # -30% against a 25% bound

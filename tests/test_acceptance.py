@@ -129,7 +129,7 @@ def test_04_quadratic_subproblem_gradients():
         b2 = rng.standard_normal((4, cols)) * 0.2
         eta1, eta2 = 1.0, 1.0
 
-        z1_star = solve_P4(x, d1, d2, z2, b1, eta1, act)
+        z1_star = solve_P4(x, d1, act.forward(d2 @ z2), b1, eta1)
         target1 = act.forward(d2 @ z2) + b1
 
         def cost_p4(v):
@@ -137,7 +137,7 @@ def test_04_quadratic_subproblem_gradients():
 
         g1 = np.linalg.norm(fd_gradient(cost_p4, z1_star))
 
-        z2_star = solve_P5(z1_star, b1, d2, d3, z, b2, eta1, eta2, act)
+        z2_star = solve_P5(z1_star, b1, d2, act.forward(d3 @ z), b2, eta1, eta2, act)
         top = act.inverse(z1_star - b1)
         bottom = act.forward(d3 @ z) + b2
 

@@ -286,13 +286,13 @@ class TestEncoderMaps:
             z2 = rng.standard_normal((7, n))
             b1 = rng.standard_normal((9, n))
             z1 = p4_x @ x + inv4 @ (cfg.eta1 * (act.forward(d2 @ z2) + b1))
-            assert np.max(np.abs(z1 - solve_P4(x, d1, d2, z2, b1, cfg.eta1, act))) <= 1e-10
+            assert np.max(np.abs(z1 - solve_P4(x, d1, act.forward(d2 @ z2), b1, cfg.eta1))) <= 1e-10
             # P5 at a Z1 - B1 inside the range of tanh
             z1 = b1 + 1.8 * rng.random((9, n)) - 0.9
             z = rng.standard_normal((5, n))
             b2 = rng.standard_normal((7, n))
             z2 = p5_z1 @ act.inverse(z1 - b1) + p5_z @ (act.forward(d3 @ z) + b2)
-            ref = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
+            ref = solve_P5(z1, b1, d2, act.forward(d3 @ z), b2, cfg.eta1, cfg.eta2, act)
             assert np.max(np.abs(z2 - ref)) <= 1e-10
 
 

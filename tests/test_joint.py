@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -166,16 +167,19 @@ class TestModel:
             (dict(architecture=Architecture((4, 3, 3))), "D3 has shape \\(3, 2\\), arch says 3 atoms"),
             (dict(architecture=Architecture((5, 3, 2))), "D1 has shape \\(5, 4\\), arch says 5 atoms"),
             (dict(dictionaries=[np.ones((5, 4)), np.ones((5, 3)), np.ones((3, 2))]), "D2 has 5 rows"),
+            (dict(dictionaries=[np.ones((5, 4)), np.full((4, 3), np.nan), np.ones((3, 2))]), "D2 has non-finite"),
             (dict(features=np.ones((3, 3))), "Z has shape \\(3, 3\\), not .* \\(2, 3\\)"),
             (dict(labels=[1, 2]), "Z has shape \\(2, 3\\), not .* \\(2, 2\\)"),
+            (dict(features=[[1.0, np.inf, 0.0], [0.0, 1.0, 0.0]]), "Z has non-finite entries"),
             (dict(labels=[1, 3, 3]), "class 2 of 1..3 has no stored code"),
             (dict(labels=[0, 1, 2]), "class ids starting at 1"),
             (dict(labels=[1, 2.5, 2]), "class ids must be whole numbers"),
             (dict(config=TrainConfig(per_column_s=3, row_s=1)), "per_column_s=3 exceeds atom count 2"),
             (dict(config=TrainConfig(per_column_s=1, row_s=3)), "row_s=3 exceeds atom count 2"),
         ],
-        ids=["mode", "joint-depth", "dictionary-count", "atoms", "first-atoms", "chain", "z-rows",
-             "z-columns", "missing-class", "class-zero", "fractional-class", "column-budget", "row-budget"],
+        ids=["mode", "joint-depth", "dictionary-count", "atoms", "first-atoms", "chain", "non-finite-dictionary",
+             "z-rows", "z-columns", "non-finite-codes", "missing-class", "class-zero", "fractional-class",
+             "column-budget", "row-budget"],
     )
     def test_rejects(self, change, message):
         with pytest.raises(ValueError, match=message):
@@ -363,7 +367,7 @@ class TestSolveP4:
         d2 = rng.standard_normal((4, 3))
         z2 = rng.standard_normal((3, 6))
         x = rng.standard_normal((4, 6))
-        z1 = solve_P4(x, np.eye(4), d2, z2, np.zeros((4, 6)), 1.0, TANH)
+        z1 = solve_P4(x, np.eye(4), TANH.forward(d2 @ z2), np.zeros((4, 6)), 1.0)
         assert np.allclose(z1, (x + TANH.forward(d2 @ z2)) / 2.0, atol=1e-10)
 
     def test_large_eta_limit(self):
@@ -374,7 +378,7 @@ class TestSolveP4:
         b1 = 0.1 * rng.standard_normal((5, 7))
         x = rng.standard_normal((6, 7))
         target = TANH.forward(d2 @ z2) + b1
-        z1 = solve_P4(x, d1, d2, z2, b1, 1e6, TANH)
+        z1 = solve_P4(x, d1, TANH.forward(d2 @ z2), b1, 1e6)
         assert np.linalg.norm(z1 - target) / np.linalg.norm(target) < 1e-3
 
     def test_fd_gradient_zero(self):
@@ -385,13 +389,24 @@ class TestSolveP4:
         b1 = rng.standard_normal((4, 3)) * 0.2
         x = rng.standard_normal((5, 3))
         eta1 = 1.0
-        z1 = solve_P4(x, d1, d2, z2, b1, eta1, TANH)
+        z1 = solve_P4(x, d1, TANH.forward(d2 @ z2), b1, eta1)
         target = TANH.forward(d2 @ z2) + b1
 
         def cost(z):
             return float(np.sum((x - d1 @ z) ** 2) + eta1 * np.sum((z - target) ** 2))
 
         assert np.linalg.norm(fd_gradient(cost, z1)) < 1e-6
+
+
+    @pytest.mark.parametrize("eta1", [1.0, 0.3])
+    def test_matches_the_solve_oracle(self, eta1):
+        rng = Rng(9).substream(eta1)
+        d1, _ = normalize_columns(rng.standard_normal((60, 42)))
+        f2 = TANH.forward(rng.standard_normal((42, 200)))
+        b1 = rng.standard_normal((42, 200))
+        x = rng.standard_normal((60, 200))
+        oracle = np.linalg.solve(d1.T @ d1 + eta1 * np.eye(42), d1.T @ x + eta1 * (f2 + b1))
+        assert np.max(np.abs(solve_P4(x, d1, f2, b1, eta1) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 class TestSolveP5:
@@ -402,7 +417,7 @@ class TestSolveP5:
         d3 = rng.standard_normal((4, 2))
         z = rng.standard_normal((2, 5))
         b2 = rng.standard_normal((4, 5)) * 0.1
-        z2 = solve_P5(z1, b1, np.eye(4), d3, z, b2, 1.0, 1.0, TANH)
+        z2 = solve_P5(z1, b1, np.eye(4), TANH.forward(d3 @ z), b2, 1.0, 1.0, TANH)
         expected = (TANH.inverse(z1 - b1) + TANH.forward(d3 @ z) + b2) / 2.0
         assert np.allclose(z2, expected, atol=1e-10)
 
@@ -414,7 +429,7 @@ class TestSolveP5:
         b2 = rng.standard_normal((3, 6)) * 0.2
         z1 = rng.standard_normal((5, 6)) * 0.3
         b1 = rng.standard_normal((5, 6)) * 0.1
-        z2 = solve_P5(z1, b1, d2, d3, z, b2, 0.0, 1.0, TANH)
+        z2 = solve_P5(z1, b1, d2, TANH.forward(d3 @ z), b2, 0.0, 1.0, TANH)
         assert np.allclose(z2, TANH.forward(d3 @ z) + b2, atol=1e-10)
 
     def test_fd_gradient_zero(self):
@@ -426,7 +441,7 @@ class TestSolveP5:
         z1 = rng.standard_normal((4, 3)) * 0.3
         b1 = rng.standard_normal((4, 3)) * 0.1
         eta1, eta2 = 1.0, 1.0
-        z2 = solve_P5(z1, b1, d2, d3, z, b2, eta1, eta2, TANH)
+        z2 = solve_P5(z1, b1, d2, TANH.forward(d3 @ z), b2, eta1, eta2, TANH)
         top = TANH.inverse(z1 - b1)
         bottom = TANH.forward(d3 @ z) + b2
 
@@ -434,6 +449,19 @@ class TestSolveP5:
             return float(eta1 * np.sum((top - d2 @ c) ** 2) + eta2 * np.sum((c - bottom) ** 2))
 
         assert np.linalg.norm(fd_gradient(cost, z2)) < 1e-6
+
+
+    @pytest.mark.parametrize("eta1, eta2", [(1.0, 1.0), (0.3, 2.5)])
+    def test_matches_the_solve_oracle(self, eta1, eta2):
+        rng = Rng(12).substream(eta1, eta2)
+        d2, _ = normalize_columns(rng.standard_normal((42, 30)))
+        f3 = TANH.forward(rng.standard_normal((30, 200)))
+        b1, b2 = rng.standard_normal((42, 200)), rng.standard_normal((30, 200))
+        z1 = b1 + 1.8 * rng.random((42, 200)) - 0.9  # Z1 - B1 inside the range of tanh
+        rhs = eta1 * (d2.T @ TANH.inverse(z1 - b1)) + eta2 * (f3 + b2)
+        oracle = np.linalg.solve(eta1 * (d2.T @ d2) + eta2 * np.eye(30), rhs)
+        got = solve_P5(z1, b1, d2, f3, b2, eta1, eta2, TANH)
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 class TestSolveP6:
@@ -631,7 +659,7 @@ class TestBregmanUpdate:
 
     def test_feasible_point_keeps_b1_zero(self):
         inputs = self._inputs()
-        b1, _, feas1, _ = bregman_update(np.zeros((5, 6)), np.zeros((3, 6)), **inputs)
+        b1, _, feas1, *_ = bregman_update(np.zeros((5, 6)), np.zeros((3, 6)), **inputs)
         assert np.allclose(b1, 0.0, atol=1e-12)
         assert feas1 < 1e-12
 
@@ -730,9 +758,53 @@ class TestObjective:
         #   c=1: mean_2 - z_1 = (-2,0) -> 1 nonzero
         #   c=2: mean_1 - z_2 = (2,0)  -> 1 nonzero
         means = class_mean_matrix(z, class_cols, 2)
-        value, rows = objective_value(x, d, z, _class_layout(class_cols, 2), means, 0.5, act)
+        layout = _class_layout(class_cols, 2)
+        value, rows = objective_value(x, d[0], d[1], act.forward(d[2] @ z), z, layout, means, 0.5, act)
         assert value == pytest.approx(2.0 - 0.5 * 2)
         assert rows.tolist() == [1, 0]
+
+
+    @staticmethod
+    def _planted_codes():
+        """Codes of four classes over five atoms with exact ties: class 1 is one
+        column, so its mean is that column; a class-2 entry equals class 1's
+        mean (atom 0) and others class 3's and class 4's; classes 2 and 3 have
+        a zero mean over zero and nonzero codes (atom 2)."""
+        columns = {
+            1: [[2.0, 0.0, 0.0, 1.0, 0.0]],
+            2: [[2.0, 0.0, 5.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, 3.0], [0.0, 0.0, -5.0, 0.0, 0.0]],
+            3: [[0.0, 0.0, 1.0, 0.0, 3.0], [0.0, 0.0, -1.0, 0.0, 3.0]],
+            4: [[0.5, 0.0, 0.0, 0.0, 0.0], [1.5, 0.0, 0.0, 0.0, 0.0]],
+        }
+        labels = Rng(4).permutation(np.repeat([1, 2, 3, 4], [1, 3, 2, 2]))
+        z = np.zeros((5, labels.size))
+        for c, cols in columns.items():
+            z[:, labels == c] = np.array(cols).T
+        return z, labels
+
+    @pytest.mark.parametrize("case", ["planted ties", "40 classes"])
+    def test_counts_match_the_reference(self, case):
+        rng = Rng(21)
+        if case == "planted ties":
+            z, labels = self._planted_codes()
+        else:  # codes in {-1, 0, 1} over classes of 1-3 columns: ties everywhere
+            labels = rng.permutation(np.repeat(np.arange(1, 41), [1 + c % 3 for c in range(40)]))
+            z = np.floor(3.0 * rng.random((6, labels.size))) - 1.0
+        n_classes = int(labels.max())
+        class_cols = {c: np.flatnonzero(labels == c) for c in range(1, n_classes + 1)}
+        means = class_mean_matrix(z, class_cols, n_classes)
+        if case == "planted ties":
+            assert means[0, 0] == 2.0 and means[2, 1] == means[2, 2] == 0.0 and means[0, 3] == 1.0
+        atoms = z.shape[0]
+        dicts = [rng.standard_normal((7, 6)), rng.standard_normal((6, atoms)), rng.standard_normal((atoms, atoms))]
+        x = rng.standard_normal((7, labels.size))
+        layout = _class_layout(class_cols, z.shape[0])
+        rows, pairs = joint._support_counts(z, layout, means)
+        assert np.array_equal(pairs, util.pair_counts_reference(z, class_cols))
+        assert dict(zip(class_cols, rows.tolist())) == support_sizes_reference(z, class_cols)
+        for act in (TANH, IDENTITY):
+            value, _ = objective_value(x, dicts[0], dicts[1], act.forward(dicts[2] @ z), z, layout, means, 0.5, act)
+            assert value == objective_value_reference(x, dicts, z, class_cols, 0.5, act)
 
 
 class TestBookkeepingOnce:
@@ -761,12 +833,17 @@ class TestBookkeepingOnce:
         n_classes = data.num_classes
         class_cols = {c: np.asarray(data.class_index[c]) for c in range(1, n_classes + 1)}
         solve, sweep, objective = joint.solve_P6, joint.bregman_update, joint.objective_value
-        groups = joint.group_columns
-        seen = {"z": None, "c": None, "layouts": set(), "sweeps": 0, "group tables": 0}
+        groups, warm = joint.group_columns, joint.layerwise_factorize
+        seen = {"z": None, "c": None, "d3": None, "f3": None, "layouts": set(), "sweeps": 0, "group tables": 0}
 
         def counted_groups(*args):
             seen["group tables"] += 1
             return groups(*args)
+
+        def recorded_warm(*args):
+            dicts, codes = warm(*args)
+            seen["d3"] = dicts[2]
+            return dicts, codes
 
         def checked_p6(z2, b2, d3, class_means, layout, *args):
             # the snapshot is the means of Z as the last objective saw it
@@ -780,19 +857,24 @@ class TestBookkeepingOnce:
 
         def checked_sweep(b1, b2, z1, z2, z, d2, d3, a):
             b1_ref, b2_ref = bregman_update_reference(b1, b2, z1, z2, z, d2, d3, a)
-            b1, b2, *feas = sweep(b1, b2, z1, z2, z, d2, d3, a)
+            b1, b2, *feas, f2, f3 = sweep(b1, b2, z1, z2, z, d2, d3, a)
             assert feas == [
                 float(np.linalg.norm(z1 - a.forward(d2 @ z2))),
                 float(np.linalg.norm(z2 - a.forward(d3 @ z))),
             ]
             assert np.array_equal(b1, b1_ref) and np.array_equal(b2, b2_ref)
+            assert np.array_equal(f2, a.forward(d2 @ z2)) and np.array_equal(f3, a.forward(d3 @ z))
             seen["sweeps"] += 1
-            return b1, b2, *feas
+            seen["d3"], seen["f3"] = d3, f3
+            return b1, b2, *feas, f2, f3
 
-        def checked_objective(x, dicts, z, layout, means, mu, a):
+        def checked_objective(x, d1, d2, f3, z, layout, means, mu, a):
+            # phi(D3 Z) of the initial check, then the sweep's own array
+            assert np.array_equal(f3, a.forward(seen["d3"] @ z))
+            assert seen["f3"] is None or f3 is seen["f3"]
             assert np.array_equal(means, class_mean_matrix(z, class_cols, n_classes))
-            value, rows = objective(x, dicts, z, layout, means, mu, a)
-            assert value == objective_value_reference(x, dicts, z, class_cols, mu, a)
+            value, rows = objective(x, d1, d2, f3, z, layout, means, mu, a)
+            assert value == objective_value_reference(x, [d1, d2, seen["d3"]], z, class_cols, mu, a)
             assert dict(zip(class_cols, rows.tolist())) == support_sizes_reference(z, class_cols)
             seen["layouts"].add(id(layout))
             seen["z"] = z.copy()
@@ -802,12 +884,81 @@ class TestBookkeepingOnce:
         monkeypatch.setattr(joint, "bregman_update", checked_sweep)
         monkeypatch.setattr(joint, "objective_value", checked_objective)
         monkeypatch.setattr(joint, "group_columns", counted_groups)
+        monkeypatch.setattr(joint, "layerwise_factorize", recorded_warm)
         cfg = TrainConfig(seed=3, outer_iters=3)
         model = joint_train(data, Architecture((10, 8, 6), activation=act), cfg)
         assert seen["sweeps"] == cfg.outer_iters and len(seen["layouts"]) == 1
         assert seen["group tables"] == 1
         assert len(_class_layout(class_cols, 6).slices) == (3 if case == "40 classes" else 1)
         assert model.fit_report.iterations[-1].support_sizes == support_sizes_reference(model.features, class_cols)
+
+    def test_forward_maps_are_released_before_p6(self, monkeypatch):
+        sweep, solve = joint.bregman_update, joint.solve_P6
+        maps, p6_calls = [], []
+
+        def recorded_sweep(*args):
+            out = sweep(*args)
+            maps.extend(weakref.ref(m) for m in out[4:])
+            return out
+
+        def checked_p6(*args):
+            assert all(ref() is None for ref in maps)
+            p6_calls.append(len(maps))
+            return solve(*args)
+
+        monkeypatch.setattr(joint, "bregman_update", recorded_sweep)
+        monkeypatch.setattr(joint, "solve_P6", checked_p6)
+        joint_train(self._data("uneven"), Architecture((10, 8, 6)), TrainConfig(seed=3, outer_iters=3))
+        assert p6_calls == [0, 2, 4]
+
+    @pytest.mark.parametrize("drop", list(DropMode), ids=[m.value for m in DropMode])
+    def test_forward_maps_once_per_iteration(self, monkeypatch, drop):
+        # phi(D2 Z2) and phi(D3 Z) are evaluated once per outer iteration: by
+        # the initial check for the first, by each relaxation sweep after it;
+        # P4, P5 and the objective read those arrays
+        data = self._data("uneven")
+        forward, warm = Activation.forward, joint.layerwise_factorize
+        inputs, calls = [], []
+
+        def counted_forward(self, m):
+            inputs.append(np.array(m, dtype=np.float64))
+            return forward(self, m)
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                calls.append((name, args, out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(Activation, "forward", counted_forward)
+        monkeypatch.setattr(joint, "layerwise_factorize", recorded("warm start", warm))
+        for name in ("solve_P4", "solve_P5", "bregman_update", "objective_value"):
+            monkeypatch.setattr(joint, name, recorded(name, getattr(joint, name)))
+        cfg = TrainConfig(seed=3, outer_iters=3, drop_mode=drop, drop_rate=0.2)
+        joint_train(data, Architecture((10, 8, 6)), cfg)
+
+        def of(name):
+            return [(args, out) for called, args, out in calls if called == name]
+
+        ((_, (dicts, codes)),) = of("warm start")
+        p4s, p5s, sweeps, objectives = of("solve_P4"), of("solve_P5"), of("bregman_update"), of("objective_value")
+        assert len(p4s) == len(p5s) == len(sweeps) == cfg.outer_iters == len(objectives) - 1
+        # (D2, Z2, D3, Z) of each iteration's forward maps
+        operands = [(dicts[1], codes[1], dicts[2], objectives[0][0][4])]
+        operands += [(args[5], args[3], args[6], args[4]) for args, _ in sweeps]
+        for d2, z2, d3, z in operands:
+            assert sum(np.array_equal(m, d2 @ z2) for m in inputs) == 1
+            assert sum(np.array_equal(m, d3 @ z) for m in inputs) == 1
+        # the initial check's arrays, then each sweep's
+        first_f3 = objectives[0][0][3]
+        assert p5s[0][0][3] is first_f3
+        assert np.array_equal(p4s[0][0][2], TANH.forward(dicts[1] @ codes[1]))
+        for i, (_, out) in enumerate(sweeps):
+            f2, f3 = out[4], out[5]
+            assert objectives[i + 1][0][3] is f3
+            if i + 1 < cfg.outer_iters:
+                assert p4s[i + 1][0][2] is f2 and p5s[i + 1][0][3] is f3
 
 
 class TestJointTrain:
@@ -921,7 +1072,7 @@ class TestJointTrain:
 
             def recorded_objective(*args, seen=seen):
                 value, rows = objective(*args)
-                seen["slices"].add(len(args[3].slices))
+                seen["slices"].add(len(args[5].slices))
                 seen["objective"].append((value, rows.tolist()))
                 return value, rows
 

@@ -124,7 +124,7 @@ class TestLstsq:
         live = codes.any(axis=1)
         c = codes[live]
         fit = np.zeros((target.shape[0], codes.shape[0]))
-        fit[:, live] = np.linalg.solve(c @ c.T, c @ target.T).T
+        fit[:, live] = (target @ c.T) @ np.linalg.inv(c @ c.T)
         return fit
 
     @pytest.mark.parametrize("layout", ["C", "transposed"])
@@ -138,6 +138,27 @@ class TestLstsq:
         assert calls == []
         assert d.flags.c_contiguous
         assert np.array_equal(d, self.masked_route(target, codes))
+
+    @pytest.mark.parametrize("shape", [(4, 12, 6), (42, 400, 60), (21, 60, 400)], ids=["small", "P1", "codes"])
+    @pytest.mark.parametrize("cond, pinv_calls", [(1.0, 0), (1e3, 0), (1e6, 1)])
+    def test_matches_the_solve_oracle(self, monkeypatch, shape, cond, pinv_calls):
+        # (atoms, samples, target rows): the inverse's product against
+        # np.linalg.solve of the same normal equations, up to cond(codes)^2 1e-15
+        # of the largest entry; at cond 1e6, past the gate, the pinv route
+        atoms, samples, rows = shape
+        rng = Rng(8)
+        left, _ = np.linalg.qr(rng.standard_normal((atoms, atoms)))
+        right, _ = np.linalg.qr(rng.standard_normal((samples, atoms)))
+        codes = (left * np.geomspace(1.0, 1.0 / cond, atoms)) @ right.T  # cond(codes) = cond
+        target = rng.standard_normal((rows, samples))
+        calls = self.counted_pinv(monkeypatch)
+        d = lstsq(target, codes)
+        assert len(calls) == pinv_calls
+        if pinv_calls:
+            assert np.array_equal(d, target @ pinv(codes))
+        else:
+            oracle = np.linalg.solve(codes @ codes.T, codes @ target.T).T
+            assert np.max(np.abs(d - oracle)) <= max(1.0, cond**2) * 1e-15 * np.max(np.abs(oracle))
 
     def test_a_dead_row_keeps_a_zero_column_beside_the_all_live_fit(self, monkeypatch):
         rng = Rng(17)

@@ -516,6 +516,13 @@ def objective_value_reference(x, dicts, z, class_cols, mu, act):
     atom, column) layout."""
     recon = x - compose_reconstruction(dicts, z, act)
     value = float(np.sum(recon * recon))
+    return float(np.cumsum(np.append(value, -mu * pair_counts_reference(z, class_cols).ravel()))[-1])
+
+
+def pair_counts_reference(z, class_cols):
+    """The (class, competitor) table of ``nnz(mean_k - Z_c)`` summed over
+    class c's columns, one slice of (competitor, atom, column) differences at
+    a time."""
     order, cls, competitors = _class_layout(class_cols)
     z_sorted = z[:, order]
     starts = np.searchsorted(cls, np.arange(competitors.shape[0]))
@@ -523,8 +530,7 @@ def objective_value_reference(x, dicts, z, class_cols, mu, act):
     differ = np.zeros((competitors.shape[1], cls.size), dtype=np.int64)
     for cols, zbar in _competitor_means_reference(means, cls, competitors):
         differ[:, cols] = np.count_nonzero(zbar != z_sorted[:, cols], axis=1)
-    pairs = np.add.reduceat(differ, starts, axis=1)
-    return float(np.cumsum(np.append(value, -mu * pairs.T.ravel()))[-1])
+    return np.add.reduceat(differ, starts, axis=1).T
 
 
 def encode_reference(model, x):
@@ -541,8 +547,8 @@ def encode_reference(model, x):
     b2 = np.ones_like(z2)
     for _ in range(cfg.test_iters):
         z = pursuit_reference(d3, act.inverse(z2 - b2), s)
-        z1 = solve_P4(xcol, d1, d2, z2, b1, cfg.eta1, act)
-        z2 = solve_P5(z1, b1, d2, d3, z, b2, cfg.eta1, cfg.eta2, act)
+        z1 = solve_P4(xcol, d1, act.forward(d2 @ z2), b1, cfg.eta1)
+        z2 = solve_P5(z1, b1, d2, act.forward(d3 @ z), b2, cfg.eta1, cfg.eta2, act)
         b1 = z1 - act.forward(d2 @ z2) - b1
         b2 = z2 - act.forward(d3 @ z) - b2
     return z[:, 0]
